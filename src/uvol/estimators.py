@@ -8,8 +8,10 @@ any thread count.
 
 The chunk engine and the scalar per-path API (:mod:`uvol.chain` +
 :mod:`uvol.weights`) share the same elementwise kernels: the engine simply
-calls :func:`uvol.weights.step_weights` on array-valued records, one grid
-interval at a time, and folds the same prefix recurrences as
+calls :func:`uvol.weights.step_weights` on the array-valued records of a
+step's interior intervals and :func:`uvol.weights.terminal_weights` on its
+final ones, one grid interval at a time, and folds the same prefix
+recurrences as
 :func:`uvol.weights.delta_weight` / :func:`uvol.weights.vega_weight`.
 """
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import rng as _rng
 from .chain import StepRecord, chain_step
-from .flow import frozen_coeffs
+from .flow import FrozenCoeffs, frozen_coeffs
 from .model import Model, ParameterError
 from .renewal import JumpSampler, quantile
 from .weights import step_weights, terminal_weights
@@ -42,6 +44,7 @@ __all__ = [
 ]
 
 _MAX_SAMPLING_ROUNDS = 10000
+_FC_FIELDS = tuple(FrozenCoeffs.__dataclass_fields__)
 
 
 class NonFinitePathError(ArithmeticError):
@@ -127,7 +130,9 @@ class RunConfig:
     threads : int
         Worker threads for chunk processing; results do not depend on it.
     chunk_size : int
-        Paths per vectorized chunk; results do not depend on it.
+        Paths per vectorized chunk.  The paths do not depend on it, but the
+        order of the floating-point sums does, so means at two chunk sizes
+        can differ in the last few bits.
     """
 
     model: Model
@@ -200,18 +205,51 @@ def _sample_gap_columns(cfg: RunConfig, paths: np.ndarray):
     return gaps, slot, T - cum
 
 
-def _take_where(mask, a, b):
-    return np.where(mask, a, b)
+def _rows(rec: StepRecord, lo: int, hi: int) -> StepRecord:
+    """Rows ``[lo, hi)`` of a batched step record, as views."""
+    fc = rec.fc
+    return StepRecord(
+        index=rec.index, x_prev=rec.x_prev[lo:hi], y_prev=rec.y_prev[lo:hi],
+        x_next=rec.x_next[lo:hi], y_next=rec.y_next[lo:hi],
+        z1=rec.z1[lo:hi], z2=rec.z2[lo:hi], model=rec.model,
+        fc=FrozenCoeffs(**{f: getattr(fc, f)[lo:hi] for f in _FC_FIELDS}))
+
+
+def _fold(state, delta, th, ey, ex, i1th, i2ey, i1ex, thc):
+    """Fold one step's weights into the prefix recurrences, in place.
+
+    ``state`` holds views of ``(price_pref, ey_pref, delta_acc, corr, spill,
+    vega_acc)`` for the paths the weights belong to; the recurrences are
+    those of :func:`uvol.weights.delta_weight` and
+    :func:`uvol.weights.vega_weight`.
+    """
+    price_pref, ey_pref, delta_acc, corr, spill, vega_acc = state
+    corr[...] = corr * th + thc * ey_pref
+    vega_acc[...] = vega_acc * th + delta * (
+        i2ey * ey_pref + corr + i1th * spill + i1ex * ey_pref)
+    spill[...] = spill * th + ex * ey_pref
+    delta_acc[...] = delta_acc * th + delta * i1th * price_pref
+    price_pref[...] = price_pref * th
+    ey_pref[...] = ey_pref * ey
 
 
 def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str):
-    """Simulate paths [lo, hi) and return the chunk's partial statistics."""
-    paths = np.arange(lo, hi, dtype=np.uint64)
-    n = paths.size
+    """Simulate paths [lo, hi) and return the chunk's partial statistics.
+
+    The paths are stably sorted by jump count, most jumps first, so at step
+    ``k`` the active paths are a prefix ``[:n_act[k]]`` whose interior steps
+    ``[:n_act[k + 1]]`` come first and whose final intervals form the tail.
+    Every layer then works on contiguous slices, and only the paths that
+    need them get interior weights.  Draws stay keyed by path index, and
+    the state is put back in path order before the payoff, so the result
+    does not depend on the sort.
+    """
+    n = hi - lo
     mdl, smp = cfg.model, cfg.sampler
 
     if cfg.inject is None:
-        gaps, n_jumps, last_gap = _sample_gap_columns(cfg, paths)
+        gaps, n_jumps, last_gap = _sample_gap_columns(
+            cfg, np.arange(lo, hi, dtype=np.uint64))
     else:
         zeta = np.asarray(cfg.inject.zeta)
         dz = np.diff(zeta)
@@ -220,72 +258,64 @@ def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str):
             else np.full((n, 1), np.nan)
         last_gap = np.full(n, dz[-1])
 
+    order = np.argsort(-n_jumps, kind="stable")
+    paths = (lo + order).astype(np.uint64)
+    n_steps = int(n_jumps.max()) + 1
+    # n_act[k] = number of paths with at least k jumps, i.e. active at step k
+    n_act = np.append(np.cumsum(np.bincount(n_jumps, minlength=n_steps)[::-1])[::-1], 0)
+
     x = np.full(n, cfg.x0)
     y = np.full(n, cfg.y0)
-    price_pref = np.ones(n)
-    ey_pref = np.ones(n)
-    delta_acc = np.zeros(n)
-    corr = np.zeros(n)
-    spill = np.zeros(n)
-    vega_acc = np.zeros(n)
+    state = (np.ones(n), np.ones(n), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n))
 
-    for k in range(int(n_jumps.max()) + 1):
-        act = np.flatnonzero(k <= n_jumps)
-        is_last = n_jumps[act] == k
-        col = gaps[act, min(k, gaps.shape[1] - 1)]
-        delta_k = _take_where(is_last, last_gap[act], col)
+    for k in range(n_steps):
+        n_k, n_int = int(n_act[k]), int(n_act[k + 1])
+        # the clamp only bites at the last step, which has no interior paths
+        col = gaps[order[:n_int], min(k, gaps.shape[1] - 1)]
+        delta_k = np.concatenate((col, last_gap[order[n_int:n_k]]))
         if cfg.inject is None:
-            z1, z2 = _rng.normal_pair(cfg.seed, paths[act], k)
+            z1, z2 = _rng.normal_pair(cfg.seed, paths[:n_k], k)
         else:
-            z1 = np.full(act.size, cfg.inject.z1[k])
-            z2 = np.full(act.size, cfg.inject.z2[k])
-        fc = frozen_coeffs(mdl, y[act], delta_k, panels=cfg.panels)
-        x_next, y_next = chain_step(mdl, x[act], y[act], fc, z1, z2)
-        rec = StepRecord(index=k, x_prev=x[act], y_prev=y[act],
+            z1 = np.full(n_k, cfg.inject.z1[k])
+            z2 = np.full(n_k, cfg.inject.z2[k])
+        fc = frozen_coeffs(mdl, y[:n_k], delta_k, panels=cfg.panels)
+        x_next, y_next = chain_step(mdl, x[:n_k], y[:n_k], fc, z1, z2)
+        rec = StepRecord(index=k, x_prev=x[:n_k], y_prev=y[:n_k],
                          x_next=x_next, y_next=y_next, z1=z1, z2=z2,
                          fc=fc, model=mdl)
-        tw = terminal_weights(rec, smp)
-        if np.all(is_last):
-            th = tw.theta_last + 0.0 * z1
-            ey, ex = tw.theta_eY_last, tw.theta_eX_last
-            i1th, i2ey, i1ex = tw.I1_theta_last, tw.I2_theta_eY_last, tw.I1_theta_eX_last
-            thc = np.zeros(act.size)
-        else:
-            sw = step_weights(rec, smp)
-            th = _take_where(is_last, tw.theta_last, sw.theta)
-            ey = _take_where(is_last, tw.theta_eY_last, sw.theta_eY)
-            ex = _take_where(is_last, tw.theta_eX_last, sw.theta_eX)
-            i1th = _take_where(is_last, tw.I1_theta_last, sw.I1_theta)
-            i2ey = _take_where(is_last, tw.I2_theta_eY_last, sw.I2_theta_eY)
-            i1ex = _take_where(is_last, tw.I1_theta_eX_last, sw.I1_theta_eX)
-            thc = _take_where(is_last, 0.0, sw.theta_c)
+        if n_int:
+            sw = step_weights(_rows(rec, 0, n_int), smp)
+            _fold([a[:n_int] for a in state], delta_k[:n_int],
+                  sw.theta, sw.theta_eY, sw.theta_eX,
+                  sw.I1_theta, sw.I2_theta_eY, sw.I1_theta_eX, sw.theta_c)
+        if n_int < n_k:
+            tw = terminal_weights(_rows(rec, n_int, n_k), smp)
+            _fold([a[n_int:n_k] for a in state], delta_k[n_int:],
+                  tw.theta_last, tw.theta_eY_last, tw.theta_eX_last,
+                  tw.I1_theta_last, tw.I2_theta_eY_last, tw.I1_theta_eX_last, 0.0)
+        x[:n_k] = x_next
+        y[:n_k] = y_next
 
-        corr[act] = corr[act] * th + thc * ey_pref[act]
-        vega_acc[act] = vega_acc[act] * th + delta_k * (
-            i2ey * ey_pref[act] + corr[act] + i1th * spill[act] + i1ex * ey_pref[act])
-        spill[act] = spill[act] * th + ex * ey_pref[act]
-        delta_acc[act] = delta_acc[act] * th + delta_k * i1th * price_pref[act]
-        price_pref[act] = price_pref[act] * th
-        ey_pref[act] = ey_pref[act] * ey
-        x[act] = x_next
-        y[act] = y_next
-
-    h = cfg.payoff(x)
+    unsort = np.empty_like(order)
+    unsort[order] = np.arange(n)
+    price_pref, _, delta_acc, _, _, vega_acc = state
+    h = cfg.payoff(x[unsort])
     if kind == "price":
-        contrib = h * price_pref
+        contrib = h * price_pref[unsort]
     elif kind == "delta":
-        contrib = h * delta_acc / (cfg.s0 * cfg.T)
+        contrib = h * delta_acc[unsort] / (cfg.s0 * cfg.T)
     else:
-        contrib = h * vega_acc / cfg.T
+        contrib = h * vega_acc[unsort] / cfg.T
     if cfg.discount:
         contrib = contrib * math.exp(-mdl.r * cfg.T)
     bad = ~np.isfinite(contrib)
     if np.any(bad):
-        first = int(paths[np.argmax(bad)])
+        first = lo + int(np.argmax(bad))
         raise NonFinitePathError(
             f"{int(bad.sum())} non-finite {kind} contribution(s) in chunk "
             f"[{lo}, {hi}); first bad path index {first}")
-    return (float(contrib.sum()), float(np.dot(contrib, contrib)), n,
+    # einsum keeps the sum of squares off BLAS, whose idle threads would spin
+    return (float(contrib.sum()), float(np.einsum("i,i->", contrib, contrib)), n,
             float(n_jumps.sum()))
 
 

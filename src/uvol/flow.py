@@ -186,22 +186,63 @@ def simpson38(g: Callable, t: float, panels: int = DEFAULT_PANELS) -> float:
 
 
 def _flow_nodes(model: Model, y, delta, frac):
-    """Flow values and tangents at the fractions ``frac`` of ``delta``."""
+    """Flow value and tangent at each fraction ``frac`` of ``delta``, in order."""
     if model.ou_params is not None:
         lam, mu = model.ou_params
-        s = frac.reshape((-1,) + (1,) * np.ndim(delta)) * delta
-        e = np.exp(-lam * s)
-        return mu + (y - mu) * e, e + 0.0 * (y + 0.0 * s)
-    m_nodes = [y + 0.0 * np.asarray(delta, dtype=float)]
-    j_nodes = [1.0 + 0.0 * m_nodes[0]]
-    m, jac = m_nodes[0], j_nodes[0]
+        dev, zero = y - mu, 0.0 * y
+        for f in frac:
+            e = np.exp(-lam * (f * delta))
+            yield mu + dev * e, e + zero
+        return
+    m = y + 0.0 * np.asarray(delta, dtype=float)
+    jac = 1.0 + 0.0 * m
+    yield m, jac
     for k in range(1, len(frac)):
         # two RK4 substeps per node gap keeps the step well under delta/16
         h = (frac[k] - frac[k - 1]) * delta / 2.0
         m, jac = _rk4_pair(model, m, jac, h, 2)
-        m_nodes.append(m)
-        j_nodes.append(jac)
-    return np.array(m_nodes), np.array(j_nodes)
+        yield m, jac
+
+
+def _flow_integrals(model: Model, y, delta, panels: int, integrands):
+    """Simpson 3/8 integrals over ``[0, delta]`` of functions of the flow.
+
+    Each integrand maps ``(jet, tangent)`` at a node, the model's
+    :class:`~uvol.model.CoeffJet` at the flow value and the flow's
+    y-derivative there, to its value.  The nodes are walked one at a time
+    and every integrand is added into an n-length running sum, so each
+    coefficient is evaluated once per node and no (nodes x points) array is
+    formed.  Adding node after node rounds exactly as
+    ``np.sum(w[:, None] * values, axis=0)`` over stacked values does for
+    two or more points; for a single point numpy sums the node vector
+    pairwise, so there the weighted terms are kept and summed that way.
+    Either way the result is bit-identical to the stacked evaluation.
+
+    Raises
+    ------
+    QuadratureError
+        If an integrand is non-finite at some node.  The weights are
+        positive and sum to one, so a running sum is finite exactly when
+        every value added into it is.
+    """
+    frac, w = _simpson38_scheme(panels)
+    single = np.broadcast(y, delta).size == 1
+    sums, kept = None, []
+    for wk, (m, jac) in zip(w, _flow_nodes(model, y, delta, frac)):
+        jet = model.jet(m)
+        terms = [wk * g(jet, jac) for g in integrands]
+        if single:
+            kept.append(terms)
+        elif sums is None:
+            # arrays of our own, even where a callable returned a scalar
+            sums = [np.asarray(t) for t in terms]
+        else:
+            for s, t in zip(sums, terms):
+                np.add(s, t, out=s)
+    if single:
+        sums = [np.sum(col, axis=0) for col in zip(*kept)]
+    _check_finite(QuadratureError, "frozen-coefficient integrand", *sums)
+    return [delta * s for s in sums]
 
 
 def frozen_coeffs(model: Model, y, delta, *, panels: int = DEFAULT_PANELS,
@@ -247,24 +288,8 @@ def frozen_coeffs(model: Model, y, delta, *, panels: int = DEFAULT_PANELS,
         and model.ou_params is not None
     use_closed_Y = method == "auto" and model.sigma_Y_const is not None
 
-    if not (use_closed_S and use_closed_Y):
-        frac, w = _simpson38_scheme(panels)
-        m_nodes, j_nodes = _flow_nodes(model, y, delta, frac)
-        wcol = w.reshape((-1,) + (1,) * np.ndim(m_nodes[0]))
-
-        def integral(g):
-            vals = g(m_nodes)
-            _check_finite(QuadratureError, "frozen-coefficient integrand", vals)
-            return delta * np.sum(wcol * vals, axis=0)
-
-        def integral_tangent(g1):
-            vals = g1(m_nodes) * j_nodes
-            _check_finite(QuadratureError, "frozen-coefficient integrand", vals)
-            return delta * np.sum(wcol * vals, axis=0)
-
     if use_closed_S and use_closed_Y:
         lam, mu = model.ou_params
-        sy = model.sigma_Y_const
         if lam > 0:
             efold = np.exp(-lam * delta)
             e1 = (1.0 - efold) / lam
@@ -286,24 +311,22 @@ def frozen_coeffs(model: Model, y, delta, *, panels: int = DEFAULT_PANELS,
             I1_aS = 2 * s1 * s1 * dy * e2 + 2 * s1 * sbar * e1
             I_sS = sbar * delta + s1 * dy * e1
             I1_sS = s1 * e1 + 0.0 * I_aS
+    elif use_closed_Y:
+        I_aS, I1_aS, I_sS, I1_sS = _flow_integrals(model, y, delta, panels, (
+            lambda c, j: c.a_S, lambda c, j: c.a1_S * j,
+            lambda c, j: c.sigma_S, lambda c, j: c.sigma1_S * j))
+    else:
+        I_aS, I1_aS, I_aY, I1_aY, I_SY, I1_SY = _flow_integrals(
+            model, y, delta, panels, (
+                lambda c, j: c.a_S, lambda c, j: c.a1_S * j,
+                lambda c, j: c.a_Y, lambda c, j: c.a1_Y * j,
+                lambda c, j: c.sigma_SY, lambda c, j: c.sigma1_SY * j))
+    if use_closed_Y:
+        sy = model.sigma_Y_const
         I_aY = sy * sy * delta
         I1_aY = 0.0 * I_aY
         I_SY = sy * I_sS
         I1_SY = sy * I1_sS
-    else:
-        I_aS = integral(model.a_S)
-        I1_aS = integral_tangent(model.a1_S)
-        if use_closed_Y:
-            sy = model.sigma_Y_const
-            I_aY = sy * sy * delta
-            I1_aY = 0.0 * I_aY
-            I_SY = sy * integral(model.sigma_S)
-            I1_SY = sy * integral_tangent(model.sigma1_S)
-        else:
-            I_aY = integral(model.a_Y)
-            I1_aY = integral_tangent(model.a1_Y)
-            I_SY = integral(model.sigma_SY)
-            I1_SY = integral_tangent(model.sigma1_SY)
 
     if np.any(np.asarray(I_aS) <= 0) or np.any(np.asarray(I_aY) <= 0):
         raise QuadratureError("degenerate frozen variance (a_S_i or a_Y_i <= 0)")

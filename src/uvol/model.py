@@ -8,6 +8,8 @@ The engine prices European options under
 working on the log-spot X = ln S.  A :class:`Model` bundles the coefficient
 callables together with the derivative handles the weight calculus consumes.
 All callables must accept floats or numpy arrays elementwise.
+:meth:`Model.jet` evaluates them at one point set, each at most once, along
+with the derived variance shorthands (:class:`CoeffJet`).
 
 Three builtin families are provided through :func:`make_builtin`:
 
@@ -37,6 +39,7 @@ import numpy as np
 __all__ = [
     "ParameterError",
     "Model",
+    "CoeffJet",
     "BuiltinModelKind",
     "ValidationReport",
     "make_builtin",
@@ -112,39 +115,109 @@ class Model:
         if not math.isfinite(self.r):
             raise ParameterError(f"r must be finite, got {self.r}")
 
-    # Variance shorthands used throughout the frozen-coefficient and weight
-    # calculus: a = sigma^2, a' = 2 sigma sigma', a'' = 2(sigma'^2 + sigma sigma'').
-    def a_S(self, y):
-        return self.sigma_S(y) ** 2
+    def jet(self, y) -> "CoeffJet":
+        """The coefficients at the point set ``y``; see :class:`CoeffJet`."""
+        return CoeffJet(self, y)
 
-    def a1_S(self, y):
-        return 2.0 * self.sigma_S(y) * self.sigma1_S(y)
 
-    def a2_S(self, y):
-        return 2.0 * (self.sigma1_S(y) ** 2 + self.sigma_S(y) * self.sigma2_S(y))
+class _Once:
+    """Attribute computed on first access, then stored on the instance.
 
-    def a_Y(self, y):
-        return self.sigma_Y(y) ** 2
+    A non-data descriptor, so the stored value shadows it and later reads
+    are plain attribute lookups.  ``functools.cached_property`` does the
+    same but, before Python 3.12, takes a lock shared by all instances on
+    every first access, which chunk worker threads would contend for.
+    """
 
-    def a1_Y(self, y):
-        return 2.0 * self.sigma_Y(y) * self.sigma1_Y(y)
+    def __init__(self, fn):
+        self.fn = fn
 
-    def a2_Y(self, y):
-        return 2.0 * (self.sigma1_Y(y) ** 2 + self.sigma_Y(y) * self.sigma2_Y(y))
+    def __set_name__(self, owner, name):
+        self.name = name
 
-    def a3_Y(self, y):
-        return 2.0 * (3.0 * self.sigma1_Y(y) * self.sigma2_Y(y) + self.sigma_Y(y) * self.sigma3_Y(y))
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
-    def sigma_SY(self, y):
-        return self.sigma_S(y) * self.sigma_Y(y)
 
-    def sigma1_SY(self, y):
-        return self.sigma1_S(y) * self.sigma_Y(y) + self.sigma_S(y) * self.sigma1_Y(y)
+def _field(name):
+    return _Once(lambda jet: getattr(jet.model, name)(jet.y))
 
-    def sigma2_SY(self, y):
-        return (self.sigma2_S(y) * self.sigma_Y(y)
-                + 2.0 * self.sigma1_S(y) * self.sigma1_Y(y)
-                + self.sigma_S(y) * self.sigma2_Y(y))
+
+class CoeffJet:
+    """Coefficients of a :class:`Model` and their derivatives at one point set.
+
+    Every attribute is computed on first access and cached, so each of the
+    model's callables runs at most once per point set however many formulas
+    read it.  The callables are looked up on the model at that moment, so a
+    model rebuilt with ``dataclasses.replace`` is honoured.
+
+    Besides the model's own fields (``b_Y`` ... ``b2_Y``, ``sigma_S`` ...
+    ``sigma3_Y``) the jet carries the variance shorthands of the
+    frozen-coefficient and weight calculus, ``a = sigma^2``,
+    ``a' = 2 sigma sigma'``, ``a'' = 2 (sigma'^2 + sigma sigma'')`` and
+    ``a''' = 2 (3 sigma' sigma'' + sigma sigma''')``, and the covariance
+    product ``sigma_SY = sigma_S sigma_Y`` with its first two derivatives.
+    """
+
+    def __init__(self, model: Model, y):
+        self.model = model
+        self.y = y
+
+    b_Y = _field("b_Y")
+    b1_Y = _field("b1_Y")
+    b2_Y = _field("b2_Y")
+    sigma_S = _field("sigma_S")
+    sigma1_S = _field("sigma1_S")
+    sigma2_S = _field("sigma2_S")
+    sigma_Y = _field("sigma_Y")
+    sigma1_Y = _field("sigma1_Y")
+    sigma2_Y = _field("sigma2_Y")
+    sigma3_Y = _field("sigma3_Y")
+
+    @_Once
+    def a_S(self):
+        return self.sigma_S ** 2
+
+    @_Once
+    def a1_S(self):
+        return 2.0 * self.sigma_S * self.sigma1_S
+
+    @_Once
+    def a2_S(self):
+        return 2.0 * (self.sigma1_S ** 2 + self.sigma_S * self.sigma2_S)
+
+    @_Once
+    def a_Y(self):
+        return self.sigma_Y ** 2
+
+    @_Once
+    def a1_Y(self):
+        return 2.0 * self.sigma_Y * self.sigma1_Y
+
+    @_Once
+    def a2_Y(self):
+        return 2.0 * (self.sigma1_Y ** 2 + self.sigma_Y * self.sigma2_Y)
+
+    @_Once
+    def a3_Y(self):
+        return 2.0 * (3.0 * self.sigma1_Y * self.sigma2_Y + self.sigma_Y * self.sigma3_Y)
+
+    @_Once
+    def sigma_SY(self):
+        return self.sigma_S * self.sigma_Y
+
+    @_Once
+    def sigma1_SY(self):
+        return self.sigma1_S * self.sigma_Y + self.sigma_S * self.sigma1_Y
+
+    @_Once
+    def sigma2_SY(self):
+        return (self.sigma2_S * self.sigma_Y
+                + 2.0 * self.sigma1_S * self.sigma1_Y
+                + self.sigma_S * self.sigma2_Y)
 
 
 @dataclass(frozen=True)
@@ -363,8 +436,9 @@ def validate_model(m: Model, grid) -> ValidationReport:
     ValidationReport
     """
     y = np.asarray(grid, dtype=float)
-    aS = np.asarray(m.a_S(y), dtype=float) + _zero(y)
-    aY = np.asarray(m.a_Y(y), dtype=float) + _zero(y)
+    jet = m.jet(y)
+    aS = np.asarray(jet.a_S, dtype=float) + _zero(y)
+    aY = np.asarray(jet.a_Y, dtype=float) + _zero(y)
     lo, hi = 1.0 / m.kappa, m.kappa
     msgs = []
 

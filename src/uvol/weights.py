@@ -218,18 +218,19 @@ def step_weights(step: StepRecord, s: JumpSampler) -> StepWeights:
 
     # interval-change coefficients: model at the right endpoint minus model
     # at the flow endpoint, plus their y_next-derivatives
-    c_s = 0.5 * (mdl.a_S(yn) - mdl.a_S(mp))
-    c_y = 0.5 * (mdl.a_Y(yn) - mdl.a_Y(mp))
-    b_w = mdl.b_Y(yn) - mdl.b_Y(mp)
-    c_ys = rho * (mdl.sigma_SY(yn) - mdl.sigma_SY(mp))
-    d2c_s = 0.5 * mdl.a1_S(yn)
-    d2c_y = 0.5 * mdl.a1_Y(yn)
-    d22c_y = 0.5 * mdl.a2_Y(yn)
-    d222c_y = 0.5 * mdl.a3_Y(yn)
-    d2b = mdl.b1_Y(yn)
-    d22b = mdl.b2_Y(yn)
-    d2c_ys = rho * mdl.sigma1_SY(yn)
-    d22c_ys = rho * mdl.sigma2_SY(yn)
+    cy, cm = mdl.jet(yn), mdl.jet(mp)
+    c_s = 0.5 * (cy.a_S - cm.a_S)
+    c_y = 0.5 * (cy.a_Y - cm.a_Y)
+    b_w = cy.b_Y - cm.b_Y
+    c_ys = rho * (cy.sigma_SY - cm.sigma_SY)
+    d2c_s = 0.5 * cy.a1_S
+    d2c_y = 0.5 * cy.a1_Y
+    d22c_y = 0.5 * cy.a2_Y
+    d222c_y = 0.5 * cy.a3_Y
+    d2b = cy.b1_Y
+    d22b = cy.b2_Y
+    d2c_ys = rho * cy.sigma1_SY
+    d22c_ys = rho * cy.sigma2_SY
 
     # theta = f^-1 [ I11(c_S) - I1(c_S) + I22(c_Y) + I2(b) + I12(c_YS) ]
     theta = f_inv * (
@@ -268,13 +269,13 @@ def step_weights(step: StepRecord, s: JumpSampler) -> StepWeights:
     d2_dy = s1y / sig_y - rho1 * rho_i / r2
 
     # flow derivatives of the interval-change coefficients
-    a1s_y, a2s_y = mdl.a1_S(yn), mdl.a2_S(yn)
-    a1y_y, a2y_y, a3y_y = mdl.a1_Y(yn), mdl.a2_Y(yn), mdl.a3_Y(yn)
-    s1sy_y, s2sy_y = mdl.sigma1_SY(yn), mdl.sigma2_SY(yn)
-    e_cs = 0.5 * (a1s_y * dy - mdl.a1_S(mp) * m1)
-    e_cy = 0.5 * (a1y_y * dy - mdl.a1_Y(mp) * m1)
-    e_b = d2b * dy - mdl.b1_Y(mp) * m1
-    e_cys = rho * (s1sy_y * dy - mdl.sigma1_SY(mp) * m1)
+    a1s_y = cy.a1_S
+    a1y_y, a2y_y, a3y_y = cy.a1_Y, cy.a2_Y, cy.a3_Y
+    s1sy_y, s2sy_y = cy.sigma1_SY, cy.sigma2_SY
+    e_cs = 0.5 * (a1s_y * dy - cm.a1_S * m1)
+    e_cy = 0.5 * (a1y_y * dy - cm.a1_Y * m1)
+    e_b = d2b * dy - cm.b1_Y * m1
+    e_cys = rho * (s1sy_y * dy - cm.sigma1_SY * m1)
     d1e_cs = 0.5 * a1s_y * d1_dy
     d1e_cys = rho * s1sy_y * d1_dy
     d2e_cys = rho * (s2sy_y * dy + s1sy_y * d2_dy)

@@ -143,11 +143,11 @@ def test_frozen_affine_against_scipy_quad():
     lam, mu = 0.5, 0.3
     m_s = lambda s: mu + (y - mu) * math.exp(-lam * s)
     fc = frozen_coeffs(STEIN, y, delta)
-    i_aS = quad(lambda s: STEIN.a_S(m_s(s)), 0, delta,
+    i_aS = quad(lambda s: STEIN.jet(m_s(s)).a_S, 0, delta,
                 epsabs=1e-14, epsrel=1e-14)[0]
-    i_a1S = quad(lambda s: STEIN.a1_S(m_s(s)) * math.exp(-lam * s), 0, delta,
+    i_a1S = quad(lambda s: STEIN.jet(m_s(s)).a1_S * math.exp(-lam * s), 0, delta,
                  epsabs=1e-14, epsrel=1e-14)[0]
-    i_SY = quad(lambda s: STEIN.sigma_SY(m_s(s)), 0, delta,
+    i_SY = quad(lambda s: STEIN.jet(m_s(s)).sigma_SY, 0, delta,
                 epsabs=1e-14, epsrel=1e-14)[0]
     assert fc.a_S_i == pytest.approx(i_aS, rel=1e-12)
     assert fc.a1_S_i == pytest.approx(i_a1S, rel=1e-12)
@@ -162,9 +162,9 @@ def test_frozen_cosine_against_scipy_quad():
     lam, mu = 0.5, 0.3
     m_s = lambda s: mu + (y - mu) * math.exp(-lam * s)
     fc = frozen_coeffs(COSINE, y, delta)
-    i_aS = quad(lambda s: COSINE.a_S(m_s(s)), 0, delta,
+    i_aS = quad(lambda s: COSINE.jet(m_s(s)).a_S, 0, delta,
                 epsabs=1e-14, epsrel=1e-14)[0]
-    i_a1S = quad(lambda s: COSINE.a1_S(m_s(s)) * math.exp(-lam * s), 0, delta,
+    i_a1S = quad(lambda s: COSINE.jet(m_s(s)).a1_S * math.exp(-lam * s), 0, delta,
                  epsabs=1e-14, epsrel=1e-14)[0]
     assert fc.a_S_i == pytest.approx(i_aS, rel=1e-9)
     assert fc.a1_S_i == pytest.approx(i_a1S, rel=1e-9)
@@ -176,8 +176,8 @@ def test_frozen_synthetic_against_scipy_quad():
     y, delta = 0.25, 0.3
     fc = frozen_coeffs(m, y, delta)
     m_s = lambda s: float(flow(m, y, s))
-    i_aY = quad(lambda s: m.a_Y(m_s(s)), 0, delta, epsabs=1e-13, epsrel=1e-13)[0]
-    i_SY = quad(lambda s: m.sigma_SY(m_s(s)), 0, delta,
+    i_aY = quad(lambda s: m.jet(m_s(s)).a_Y, 0, delta, epsabs=1e-13, epsrel=1e-13)[0]
+    i_SY = quad(lambda s: m.jet(m_s(s)).sigma_SY, 0, delta,
                 epsabs=1e-13, epsrel=1e-13)[0]
     assert fc.a_Y_i == pytest.approx(i_aY, rel=1e-8)
     assert fc.sigma_SY_i == pytest.approx(i_SY, rel=1e-8)
@@ -242,3 +242,23 @@ def test_quadrature_error_on_non_finite_integrand():
                               sigma_S=lambda y: np.inf + 0.0 * y)
     with pytest.raises((QuadratureError, NonFiniteError)):
         frozen_coeffs(bad, 0.2, 0.5)
+
+
+def test_quadrature_accepts_callables_returning_constants():
+    """A callable may ignore its array argument and return a float; every
+    node must still be summed."""
+    import dataclasses
+    m = synthetic_model()
+    const = dataclasses.replace(
+        m, sigma_Y=lambda y: 0.2, sigma1_Y=lambda y: 0.0,
+        sigma2_Y=lambda y: 0.0, sigma3_Y=lambda y: 0.0)
+    flat = dataclasses.replace(
+        m, sigma_Y=lambda y: 0.2 + 0.0 * y, sigma1_Y=lambda y: 0.0 * y,
+        sigma2_Y=lambda y: 0.0 * y, sigma3_Y=lambda y: 0.0 * y)
+    y = np.array([0.1, 0.3, 0.5])
+    delta = np.array([0.2, 0.3, 0.4])
+    got, want = frozen_coeffs(const, y, delta), frozen_coeffs(flat, y, delta)
+    for name in FrozenCoeffs.__dataclass_fields__:
+        assert np.asarray(getattr(got, name)) == pytest.approx(
+            np.asarray(getattr(want, name)), rel=1e-14, abs=1e-300), name
+    assert got.a_Y_i == pytest.approx(0.04 * delta, rel=1e-14)

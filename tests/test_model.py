@@ -1,4 +1,4 @@
-"""Model construction, variance shorthands, and validation reports."""
+"""Model construction, the coefficient jet, and validation reports."""
 
 import math
 
@@ -20,8 +20,8 @@ def test_black_scholes_coefficients():
     assert m.b_Y(0.2) == pytest.approx(0.05, rel=1e-15)
     assert m.b1_Y(0.2) == -0.5
     assert m.b2_Y(11.0) == 0.0
-    assert m.a_S(0.3) == pytest.approx(0.0625, rel=1e-15)
-    assert m.a1_S(0.3) == 0.0
+    assert m.jet(0.3).a_S == pytest.approx(0.0625, rel=1e-15)
+    assert m.jet(0.3).a1_S == 0.0
     assert m.rho == 0.6
     assert m.r == 0.03
 
@@ -32,8 +32,8 @@ def test_affine_coefficients():
     assert m.sigma_S(0.2) == pytest.approx(0.17, rel=1e-15)
     assert m.sigma1_S(5.0) == 0.1
     assert m.sigma2_S(0.2) == 0.0
-    assert m.a1_S(0.2) == pytest.approx(2 * 0.17 * 0.1, rel=1e-14)
-    assert m.a2_S(0.2) == pytest.approx(2 * 0.1 ** 2, rel=1e-14)
+    assert m.jet(0.2).a1_S == pytest.approx(2 * 0.17 * 0.1, rel=1e-14)
+    assert m.jet(0.2).a2_S == pytest.approx(2 * 0.1 ** 2, rel=1e-14)
 
 
 def test_cosine_coefficients():
@@ -61,14 +61,15 @@ def test_variance_shorthands_match_finite_differences(maker):
     grid = np.linspace(-2.0, 2.0, 41)
     h = 1e-5
     pairs = [
-        (m.a_S, m.a1_S), (m.a1_S, m.a2_S),
-        (m.a_Y, m.a1_Y), (m.a1_Y, m.a2_Y), (m.a2_Y, m.a3_Y),
-        (m.sigma_SY, m.sigma1_SY), (m.sigma1_SY, m.sigma2_SY),
+        ("a_S", "a1_S"), ("a1_S", "a2_S"),
+        ("a_Y", "a1_Y"), ("a1_Y", "a2_Y"), ("a2_Y", "a3_Y"),
+        ("sigma_SY", "sigma1_SY"), ("sigma1_SY", "sigma2_SY"),
     ]
+    up, dn, at = m.jet(grid + h), m.jet(grid - h), m.jet(grid)
     for f, df in pairs:
-        num = (np.asarray(f(grid + h), dtype=float)
-               - np.asarray(f(grid - h), dtype=float)) / (2 * h)
-        ana = np.asarray(df(grid), dtype=float) + 0.0 * grid
+        num = (np.asarray(getattr(up, f), dtype=float)
+               - np.asarray(getattr(dn, f), dtype=float)) / (2 * h)
+        ana = np.asarray(getattr(at, df), dtype=float) + 0.0 * grid
         assert np.max(np.abs(num - ana)) < 1e-6
 
 
@@ -77,17 +78,18 @@ def test_shorthand_values_affine():
     m = builtin("SteinSteinAffine")
     y = 0.2
     s, s1 = 0.17, 0.1
-    assert m.sigma_SY(y) == pytest.approx(0.2 * s, rel=1e-14)
-    assert m.sigma1_SY(y) == pytest.approx(0.2 * s1, rel=1e-14)
-    assert m.a_Y(y) == pytest.approx(0.04, rel=1e-14)
-    assert m.a1_Y(y) == 0.0
+    jet = m.jet(y)
+    assert jet.sigma_SY == pytest.approx(0.2 * s, rel=1e-14)
+    assert jet.sigma1_SY == pytest.approx(0.2 * s1, rel=1e-14)
+    assert jet.a_Y == pytest.approx(0.04, rel=1e-14)
+    assert jet.a1_Y == 0.0
     sy = synthetic_model()
     yv = 0.37
     sig, sig1, sig2 = (0.2 + 0.05 * math.sin(yv), 0.05 * math.cos(yv),
                        -0.05 * math.sin(yv))
     sig3 = -0.05 * math.cos(yv)
-    assert sy.a3_Y(yv) == pytest.approx(2 * (3 * sig1 * sig2 + sig * sig3),
-                                        rel=1e-13)
+    assert sy.jet(yv).a3_Y == pytest.approx(2 * (3 * sig1 * sig2 + sig * sig3),
+                                            rel=1e-13)
 
 
 def test_default_kappa_black_scholes():
