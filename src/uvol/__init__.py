@@ -7,8 +7,7 @@ expectations (and the spot/volatility Greeks) with no discretization bias.
 
 from .baselines import (EulerConfig, bs_delta, bs_price, euler_price,
                         euler_terminal, fd_greek)
-from .chain import (ChainPath, DegenerateCovariance, StepRecord, chain_step,
-                    proxy_density, simulate_chain)
+from .chain import DegenerateCovariance, StepRecord, chain_step, proxy_density
 from .cli import ConfigError, load_config
 from .estimators import (EstimateResult, NonFinitePathError, Payoff, RunConfig,
                          aggregate, estimate_delta, estimate_price,
@@ -17,24 +16,20 @@ from .flow import (FrozenCoeffs, NonFiniteError, QuadratureError, flow,
                    flow_tangent, frozen_coeffs, simpson38)
 from .model import (BuiltinModelKind, Model, ParameterError, ValidationReport,
                     make_builtin, validate_model)
-from .renewal import DomainError, JumpSampler, TimeGrid, sample_grid
-from .rng import PathStream, philox4x32
-from .weights import (delta_weight, price_weight, step_weights,
-                      terminal_weights, transfer_weights, vega_weight)
+from .renewal import DomainError, JumpSampler
+from .rng import philox4x32
+from .weights import step_weights, terminal_weights
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BuiltinModelKind", "ChainPath", "ConfigError", "DegenerateCovariance",
-    "DomainError", "EstimateResult", "EulerConfig", "FrozenCoeffs",
-    "JumpSampler", "Model", "NonFinitePathError", "NonFiniteError",
-    "ParameterError", "PathStream", "Payoff", "QuadratureError", "RunConfig",
-    "StepRecord", "TimeGrid", "ValidationReport", "aggregate", "bs_delta",
-    "bs_price", "chain_step", "delta_weight", "estimate_delta",
+    "BuiltinModelKind", "ConfigError", "DegenerateCovariance", "DomainError",
+    "EstimateResult", "EulerConfig", "FrozenCoeffs", "JumpSampler", "Model",
+    "NonFinitePathError", "NonFiniteError", "ParameterError", "Payoff",
+    "QuadratureError", "RunConfig", "StepRecord", "ValidationReport",
+    "aggregate", "bs_delta", "bs_price", "chain_step", "estimate_delta",
     "estimate_price", "estimate_vega", "euler_price", "euler_terminal",
     "fd_greek", "flow", "flow_tangent", "frozen_coeffs", "load_config",
-    "make_builtin", "philox4x32", "price_weight", "proxy_density",
-    "sample_grid", "simpson38", "simulate_chain", "step_weights",
-    "terminal_weights", "transfer_weights", "validate_model", "vega_weight",
-    "__version__",
+    "make_builtin", "philox4x32", "proxy_density", "simpson38",
+    "step_weights", "terminal_weights", "validate_model", "__version__",
 ]

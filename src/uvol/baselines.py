@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,12 +80,14 @@ def euler_terminal(model: Model, s0: float, y0: float, T: float,
 def euler_price(model: Model, payoff: Payoff, s0: float, y0: float, T: float,
                 cfg: EulerConfig) -> EstimateResult:
     """Discounted Euler price with its statistical error."""
+    start = time.perf_counter()
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     s, _, neg = _euler_paths(model, s0, y0, T, cfg, rng)
     if neg:
         log.warning("Euler scheme: %d of %d paths went negative", neg, cfg.n_paths)
     vals = payoff.value_spot(s) * math.exp(-model.r * T)
-    return aggregate([(float(vals.sum()), float(np.dot(vals, vals)), vals.size)])
+    return aggregate([(float(vals.sum()), float(np.dot(vals, vals)), vals.size)],
+                     elapsed=time.perf_counter() - start)
 
 
 def fd_greek(model: Model, payoff: Payoff, s0: float, y0: float, T: float,
@@ -106,6 +109,7 @@ def fd_greek(model: Model, payoff: Payoff, s0: float, y0: float, T: float,
         raise ParameterError(f"which must be 'delta' or 'vega', got {which!r}")
     if not eps > 0:
         raise ParameterError("eps must be positive")
+    start = time.perf_counter()
     disc = math.exp(-model.r * T)
     base = (s0, y0)
     bump = (s0 + eps, y0) if which == "delta" else (s0, y0 + eps)
@@ -115,7 +119,8 @@ def fd_greek(model: Model, payoff: Payoff, s0: float, y0: float, T: float,
         s, _, _ = _euler_paths(model, s_init, y_init, T, cfg, rng)
         vals.append(payoff.value_spot(s) * disc)
     diff = (vals[1] - vals[0]) / eps
-    return aggregate([(float(diff.sum()), float(np.dot(diff, diff)), diff.size)])
+    return aggregate([(float(diff.sum()), float(np.dot(diff, diff)), diff.size)],
+                     elapsed=time.perf_counter() - start)
 
 
 def bs_price(s0: float, strike: float, r: float, T: float, sigma: float) -> float:

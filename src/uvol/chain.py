@@ -14,19 +14,15 @@ closed form through :func:`proxy_density`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 
-from .flow import FrozenCoeffs, frozen_coeffs
+from .flow import FrozenCoeffs
 from .model import Model
-from .renewal import TimeGrid
 
 __all__ = [
     "DegenerateCovariance",
     "StepRecord",
-    "ChainPath",
-    "simulate_chain",
     "proxy_density",
     "RHO_SQ_GUARD",
 ]
@@ -69,60 +65,12 @@ class StepRecord:
     model: Model
 
 
-@dataclass(frozen=True)
-class ChainPath:
-    """A full chain trajectory over one renewal grid."""
-
-    grid: TimeGrid
-    steps: List[StepRecord]
-
-    @property
-    def terminal(self) -> Tuple[float, float]:
-        last = self.steps[-1]
-        return last.x_next, last.y_next
-
-
 def chain_step(model: Model, x, y, fc: FrozenCoeffs, z1, z2):
-    """Advance one interval; shared by the scalar and batched simulators."""
+    """Advance one interval, for one path or a batch of paths."""
     r2 = one_minus_rho_sq(fc)
     x_next = x + (model.r * fc.delta - 0.5 * fc.a_S_i) + fc.sigma_S_i * z1
     y_next = fc.m_i + fc.sigma_Y_i * (fc.rho_i * z1 + np.sqrt(r2) * z2)
     return x_next, y_next
-
-
-def simulate_chain(model: Model, x0: float, y0: float, grid: TimeGrid, rng,
-                   *, panels: int = 8) -> ChainPath:
-    """Simulate the chain along a realized grid.
-
-    Parameters
-    ----------
-    model : Model
-    x0 : float
-        Initial log-spot.
-    y0 : float
-        Initial variance factor.
-    grid : TimeGrid
-    rng : object
-        Per-path stream exposing ``normals_for_interval(i)``.
-    panels : int
-        Simpson panel count forwarded to the coefficient quadrature.
-
-    Returns
-    -------
-    ChainPath
-    """
-    x, y = float(x0), float(y0)
-    steps = []
-    for i in range(len(grid.zeta) - 1):
-        delta = grid.zeta[i + 1] - grid.zeta[i]
-        fc = frozen_coeffs(model, y, delta, panels=panels)
-        z1, z2 = rng.normals_for_interval(i)
-        x_next, y_next = chain_step(model, x, y, fc, z1, z2)
-        steps.append(StepRecord(index=i, x_prev=x, y_prev=y,
-                                x_next=x_next, y_next=y_next,
-                                z1=z1, z2=z2, fc=fc, model=model))
-        x, y = x_next, y_next
-    return ChainPath(grid=grid, steps=steps)
 
 
 def proxy_density(fc: FrozenCoeffs, x0, y0, x, y, r):

@@ -12,7 +12,8 @@ Subcommands
 
 Configuration comes from builtin defaults, an optional JSON file
 (``--config``), and command line flags, in increasing precedence.  Exit
-codes: 0 success, 2 configuration error, 3 numerical failure.
+codes: 0 success, 2 configuration error, 3 numerical failure (including
+a float overflow, e.g. of the discount factor).
 """
 
 from __future__ import annotations
@@ -77,6 +78,10 @@ _DEFAULTS = {
 }
 
 _CONFIG_KEYS = set(_DEFAULTS) | {"s0"}
+_INT_KEYS = ("paths", "seed", "threads", "panels")
+_FLOAT_KEYS = ("sigma_s", "sigma1", "sigma2", "lambda_y", "mu", "sigma_y", "rho",
+               "r", "kappa", "strike", "rate", "alpha", "tau_bar", "x0", "y0",
+               "T", "s0")
 
 _CSV_FIELDS = [
     "table_id", "quantity", "method", "model", "payoff", "strike",
@@ -106,6 +111,27 @@ def _read_config_file(path: str) -> dict:
     return data
 
 
+def _env_threads() -> int:
+    raw = os.environ.get("UVOL_THREADS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"UVOL_THREADS must be an integer, got {raw!r}") from None
+
+
+def _coerce_numbers(settings: dict):
+    """Convert the numeric keys in place; name the key that does not convert."""
+    for key in _INT_KEYS + _FLOAT_KEYS:
+        value = settings.get(key)
+        if value is None:
+            continue
+        try:
+            settings[key] = int(value) if key in _INT_KEYS else float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"config key {key!r} must be a number, "
+                              f"got {value!r}") from None
+
+
 def _merge_settings(file_cfg: dict, flag_cfg: dict) -> dict:
     merged = dict(_DEFAULTS)
     user = {}
@@ -116,6 +142,10 @@ def _merge_settings(file_cfg: dict, flag_cfg: dict) -> dict:
     if "s0" in user and "x0" in user:
         raise ConfigError("give either 's0' or 'x0', not both")
     merged.update(user)
+    _coerce_numbers(merged)
+    if not isinstance(merged["discount"], bool):
+        raise ConfigError(f"config key 'discount' must be true or false, "
+                          f"got {merged['discount']!r}")
     if "s0" in merged:
         if not merged["s0"] > 0:
             raise ConfigError("'s0' must be positive")
@@ -133,7 +163,7 @@ def _merge_settings(file_cfg: dict, flag_cfg: dict) -> dict:
     if merged["payoff"] not in ("call", "digital"):
         raise ConfigError(f"unknown payoff {merged['payoff']!r}")
     if merged["threads"] is None:
-        merged["threads"] = int(os.environ.get("UVOL_THREADS", "1"))
+        merged["threads"] = _env_threads()
     return merged
 
 
@@ -174,7 +204,7 @@ def _run_config(settings: dict) -> RunConfig:
         T=float(settings["T"]),
         n_paths=int(settings["paths"]),
         seed=int(settings["seed"]),
-        discount=bool(settings["discount"]),
+        discount=settings["discount"],
         panels=int(settings["panels"]),
         threads=int(settings["threads"]),
     )
@@ -403,8 +433,7 @@ def table_spec(table_id: int, model_override: Optional[str] = None) -> TableSpec
 
 def _cmd_table(args: argparse.Namespace) -> int:
     spec = table_spec(args.id, args.model)
-    threads = args.threads if args.threads is not None \
-        else int(os.environ.get("UVOL_THREADS", "1"))
+    threads = args.threads if args.threads is not None else _env_threads()
     rows = []
     print(f"table {spec.table_id}: {spec.model} {spec.payoff} {spec.quantity}  "
           f"(paths={args.paths}, seed={args.seed})")
@@ -482,7 +511,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonFinitePathError, DegenerateCovariance, QuadratureError,
-            NonFiniteError, DomainError) as exc:
+            NonFiniteError, DomainError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

@@ -6,13 +6,15 @@ chunks; each chunk produces a ``(sum, sum_sq, count)`` partial that is
 reduced in chunk order, which makes the reported mean bit-identical for
 any thread count.
 
-The chunk engine and the scalar per-path API (:mod:`uvol.chain` +
-:mod:`uvol.weights`) share the same elementwise kernels: the engine simply
-calls :func:`uvol.weights.step_weights` on the array-valued records of a
-step's interior intervals and :func:`uvol.weights.terminal_weights` on its
-final ones, one grid interval at a time, and folds the same prefix
-recurrences as
-:func:`uvol.weights.delta_weight` / :func:`uvol.weights.vega_weight`.
+This module holds the only route from a seed to a weight.  For each chunk,
+:func:`_sample_gap_columns` draws the renewal grids, and
+:func:`_path_weights` runs the chain on them.  It calls
+:func:`uvol.weights.step_weights` on the array-valued records of a step's
+interior intervals and :func:`uvol.weights.terminal_weights` on its final
+ones, and :func:`_fold` folds each step's weights into the prefix
+recurrences of the price, Delta and Vega weights.  Both functions take
+their random numbers from sources passed in, so a test can run the engine
+on fixed grids and draws.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -101,15 +103,6 @@ class EstimateResult:
 
 
 @dataclass(frozen=True)
-class _Injection:
-    """Test-only: force every path onto a fixed grid with fixed draws."""
-
-    zeta: tuple
-    z1: tuple
-    z2: tuple
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything one estimator run depends on.
 
@@ -147,7 +140,6 @@ class RunConfig:
     panels: int = 8
     threads: int = 1
     chunk_size: int = 1 << 17
-    inject: Optional[_Injection] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.s0) and self.s0 > 0):
@@ -158,26 +150,25 @@ class RunConfig:
             raise ParameterError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.threads < 1 or self.chunk_size < 1:
             raise ParameterError("threads and chunk_size must be >= 1")
+        if self.panels < 1:
+            raise ParameterError(f"panels must be >= 1, got {self.panels}")
 
     @property
     def x0(self) -> float:
         return math.log(self.s0)
 
-    @classmethod
-    def with_injected_draws(cls, *, zeta, z1, z2, **kwargs) -> "RunConfig":
-        """Test-only constructor pinning the grid and Gaussian draws."""
-        return cls(inject=_Injection(zeta=tuple(zeta), z1=tuple(z1), z2=tuple(z2)),
-                   **kwargs)
 
+def _sample_gap_columns(uniforms: Callable, sampler: JumpSampler, T: float,
+                        n: int):
+    """Vectorized renewal-grid sampling for ``n`` paths.
 
-def _sample_gap_columns(cfg: RunConfig, paths: np.ndarray):
-    """Vectorized renewal-grid sampling for a chunk of paths.
-
-    Returns ``(gaps, n_jumps, last_gap)``: ``gaps[p, k]`` is the k-th
-    interior interval of path ``p`` (NaN beyond its jump count).
+    ``uniforms(ia, j)`` returns the gap uniforms of the paths ``ia`` (indices
+    into the ``n`` paths) at their per-path draw counters ``j``.  A draw
+    that would give a zero-length or tied interval, or land exactly on
+    ``T``, is discarded; the counter still advances, so the next round
+    redraws it.  Returns ``(gaps, n_jumps, last_gap)``: ``gaps[p, k]`` is
+    the k-th interior interval of path ``p`` (NaN beyond its jump count).
     """
-    n = paths.size
-    T = cfg.T
     gaps = np.full((n, 8), np.nan)
     slot = np.zeros(n, dtype=np.int64)
     cum = np.zeros(n)
@@ -187,9 +178,9 @@ def _sample_gap_columns(cfg: RunConfig, paths: np.ndarray):
         ia = np.flatnonzero(alive)
         if ia.size == 0:
             break
-        u, _ = _rng.uniform_pair(cfg.seed, paths[ia], _rng.GAP_STREAM, gap_idx[ia])
+        u = uniforms(ia, gap_idx[ia])
         gap_idx[ia] += np.uint64(1)
-        g = quantile(cfg.sampler, u)
+        g = quantile(sampler, u)
         nxt = cum[ia] + g
         ok = (g > 0) & (nxt != cum[ia]) & (nxt != T)
         jump = ia[ok & (nxt < T)]
@@ -219,9 +210,18 @@ def _fold(state, delta, th, ey, ex, i1th, i2ey, i1ex, thc):
     """Fold one step's weights into the prefix recurrences, in place.
 
     ``state`` holds views of ``(price_pref, ey_pref, delta_acc, corr, spill,
-    vega_acc)`` for the paths the weights belong to; the recurrences are
-    those of :func:`uvol.weights.delta_weight` and
-    :func:`uvol.weights.vega_weight`.
+    vega_acc)`` for the paths the weights belong to.  After the last step,
+    ``price_pref`` is the product of the ``theta`` factors (the price
+    weight), ``delta_acc`` is ``sum_k delta_k * theta^{I1,k}``, where the
+    k-th factor is replaced by ``I1_k(theta_k)`` (the Delta weight, in units
+    of ``s0 * T``), and ``vega_acc`` is the full transfer expansion
+
+        sum_k delta_k * ( theta^{I2,k} + sum_{j<=k} (theta^{C,j} + theta^{I1,k}_j) )
+
+    (the Vega weight, in units of ``T``): differentiation enters interval
+    ``k`` through ``I2_k(theta_eY_k)``, is carried across earlier intervals
+    by ``theta_eY`` factors (``ey_pref``), and leaks into the spot direction
+    through ``theta_eX`` (``spill``) and ``theta_c`` (``corr``).
     """
     price_pref, ey_pref, delta_acc, corr, spill, vega_acc = state
     corr[...] = corr * th + thc * ey_pref
@@ -233,33 +233,28 @@ def _fold(state, delta, th, ey, ex, i1th, i2ey, i1ex, thc):
     ey_pref[...] = ey_pref * ey
 
 
-def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str):
-    """Simulate paths [lo, hi) and return the chunk's partial statistics.
+def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
+                  n_jumps: np.ndarray, last_gap: np.ndarray, normals: Callable):
+    """Run the chain on given grids and fold its weights, path by path.
+
+    ``(gaps, n_jumps, last_gap)`` are the grids of the paths ``ids``, as
+    :func:`_sample_gap_columns` returns them, and ``normals(k, ids)``
+    returns the Gaussian pair ``(z1, z2)`` of interval ``k`` for the paths
+    ``ids``.  Returns the terminal log-spot and the undiscounted price,
+    Delta and Vega weights (see :func:`_fold`), in the order of ``ids``.
 
     The paths are stably sorted by jump count, most jumps first, so at step
     ``k`` the active paths are a prefix ``[:n_act[k]]`` whose interior steps
     ``[:n_act[k + 1]]`` come first and whose final intervals form the tail.
     Every layer then works on contiguous slices, and only the paths that
-    need them get interior weights.  Draws stay keyed by path index, and
-    the state is put back in path order before the payoff, so the result
-    does not depend on the sort.
+    need them get interior weights.  Draws stay keyed by path id, and the
+    results are put back in the order of ``ids``, so they do not depend on
+    the sort.
     """
-    n = hi - lo
+    n = n_jumps.size
     mdl, smp = cfg.model, cfg.sampler
-
-    if cfg.inject is None:
-        gaps, n_jumps, last_gap = _sample_gap_columns(
-            cfg, np.arange(lo, hi, dtype=np.uint64))
-    else:
-        zeta = np.asarray(cfg.inject.zeta)
-        dz = np.diff(zeta)
-        n_jumps = np.full(n, len(dz) - 1, dtype=np.int64)
-        gaps = np.broadcast_to(dz[:-1], (n, len(dz) - 1)).copy() if len(dz) > 1 \
-            else np.full((n, 1), np.nan)
-        last_gap = np.full(n, dz[-1])
-
     order = np.argsort(-n_jumps, kind="stable")
-    paths = (lo + order).astype(np.uint64)
+    ids = ids[order]
     n_steps = int(n_jumps.max()) + 1
     # n_act[k] = number of paths with at least k jumps, i.e. active at step k
     n_act = np.append(np.cumsum(np.bincount(n_jumps, minlength=n_steps)[::-1])[::-1], 0)
@@ -273,11 +268,7 @@ def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str):
         # the clamp only bites at the last step, which has no interior paths
         col = gaps[order[:n_int], min(k, gaps.shape[1] - 1)]
         delta_k = np.concatenate((col, last_gap[order[n_int:n_k]]))
-        if cfg.inject is None:
-            z1, z2 = _rng.normal_pair(cfg.seed, paths[:n_k], k)
-        else:
-            z1 = np.full(n_k, cfg.inject.z1[k])
-            z2 = np.full(n_k, cfg.inject.z2[k])
+        z1, z2 = normals(k, ids[:n_k])
         fc = frozen_coeffs(mdl, y[:n_k], delta_k, panels=cfg.panels)
         x_next, y_next = chain_step(mdl, x[:n_k], y[:n_k], fc, z1, z2)
         rec = StepRecord(index=k, x_prev=x[:n_k], y_prev=y[:n_k],
@@ -299,15 +290,31 @@ def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str):
     unsort = np.empty_like(order)
     unsort[order] = np.arange(n)
     price_pref, _, delta_acc, _, _, vega_acc = state
-    h = cfg.payoff(x[unsort])
+    return x[unsort], price_pref[unsort], delta_acc[unsort], vega_acc[unsort]
+
+
+def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str):
+    """Simulate paths [lo, hi) and return the chunk's partial statistics.
+
+    Every random number comes from the counter-based streams of
+    :mod:`uvol.rng`, addressed by ``(cfg.seed, path index)``.
+    """
+    n = hi - lo
+    ids = np.arange(lo, hi, dtype=np.uint64)
+    grid = _sample_gap_columns(
+        lambda ia, j: _rng.uniform_pair(cfg.seed, ids[ia], _rng.GAP_STREAM, j)[0],
+        cfg.sampler, cfg.T, n)
+    x, price_w, delta_w, vega_w = _path_weights(
+        cfg, ids, *grid, lambda k, p: _rng.normal_pair(cfg.seed, p, k))
+    h = cfg.payoff(x)
     if kind == "price":
-        contrib = h * price_pref[unsort]
+        contrib = h * price_w
     elif kind == "delta":
-        contrib = h * delta_acc[unsort] / (cfg.s0 * cfg.T)
+        contrib = h * delta_w / (cfg.s0 * cfg.T)
     else:
-        contrib = h * vega_acc[unsort] / cfg.T
+        contrib = h * vega_w / cfg.T
     if cfg.discount:
-        contrib = contrib * math.exp(-mdl.r * cfg.T)
+        contrib = contrib * math.exp(-cfg.model.r * cfg.T)
     bad = ~np.isfinite(contrib)
     if np.any(bad):
         first = lo + int(np.argmax(bad))
@@ -316,7 +323,7 @@ def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str):
             f"[{lo}, {hi}); first bad path index {first}")
     # einsum keeps the sum of squares off BLAS, whose idle threads would spin
     return (float(contrib.sum()), float(np.einsum("i,i->", contrib, contrib)), n,
-            float(n_jumps.sum()))
+            float(grid[1].sum()))
 
 
 def aggregate(partials: Sequence, **extras) -> EstimateResult:
@@ -371,7 +378,7 @@ def _run(cfg: RunConfig, kind: str) -> EstimateResult:
 
 
 def estimate_price(cfg: RunConfig) -> EstimateResult:
-    """Unbiased option price estimate ``E[h(X_T) * price_weight]``."""
+    """Unbiased option price estimate ``E[h(X_T) * W]``, ``W`` the weight product."""
     return _run(cfg, "price")
 
 

@@ -13,8 +13,8 @@ y-derivatives of all of the above, which the correction weights consume.
 The flow map and every integral are differentiated through the variational
 equation ``dJ_s/ds = b_Y'(m_s) J_s``.
 
-All entry points accept scalars or numpy arrays for ``y`` and ``delta`` and
-broadcast elementwise.
+All entry points accept scalars or numpy arrays for ``y`` and ``delta``,
+convert them to arrays and broadcast elementwise.
 """
 
 from __future__ import annotations
@@ -121,17 +121,17 @@ def flow_tangent(model: Model, y, delta):
     NonFiniteError
         If the flow leaves the finite range.
     """
-    y = np.asarray(y, dtype=float) if np.ndim(y) else float(y)
-    if np.any(np.asarray(delta) < 0):
+    y = np.asarray(y, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    if np.any(delta < 0):
         raise ValueError("delta must be nonnegative")
     if model.ou_params is not None:
         lam, mu = model.ou_params
-        e = np.exp(-lam * np.asarray(delta, dtype=float)) if np.ndim(delta) else np.exp(-lam * delta)
+        e = np.exp(-lam * delta)
         m = mu + (y - mu) * e
         j = e + 0.0 * y
     else:
-        h = np.asarray(delta, dtype=float) / RK4_DIVISOR if np.ndim(delta) else delta / RK4_DIVISOR
-        m, j = _rk4_pair(model, y, 1.0 + 0.0 * y, h, RK4_DIVISOR)
+        m, j = _rk4_pair(model, y, 1.0 + 0.0 * y, delta / RK4_DIVISOR, RK4_DIVISOR)
     _check_finite(NonFiniteError, "flow", m, j)
     return m, j
 
@@ -194,7 +194,7 @@ def _flow_nodes(model: Model, y, delta, frac):
             e = np.exp(-lam * (f * delta))
             yield mu + dev * e, e + zero
         return
-    m = y + 0.0 * np.asarray(delta, dtype=float)
+    m = y + 0.0 * delta
     jac = 1.0 + 0.0 * m
     yield m, jac
     for k in range(1, len(frac)):
@@ -276,11 +276,10 @@ def frozen_coeffs(model: Model, y, delta, *, panels: int = DEFAULT_PANELS,
     """
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    if np.any(np.asarray(delta) <= 0):
+    y = np.asarray(y, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    if np.any(delta <= 0):
         raise ValueError("delta must be strictly positive")
-    scalar = np.ndim(y) == 0 and np.ndim(delta) == 0
-    y = np.asarray(y, dtype=float) if not scalar else float(y)
-    delta = np.asarray(delta, dtype=float) if not scalar else float(delta)
 
     m_i, m1_i = flow_tangent(model, y, delta)
 
@@ -328,7 +327,7 @@ def frozen_coeffs(model: Model, y, delta, *, panels: int = DEFAULT_PANELS,
         I_SY = sy * I_sS
         I1_SY = sy * I1_sS
 
-    if np.any(np.asarray(I_aS) <= 0) or np.any(np.asarray(I_aY) <= 0):
+    if np.any(I_aS <= 0) or np.any(I_aY <= 0):
         raise QuadratureError("degenerate frozen variance (a_S_i or a_Y_i <= 0)")
 
     sig_S = np.sqrt(I_aS)

@@ -12,8 +12,11 @@ implemented:
     ``[0, tau_bar]``; the integrable singularity at zero concentrates gaps
     near the origin, which keeps all moments of the weight products finite.
 
-Gaps are drawn by inverse transform from the path's counter-based stream,
-so a grid is a pure function of ``(seed, path index)``.
+Gaps are drawn by inverse transform (see :func:`quantile`); the engine in
+:mod:`uvol.estimators` feeds it the path's counter-based stream, so a grid
+is a pure function of ``(seed, path index)``.  Every function takes scalars
+or arrays and computes both through the same numpy ufuncs, so a scalar
+gives the same bits as the matching element of an array.
 """
 
 from __future__ import annotations
@@ -27,15 +30,11 @@ import numpy as np
 __all__ = [
     "DomainError",
     "JumpSampler",
-    "TimeGrid",
     "density",
     "cdf",
     "survival",
     "quantile",
-    "sample_grid",
 ]
-
-_MAX_REDRAWS = 1000
 
 
 class DomainError(ValueError):
@@ -68,22 +67,9 @@ class JumpSampler:
             raise DomainError(f"tau_bar must be positive, got {tau_bar}")
         return cls(kind="beta", alpha=alpha, tau_bar=tau_bar)
 
-    # instance conveniences mirroring the module-level ops
-    def density(self, t):
-        return density(self, t)
-
-    def cdf(self, t):
-        return cdf(self, t)
-
-    def survival(self, t):
-        return survival(self, t)
-
-    def quantile(self, u):
-        return quantile(self, u)
-
 
 def _check_nonneg(t):
-    if np.any(np.asarray(t) < 0):
+    if np.any(t < 0):
         raise DomainError("t must be nonnegative")
 
 
@@ -94,31 +80,28 @@ def density(s: JumpSampler, t):
     outside it raises :class:`DomainError`; ``t = 0`` returns ``inf`` (the
     singularity is integrable).
     """
-    t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
+    t = np.asarray(t, dtype=float)
     _check_nonneg(t)
     if s.kind == "exponential":
         return s.lam * np.exp(-s.lam * t)
-    if np.any(np.asarray(t) > s.tau_bar):
+    if np.any(t > s.tau_bar):
         raise DomainError(f"t outside the Beta support [0, {s.tau_bar}]")
     with np.errstate(divide="ignore"):
-        return (1.0 - s.alpha) / s.tau_bar ** (1.0 - s.alpha) * np.asarray(t, dtype=float) ** (-s.alpha) \
-            if np.ndim(t) else (1.0 - s.alpha) / s.tau_bar ** (1.0 - s.alpha) * (t ** (-s.alpha) if t > 0 else math.inf)
+        return (1.0 - s.alpha) / s.tau_bar ** (1.0 - s.alpha) * np.power(t, -s.alpha)
 
 
 def cdf(s: JumpSampler, t):
     """Gap distribution function ``F(t)`` for ``t >= 0``."""
-    t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
+    t = np.asarray(t, dtype=float)
     _check_nonneg(t)
     if s.kind == "exponential":
         return -np.expm1(-s.lam * t)
-    ratio = np.minimum(np.asarray(t, dtype=float) / s.tau_bar, 1.0)
-    out = ratio ** (1.0 - s.alpha)
-    return float(out) if np.ndim(t) == 0 else out
+    return np.power(np.minimum(t / s.tau_bar, 1.0), 1.0 - s.alpha)
 
 
 def survival(s: JumpSampler, t):
     """``1 - F(t)`` for ``t >= 0``."""
-    t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
+    t = np.asarray(t, dtype=float)
     _check_nonneg(t)
     if s.kind == "exponential":
         return np.exp(-s.lam * t)
@@ -127,76 +110,9 @@ def survival(s: JumpSampler, t):
 
 def quantile(s: JumpSampler, u):
     """Inverse of ``F`` on ``(0, 1)``."""
-    if np.any((np.asarray(u) <= 0) | (np.asarray(u) >= 1)):
+    u = np.asarray(u, dtype=float)
+    if np.any((u <= 0) | (u >= 1)):
         raise DomainError("u must lie in the open interval (0, 1)")
     if s.kind == "exponential":
         return -np.log1p(-u) / s.lam
-    return s.tau_bar * np.asarray(u, dtype=float) ** (1.0 / (1.0 - s.alpha)) \
-        if np.ndim(u) else s.tau_bar * u ** (1.0 / (1.0 - s.alpha))
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """One realized renewal grid.
-
-    Attributes
-    ----------
-    zeta : tuple of float
-        ``(0, tau_1, ..., tau_{N_T}, T)`` — strictly increasing, length
-        ``n_jumps + 2``.
-    n_jumps : int
-        Number of jump times inside ``(0, T)``.
-    last_gap : float
-        ``T - zeta_{N_T}``, the length of the final (truncated) interval.
-    """
-
-    zeta: tuple
-    n_jumps: int
-    last_gap: float
-
-    def __post_init__(self):
-        z = self.zeta
-        if len(z) != self.n_jumps + 2 or z[0] != 0.0:
-            raise ValueError("inconsistent grid")
-        if any(b <= a for a, b in zip(z, z[1:])):
-            raise ValueError("grid times must be strictly increasing")
-
-
-def sample_grid(s: JumpSampler, T: float, rng) -> TimeGrid:
-    """Draw a renewal grid on ``[0, T]``.
-
-    Jumps are accumulated by inverse transform until one overshoots the
-    horizon.  Draws that would produce a zero-length or tied interval (or
-    land exactly on ``T``) are discarded and redrawn, advancing the
-    stream's gap counter, so degenerate grids cannot occur.
-
-    Parameters
-    ----------
-    s : JumpSampler
-    T : float
-        Horizon, strictly positive.
-    rng : object
-        Per-path stream exposing ``next_gap_uniform()``.
-
-    Returns
-    -------
-    TimeGrid
-    """
-    if not (T > 0 and math.isfinite(T)):
-        raise ValueError(f"T must be positive and finite, got {T}")
-    zeta = [0.0]
-    cum = 0.0
-    while True:
-        for _ in range(_MAX_REDRAWS):
-            g = quantile(s, rng.next_gap_uniform())
-            nxt = cum + g
-            if g > 0.0 and nxt != cum and nxt != T:
-                break
-        else:  # pragma: no cover - would need a broken stream
-            raise RuntimeError("gap sampling failed to produce a usable draw")
-        if nxt > T:
-            break
-        zeta.append(nxt)
-        cum = nxt
-    zeta.append(T)
-    return TimeGrid(zeta=tuple(zeta), n_jumps=len(zeta) - 2, last_gap=T - cum)
+    return s.tau_bar * np.power(u, 1.0 / (1.0 - s.alpha))

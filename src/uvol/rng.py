@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-__all__ = ["philox4x32", "uniform_pair", "normal_pair", "PathStream",
-           "GAP_STREAM", "NORMAL_STREAM"]
+__all__ = ["philox4x32", "uniform_pair", "normal_pair", "GAP_STREAM",
+           "NORMAL_STREAM"]
 
 GAP_STREAM = 0
 NORMAL_STREAM = 1
@@ -86,15 +86,13 @@ def uniform_pair(seed: int, path, stream: int, index):
 
     Returns
     -------
-    (u1, u2) : floats or ndarrays
+    (u1, u2) : numpy floats or ndarrays
     """
     o0, o1, o2, o3 = philox4x32(*_counter_words(seed, path, stream, index))
     x = (o0 << _SH32) | o1
     y = (o2 << _SH32) | o3
     u1 = ((x >> _SH11).astype(np.float64) + _HALF) * _INV53
     u2 = ((y >> _SH11).astype(np.float64) + _HALF) * _INV53
-    if np.ndim(u1) == 0:
-        return float(u1), float(u2)
     return u1, u2
 
 
@@ -102,25 +100,3 @@ def normal_pair(seed: int, path, interval):
     """The two standard normals driving one grid interval of one path."""
     u1, u2 = uniform_pair(seed, path, NORMAL_STREAM, interval)
     return ndtri(u1), ndtri(u2)
-
-
-class PathStream:
-    """Scalar per-path view of the counter-based stream.
-
-    The draw layout matches the vectorized engine exactly: gap uniforms
-    advance a per-path counter on stream 0 (including redraws), the
-    Gaussian pair of interval ``i`` sits at index ``i`` of stream 1.
-    """
-
-    def __init__(self, seed: int, path_index: int):
-        self.seed = seed
-        self.path_index = path_index
-        self._gap_index = 0
-
-    def next_gap_uniform(self) -> float:
-        u, _ = uniform_pair(self.seed, self.path_index, GAP_STREAM, self._gap_index)
-        self._gap_index += 1
-        return u
-
-    def normals_for_interval(self, interval: int):
-        return normal_pair(self.seed, self.path_index, interval)

@@ -32,69 +32,26 @@ satisfying ``E[D_alpha f * H] = E[f * I_alpha(H)]`` against the Gaussian
 step, with ``I1_1 = z1/sigma_S_i - rho_i z2 / (sigma_S_i sqrt(1-rho_i^2))``
 and ``I2_1 = z2 / (sigma_Y_i sqrt(1-rho_i^2))``.
 
-Every function accepts scalar or array-valued records, so the same code
-weights a single path and a vectorized batch.
+Both functions accept scalar or array-valued records, so the same code
+weights a single step and a vectorized batch.  The engine in
+:mod:`uvol.estimators` folds them into path weights.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainPath, StepRecord, one_minus_rho_sq
+from .chain import StepRecord, one_minus_rho_sq
 from .renewal import DomainError, JumpSampler, density, survival
 
 __all__ = [
-    "BaseOperators",
-    "FlowDerivatives",
     "StepWeights",
     "TerminalWeights",
-    "base_operators",
-    "flow_derivatives",
     "step_weights",
     "terminal_weights",
-    "theta_i",
-    "transfer_weights",
-    "price_weight",
-    "delta_weight",
-    "vega_weight",
-    "LOG_PRODUCT_THRESHOLD",
 ]
-
-LOG_PRODUCT_THRESHOLD = 8
-
-
-@dataclass(frozen=True)
-class BaseOperators:
-    """First-order operator kernels of one Gaussian step."""
-
-    I1_1: object
-    I2_1: object
-    D1_I1_1: object
-    D2_I1_1: object
-    D1_I2_1: object
-    D2_I2_1: object
-
-
-@dataclass(frozen=True)
-class FlowDerivatives:
-    """Flow derivatives of the step map and of the operator kernels.
-
-    ``dX``/``dY`` are the ``y_prev``-derivatives of the step endpoints at
-    fixed ``(z1, z2)``; the ``Dprev_*`` fields implement the chain rules
-    for the kernels, e.g.
-    ``Dprev I1_1 = -(sigma1_S/sigma_S) I1_1 - rho1/(1-rho^2) (sigma_Y/sigma_S) I2_1``.
-    """
-
-    dX: object
-    dY: object
-    D1_dX: object
-    D1_dY: object
-    D2_dY: object
-    Dprev_I1_1: object
-    Dprev_I2_1: object
 
 
 @dataclass(frozen=True)
@@ -125,7 +82,12 @@ class StepWeights:
 
 @dataclass(frozen=True)
 class TerminalWeights:
-    """Weights of the final (truncated) interval."""
+    """Weights of the final (truncated) interval.
+
+    ``theta_eY_last`` and ``theta_eX_last`` are ``theta_last * dY`` and
+    ``theta_last * dX``, the flow derivatives of the step map scaled by the
+    survival reweighting.
+    """
 
     theta_last: object
     theta_eY_last: object
@@ -133,43 +95,6 @@ class TerminalWeights:
     I1_theta_last: object
     I2_theta_eY_last: object
     I1_theta_eX_last: object
-
-
-def base_operators(step: StepRecord) -> BaseOperators:
-    """Operator kernels ``I1(1)``, ``I2(1)`` and their state derivatives."""
-    fc = step.fc
-    r2 = one_minus_rho_sq(fc)
-    sq = np.sqrt(r2)
-    sig_s, sig_y = fc.sigma_S_i, fc.sigma_Y_i
-    return BaseOperators(
-        I1_1=step.z1 / sig_s - fc.rho_i * step.z2 / (sig_s * sq),
-        I2_1=step.z2 / (sig_y * sq),
-        D1_I1_1=1.0 / (fc.a_S_i * r2),
-        D2_I1_1=-fc.rho_i / (r2 * sig_s * sig_y),
-        D1_I2_1=-fc.rho_i / (r2 * sig_s * sig_y),
-        D2_I2_1=1.0 / (fc.a_Y_i * r2),
-    )
-
-
-def flow_derivatives(step: StepRecord) -> FlowDerivatives:
-    """Flow derivatives of the step map and the operator kernels."""
-    fc = step.fc
-    r2 = one_minus_rho_sq(fc)
-    sq = np.sqrt(r2)
-    sig_s, sig_y = fc.sigma_S_i, fc.sigma_Y_i
-    s1s, s1y, rho1 = fc.sigma1_S_i, fc.sigma1_Y_i, fc.rho1_i
-    ops = base_operators(step)
-    w = fc.rho_i * step.z1 + sq * step.z2
-    g = sq * step.z1 - fc.rho_i * step.z2
-    return FlowDerivatives(
-        dX=-0.5 * fc.a1_S_i + s1s * step.z1,
-        dY=fc.m1_i + s1y * w + sig_y * rho1 / sq * g,
-        D1_dX=s1s / sig_s,
-        D1_dY=sig_y * rho1 / (sig_s * r2),
-        D2_dY=s1y / sig_y - rho1 * fc.rho_i / r2,
-        Dprev_I1_1=-(s1s / sig_s) * ops.I1_1 - rho1 / r2 * (sig_y / sig_s) * ops.I2_1,
-        Dprev_I2_1=-(s1y / sig_y - rho1 * fc.rho_i / r2) * ops.I2_1,
-    )
 
 
 def _f_inv(s: JumpSampler, delta):
@@ -378,109 +303,3 @@ def terminal_weights(step: StepRecord, s: JumpSampler) -> TerminalWeights:
         I2_theta_eY_last=theta_ey * i21 - theta_last * (s1y / sig_y - rho1 * fc.rho_i / r2),
         I1_theta_eX_last=theta_ex * i11 - theta_last * s1s / sig_s,
     )
-
-
-def theta_i(step: StepRecord, s: JumpSampler):
-    """Interior correction weight of one step (see :func:`step_weights`)."""
-    return step_weights(step, s).theta
-
-
-def transfer_weights(step: StepRecord, s: JumpSampler, is_last: bool):
-    """Transfer triple ``(theta_eY, theta_eX, theta_c)`` of one step.
-
-    For the final interval the correction component is identically zero
-    and the transfer components are the direct flow derivatives.
-    """
-    if is_last:
-        tw = terminal_weights(step, s)
-        return tw.theta_eY_last, tw.theta_eX_last, 0.0 * tw.theta_eY_last
-    sw = step_weights(step, s)
-    return sw.theta_eY, sw.theta_eX, sw.theta_c
-
-
-def _per_step(path: ChainPath, s: JumpSampler):
-    interior = [step_weights(st, s) for st in path.steps[:-1]]
-    term = terminal_weights(path.steps[-1], s)
-    return interior, term
-
-
-def price_weight(path: ChainPath, s: JumpSampler) -> float:
-    """Product of the correction weights along one path.
-
-    The price representation is ``E[h(X_T) * price_weight]``.  For deep
-    grids (more than ``LOG_PRODUCT_THRESHOLD`` jumps) the product is
-    accumulated in log-magnitude/sign form to avoid over- and underflow.
-    """
-    interior, term = _per_step(path, s)
-    thetas = [sw.theta for sw in interior] + [term.theta_last]
-    if path.grid.n_jumps > LOG_PRODUCT_THRESHOLD:
-        sign = 1.0
-        log_mag = 0.0
-        for t in thetas:
-            if t == 0.0:
-                return 0.0
-            sign = math.copysign(sign, t)
-            log_mag += math.log(abs(t))
-        return sign * math.exp(log_mag)
-    out = 1.0
-    for t in thetas:
-        out *= t
-    return out
-
-
-def delta_weight(path: ChainPath, s: JumpSampler) -> float:
-    """Spot-direction weight: ``s0 * T * d/ds0 E[h] = E[h * delta_weight]``.
-
-    Equals ``sum_k (zeta_k - zeta_{k-1}) * theta^{I1,k}`` where
-    ``theta^{I1,k}`` replaces the k-th factor of the price product by
-    ``I1_k(theta_k)``; accumulated by a prefix recurrence.
-    """
-    interior, term = _per_step(path, s)
-    prefix = 1.0
-    acc = 0.0
-    for k, st in enumerate(path.steps):
-        if k < len(path.steps) - 1:
-            th, i1 = interior[k].theta, interior[k].I1_theta
-        else:
-            th, i1 = term.theta_last, term.I1_theta_last
-        acc = acc * th + st.fc.delta * i1 * prefix
-        prefix = prefix * th
-    return acc
-
-
-def vega_weight(path: ChainPath, s: JumpSampler) -> float:
-    """Variance-direction weight: ``T * d/dy0 E[h] = E[h * vega_weight]``.
-
-    Implements the full transfer expansion
-
-        sum_k dzeta_k * ( theta^{I2,k} + sum_{j<=k} (theta^{C,j} + theta^{I1,k}_j) )
-
-    where differentiation enters interval ``k`` through ``I2_k(theta_eY_k)``,
-    is carried across earlier intervals by ``theta_eY`` factors, and leaks
-    into the spot direction through ``theta_eX``/``theta_c``.  Accumulated
-    with O(1) state per step: ``prefix``/``prefix_e`` are the running
-    products of ``theta``/``theta_eY``, ``corr`` the correction sum
-    ``sum_{j<=t} theta^{C,j}`` restricted to the first ``t`` factors, and
-    ``spill`` the ``theta_eX``-prefix mixing term.
-    """
-    interior, term = _per_step(path, s)
-    prefix_e = 1.0    # prod theta_eY_i, i <= t
-    corr = 0.0
-    spill = 0.0
-    acc = 0.0
-    for k, st in enumerate(path.steps):
-        if k < len(path.steps) - 1:
-            sw = interior[k]
-            th, ey = sw.theta, sw.theta_eY
-            i2ey, i1ex, i1th = sw.I2_theta_eY, sw.I1_theta_eX, sw.I1_theta
-            thc, ex = sw.theta_c, sw.theta_eX
-        else:
-            th, ey = term.theta_last, term.theta_eY_last
-            i2ey, i1ex, i1th = term.I2_theta_eY_last, term.I1_theta_eX_last, term.I1_theta_last
-            thc, ex = 0.0, term.theta_eX_last
-        corr = corr * th + thc * prefix_e
-        acc = acc * th + st.fc.delta * (i2ey * prefix_e + corr
-                                        + i1th * spill + i1ex * prefix_e)
-        spill = spill * th + ex * prefix_e
-        prefix_e = prefix_e * ey
-    return acc

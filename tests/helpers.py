@@ -7,8 +7,10 @@ import math
 import numpy as np
 
 from uvol.chain import StepRecord, chain_step, one_minus_rho_sq
+from uvol.estimators import _path_weights, _sample_gap_columns
 from uvol.flow import frozen_coeffs
 from uvol.model import BuiltinModelKind, Model, make_builtin
+from uvol.rng import GAP_STREAM, uniform_pair
 
 
 def builtin(tag, **overrides):
@@ -48,6 +50,50 @@ def step_from_states(model, x_prev, y_prev, delta, x_next, y_next, *,
     return StepRecord(index=index, x_prev=x_prev, y_prev=y_prev,
                       x_next=x_next, y_next=y_next, z1=z1, z2=z2,
                       fc=fc, model=model)
+
+
+def fixed_grid(zetas):
+    """Engine grid columns ``(gaps, n_jumps, last_gap)`` of explicit grids.
+
+    ``zetas`` holds one grid ``(0, zeta_1, ..., T)`` per path.
+    """
+    dz = [np.diff(np.asarray(z, dtype=float)) for z in zetas]
+    n_jumps = np.array([d.size - 1 for d in dz], dtype=np.int64)
+    gaps = np.full((len(dz), max(1, int(n_jumps.max()))), np.nan)
+    for p, d in enumerate(dz):
+        gaps[p, :d.size - 1] = d[:-1]
+    return gaps, n_jumps, np.array([d[-1] for d in dz])
+
+
+def fixed_normals(z1, z2):
+    """Engine normals source giving every path the draws ``z1[k], z2[k]``."""
+    return lambda k, ids: (np.full(ids.size, float(z1[k])),
+                           np.full(ids.size, float(z2[k])))
+
+
+def engine_weights(cfg, grid, normals, ids=None):
+    """The engine's ``(x_T, price, delta, vega)`` per-path arrays on ``grid``."""
+    if ids is None:
+        ids = np.arange(grid[1].size, dtype=np.uint64)
+    return _path_weights(cfg, ids, *grid, normals)
+
+
+def philox_grid(sampler, T, seed, ids):
+    """The engine's renewal grids of the paths ``ids`` under ``seed``."""
+    return _sample_gap_columns(
+        lambda ia, j: uniform_pair(seed, ids[ia], GAP_STREAM, j)[0],
+        sampler, T, ids.size)
+
+
+def chain_steps(model, x0, y0, deltas, normals):
+    """Step records of one path along ``deltas``; ``normals(k)`` gives (z1, z2)."""
+    steps, x, y = [], x0, y0
+    for k, delta in enumerate(deltas):
+        z1, z2 = normals(k)
+        st = make_step(model, x, y, delta, z1, z2, index=k)
+        steps.append(st)
+        x, y = st.x_next, st.y_next
+    return steps
 
 
 def gauss_hermite_2d(fn, order=40):

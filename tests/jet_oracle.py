@@ -376,23 +376,23 @@ _KEYS = ("theta", "theta_eY", "theta_eX", "theta_c",
          "I1_theta", "I2_theta_eY", "I1_theta_eX")
 
 
-def oracle_path_values(om: OracleModel, path, sampler) -> list:
-    """Per-step weight dictionaries of a chain path, via the jet oracle."""
-    out = [oracle_step_weights(om, st, sampler) for st in path.steps[:-1]]
-    out.append(oracle_terminal_weights(om, path.steps[-1], sampler))
+def oracle_path_values(om: OracleModel, steps, sampler) -> list:
+    """Per-step weight dictionaries of a path's steps, via the jet oracle."""
+    out = [oracle_step_weights(om, st, sampler) for st in steps[:-1]]
+    out.append(oracle_terminal_weights(om, steps[-1], sampler))
     return out
 
 
-def production_path_values(path, sampler) -> list:
+def production_path_values(steps, sampler) -> list:
     """Per-step weight dictionaries via the production closed forms."""
     out = []
-    for st in path.steps[:-1]:
+    for st in steps[:-1]:
         sw = step_weights(st, sampler)
         out.append({"theta": sw.theta, "theta_eY": sw.theta_eY,
                     "theta_eX": sw.theta_eX, "theta_c": sw.theta_c,
                     "I1_theta": sw.I1_theta, "I2_theta_eY": sw.I2_theta_eY,
                     "I1_theta_eX": sw.I1_theta_eX})
-    tw = terminal_weights(path.steps[-1], sampler)
+    tw = terminal_weights(steps[-1], sampler)
     out.append({"theta": tw.theta_last, "theta_eY": tw.theta_eY_last,
                 "theta_eX": tw.theta_eX_last, "theta_c": 0.0,
                 "I1_theta": tw.I1_theta_last,

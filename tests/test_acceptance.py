@@ -16,8 +16,11 @@ import numpy as np
 from conftest import record_criterion
 from helpers import (
     builtin,
+    chain_steps,
+    engine_weights,
     gh_step_expectation,
     make_step,
+    philox_grid,
     rel_err,
     step_from_states,
     synthetic_model,
@@ -31,7 +34,7 @@ from jet_oracle import (
     product_vega,
 )
 from uvol.baselines import EulerConfig, euler_price
-from uvol.chain import proxy_density, simulate_chain
+from uvol.chain import proxy_density
 from uvol.estimators import (
     Payoff,
     RunConfig,
@@ -41,15 +44,9 @@ from uvol.estimators import (
 )
 from uvol.flow import frozen_coeffs, simpson38
 from uvol.model import BuiltinModelKind
-from uvol.renewal import JumpSampler, sample_grid
-from uvol.rng import PathStream
-from uvol.weights import (
-    base_operators,
-    delta_weight,
-    price_weight,
-    step_weights,
-    vega_weight,
-)
+from uvol.renewal import JumpSampler
+from uvol.rng import normal_pair
+from uvol.weights import step_weights
 
 S0 = math.exp(0.4)
 Y0 = 0.2
@@ -159,7 +156,7 @@ def test_criterion_05_duality_identity():
             for i, j in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
 
                 def integrand(step, i=i, j=j, alpha=alpha):
-                    ops = base_operators(step)
+                    ops = step_weights(step, EXPO)
                     u, v = step.x_next - xc, step.y_next - yc
                     H = u ** i * v ** j
                     dH = (i * u ** (i - 1) * v ** j if alpha == 1 and i else
@@ -253,6 +250,14 @@ def test_criterion_06_chain_rule_and_transfer():
 
 
 def test_criterion_07_weight_oracle_equivalence():
+    """The engine's own per-path weights against the jet oracle's products.
+
+    Path ``p`` uses the exponential sampler when ``p`` is even and the Beta
+    one when it is odd; of the paths ``0 .. 3*goal - 1``, the first ``goal``
+    with at most four jumps are checked.  Each is rebuilt step by step from
+    the engine's grid and the path's Philox normals, and the oracle weighs
+    those steps.
+    """
     cases = [
         (builtin("SteinSteinAffine"),
          oracle_model_from_kind(BuiltinModelKind(tag="SteinSteinAffine")), 400),
@@ -266,41 +271,43 @@ def test_criterion_07_weight_oracle_equivalence():
     n_checked = 0
     max_jumps = 0
     for ci, (model, om, goal) in enumerate(cases):
-        done = 0
-        p = 0
-        while done < goal and p < 3 * goal:
-            sampler = (EXPO, BETA)[p % 2]
-            stream = PathStream(seed=700 + ci, path_index=p)
-            grid = sample_grid(sampler, T, stream)
-            p += 1
-            if grid.n_jumps > 4:
-                continue
-            path = simulate_chain(model, 0.4, Y0, grid,
-                                  PathStream(seed=700 + ci, path_index=p - 1))
-            ovals = oracle_path_values(om, path, sampler)
-            deltas = [st.fc.delta for st in path.steps]
-            for st, ov in zip(path.steps[:-1], ovals[:-1]):
-                sw = step_weights(st, sampler)
-                got = {"theta": sw.theta, "theta_eY": sw.theta_eY,
-                       "theta_eX": sw.theta_eX, "theta_c": sw.theta_c,
-                       "I1_theta": sw.I1_theta,
-                       "I2_theta_eY": sw.I2_theta_eY,
-                       "I1_theta_eX": sw.I1_theta_eX}
-                for k in keys:
-                    worst = max(worst, rel_err(float(got[k]), ov[k]))
-            worst = max(
-                worst,
-                rel_err(price_weight(path, sampler), product_price(ovals)),
-                rel_err(delta_weight(path, sampler),
-                        product_delta(ovals, deltas)),
-                rel_err(vega_weight(path, sampler),
-                        product_vega(ovals, deltas)))
-            done += 1
-            n_checked += 1
-            max_jumps = max(max_jumps, grid.n_jumps)
+        seed = 700 + ci
+        ids = np.arange(3 * goal, dtype=np.uint64)
+        kept = []
+        for parity, sampler in enumerate((EXPO, BETA)):
+            sub = ids[parity::2]
+            gaps, n_jumps, last_gap = philox_grid(sampler, T, seed, sub)
+            ok = n_jumps <= 4
+            kept.append((sampler, sub[ok], (gaps[ok], n_jumps[ok], last_gap[ok])))
+        chosen = np.sort(np.concatenate([sub for _, sub, _ in kept]))[:goal]
+        for sampler, sub, grid in kept:
+            use = np.isin(sub, chosen)
+            sub = sub[use]
+            gaps, n_jumps, last_gap = (a[use] for a in grid)
+            cfg = RunConfig(model=model, payoff=Payoff.call(K), sampler=sampler,
+                            s0=S0, y0=Y0, T=T, n_paths=sub.size, seed=seed)
+            _, price_w, delta_w, vega_w = engine_weights(
+                cfg, (gaps, n_jumps, last_gap),
+                lambda k, p: normal_pair(seed, p, k), ids=sub)
+            for i, p in enumerate(sub):
+                deltas = list(gaps[i, :n_jumps[i]]) + [last_gap[i]]
+                steps = chain_steps(model, cfg.x0, Y0, deltas,
+                                    lambda k: normal_pair(seed, int(p), k))
+                ovals = oracle_path_values(om, steps, sampler)
+                for st, ov in zip(steps[:-1], ovals[:-1]):
+                    sw = step_weights(st, sampler)
+                    for k in keys:
+                        worst = max(worst, rel_err(float(getattr(sw, k)), ov[k]))
+                worst = max(
+                    worst,
+                    rel_err(price_w[i], product_price(ovals)),
+                    rel_err(delta_w[i], product_delta(ovals, deltas)),
+                    rel_err(vega_w[i], product_vega(ovals, deltas)))
+                n_checked += 1
+                max_jumps = max(max_jumps, int(n_jumps[i]))
     ok = worst <= 1e-10 and n_checked >= 1000
     line = record_criterion(
-        7, ok, f"weights vs brute-force oracle on {n_checked} paths "
+        7, ok, f"engine weights vs brute-force oracle on {n_checked} paths "
                f"(jumps <= {max_jumps}): max rel err={worst:.2e} "
                f"(gate 1e-10)")
     assert ok, line

@@ -1,17 +1,19 @@
-"""Chain transitions, path simulation, and the Gaussian proxy density."""
+"""Chain transitions, the engine's path simulation, and the proxy density."""
 
 import math
 
 import numpy as np
 import pytest
 
-from uvol.chain import (ChainPath, DegenerateCovariance, chain_step,
-                        one_minus_rho_sq, proxy_density, simulate_chain)
+from uvol.chain import (DegenerateCovariance, chain_step, one_minus_rho_sq,
+                        proxy_density)
+from uvol.estimators import Payoff, RunConfig
 from uvol.flow import frozen_coeffs
-from uvol.renewal import JumpSampler, sample_grid
-from uvol.rng import PathStream
+from uvol.renewal import JumpSampler
+from uvol.rng import normal_pair
 
-from helpers import builtin, make_step, step_from_states, synthetic_model
+from helpers import (builtin, chain_steps, engine_weights, make_step,
+                     philox_grid, step_from_states, synthetic_model)
 
 BS = builtin("BlackScholes")
 FC = frozen_coeffs(BS, 0.2, 0.5)
@@ -57,31 +59,44 @@ def test_one_minus_rho_sq_guard():
         one_minus_rho_sq(deg)
 
 
+def _engine_run(sampler, seed, n_paths=64):
+    """Engine outputs on Philox grids, with the normals requests it made."""
+    cfg = RunConfig(model=BS, payoff=Payoff.call(1.5), sampler=sampler,
+                    s0=math.exp(0.4), y0=0.2, T=0.5, n_paths=n_paths, seed=seed)
+    ids = np.arange(n_paths, dtype=np.uint64)
+    grid = philox_grid(sampler, cfg.T, seed, ids)
+    requests = []
+
+    def normals(k, p):
+        requests.append((k, np.array(p)))
+        return normal_pair(seed, p, k)
+
+    return cfg, grid, requests, engine_weights(cfg, grid, normals, ids=ids)
+
+
 def test_simulate_chain_structure():
-    grid = sample_grid(JumpSampler.exponential(2.0), 0.5,
-                       PathStream(seed=3, path_index=11))
-    rng = PathStream(seed=3, path_index=11)
-    path = simulate_chain(BS, 0.4, 0.2, grid, rng)
-    assert len(path.steps) == grid.n_jumps + 1
-    for k, step in enumerate(path.steps):
-        assert step.index == k
-        assert step.fc.delta == pytest.approx(grid.zeta[k + 1] - grid.zeta[k],
-                                              rel=1e-15)
-        if k:
-            assert step.x_prev == path.steps[k - 1].x_next
-            assert step.y_prev == path.steps[k - 1].y_next
-    assert path.terminal == (path.steps[-1].x_next, path.steps[-1].y_next)
-    # draws are addressed by interval, not consumption order
-    z = PathStream(seed=3, path_index=11).normals_for_interval(0)
-    assert (path.steps[0].z1, path.steps[0].z2) == z
+    cfg, (gaps, n_jumps, last_gap), requests, (x, *_) = _engine_run(
+        JumpSampler.exponential(2.0), seed=3)
+    assert n_jumps.max() >= 2
+    # one step per grid interval; step k draws for the paths still active
+    assert [k for k, _ in requests] == list(range(int(n_jumps.max()) + 1))
+    for k, p in requests:
+        assert sorted(p) == list(np.flatnonzero(n_jumps >= k))
+    # each path follows its own grid, with draws addressed by interval
+    for p in range(x.size):
+        deltas = list(gaps[p, :n_jumps[p]]) + [last_gap[p]]
+        steps = chain_steps(BS, cfg.x0, cfg.y0, deltas,
+                            lambda k: normal_pair(3, p, k))
+        assert [st.index for st in steps] == list(range(n_jumps[p] + 1))
+        assert x[p] == pytest.approx(float(steps[-1].x_next), rel=1e-14)
 
 
 def test_simulate_chain_deterministic():
-    grid = sample_grid(JumpSampler.beta_one_minus_alpha(0.1, 2.0), 0.5,
-                       PathStream(seed=5, path_index=2))
-    p1 = simulate_chain(BS, 0.4, 0.2, grid, PathStream(seed=5, path_index=2))
-    p2 = simulate_chain(BS, 0.4, 0.2, grid, PathStream(seed=5, path_index=2))
-    assert p1.terminal == p2.terminal
+    sampler = JumpSampler.beta_one_minus_alpha(0.1, 2.0)
+    first = _engine_run(sampler, seed=5)[3]
+    again = _engine_run(sampler, seed=5)[3]
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
 
 
 # -------------------------------------------------------- proxy density ---

@@ -4,10 +4,15 @@
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from uvol.cli import ConfigError, TableSpec, _CSV_FIELDS, load_config, run, table_spec
+from uvol.cli import (_CONFIG_KEYS, _CSV_FIELDS, ConfigError, TableSpec,
+                      load_config, run, table_spec)
 from uvol.estimators import estimate_price
 
 
@@ -86,6 +91,10 @@ def test_flags_override_config_file(tmp_path):
     ({"model": "bs", "payoff": "asian"}, "unknown payoff"),
     ({"model": "bs", "s0": -2.0}, "positive"),
     ([1, 2], "JSON object"),
+    ({"model": "stein", "strike": "abc"}, "'strike' must be a number"),
+    ({"model": "stein", "paths": [1]}, "'paths' must be a number"),
+    ({"model": "stein", "s0": "abc"}, "'s0' must be a number"),
+    ({"model": "stein", "discount": "false"}, "'discount' must be true or false"),
 ])
 def test_bad_config_contents(tmp_path, capsys, data, fragment):
     cfg = write_config(tmp_path, data)
@@ -109,6 +118,54 @@ def test_s0_and_x0_conflict(tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": "bs", "s0": 1.5})
     assert run(["price", "--config", cfg, "--x0", "0.4"]) == 2
     assert "not both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--model", "stein", "--paths", "10"],
+    ["table", "--id", "1", "--paths", "10"],
+])
+def test_bad_thread_variable_is_config_error(monkeypatch, capsys, argv):
+    monkeypatch.setenv("UVOL_THREADS", "abc")
+    assert run(argv) == 2
+    assert "UVOL_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["bs", "stein", "cosine"])
+def test_zero_panels_is_config_error(capsys, model):
+    assert run(["price", "--model", model, "--panels", "0", "--paths", "10"]) == 2
+    assert "panels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--x0", "710"], ["--r", "-1420"]])
+def test_float_overflow_is_numerical_error(capsys, flags):
+    # exp(x0) and the discount factor exp(-r*T) overflow a double
+    assert run(["price", "--model", "stein", "--paths", "10"] + flags) == 3
+    assert "numerical error:" in capsys.readouterr().err
+
+
+# wrong-typed values for any config key; none spell a large number, so runs stay small
+_WRONG_VALUES = st.one_of(
+    st.none(), st.booleans(),
+    st.text(alphabet=st.characters(exclude_categories=("Nd", "No", "Nl")), max_size=6),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=1),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5]),
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["price", "delta", "vega"]),
+       overrides=st.dictionaries(st.sampled_from(sorted(_CONFIG_KEYS)),
+                                 _WRONG_VALUES, min_size=1, max_size=3))
+def test_fuzzed_config_exits_cleanly(command, overrides):
+    """Bad config values end in exit code 0, 2 or 3, never a traceback."""
+    data = {"model": "stein", "paths": 64, "seed": 1}
+    data.update(overrides)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert run([command, "--config", str(path)]) in (0, 2, 3)
 
 
 def test_bad_model_parameters_are_config_errors(capsys):
@@ -191,6 +248,8 @@ def test_compare_euler_adds_baseline_row(tmp_path, capsys):
     assert "euler" in capsys.readouterr().out
     rows = read_rows(out)
     assert [r["method"] for r in rows] == ["beta", "euler"]
+    # the baseline row reports its own wall time
+    assert all(float(r["seconds"]) > 0 for r in rows)
 
 
 def test_compare_euler_fd_for_delta(tmp_path):
@@ -200,6 +259,7 @@ def test_compare_euler_fd_for_delta(tmp_path):
                 "--euler-paths", "2000", "--csv", str(out)]) == 0
     rows = read_rows(out)
     assert [r["method"] for r in rows] == ["beta", "euler_fd"]
+    assert all(float(r["seconds"]) > 0 for r in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 # Chunked Monte Carlo engine: payoffs, run configuration, aggregation,
-# injected-draw consistency with the scalar path API, and determinism.
+# the per-path core on fixed grids and draws, and determinism.
 
 import math
 
 import numpy as np
 import pytest
 
-from helpers import builtin
-from uvol.chain import simulate_chain
+from helpers import (builtin, chain_steps, engine_weights, fixed_grid,
+                     fixed_normals)
+from jet_oracle import (product_delta, product_price, product_vega,
+                        production_path_values)
 from uvol.estimators import (
     EstimateResult,
     NonFinitePathError,
@@ -19,8 +21,7 @@ from uvol.estimators import (
     estimate_vega,
 )
 from uvol.model import ParameterError
-from uvol.renewal import JumpSampler, TimeGrid, survival
-from uvol.weights import delta_weight, price_weight, vega_weight
+from uvol.renewal import JumpSampler, survival
 
 EXPO = JumpSampler.exponential(0.5)
 BETA = JumpSampler.beta_one_minus_alpha(0.1, 2.0)
@@ -85,6 +86,8 @@ def test_run_config_x0():
     {"n_paths": 0},
     {"threads": 0},
     {"chunk_size": 0},
+    {"T": math.inf},
+    {"panels": 0},
 ])
 def test_run_config_rejects_bad_arguments(overrides):
     with pytest.raises(ParameterError):
@@ -144,24 +147,30 @@ def test_aggregate_rejects_no_samples():
 
 
 # ---------------------------------------------------------------------------
-# Injected draws: engine pins against hand-computed single-step values
+# Injected draws: the per-path core on a fixed grid with fixed normals,
+# pinned against hand-computed single-step values
 
 
-def inject_config(zeta, z1, z2, **overrides):
-    kwargs = dict(model=builtin("BlackScholes"), payoff=Payoff.call(1.2),
-                  sampler=EXPO, s0=S0, y0=Y0, T=T, n_paths=4, seed=0)
+def injected(zeta, z1, z2, n_paths=4, **overrides):
+    """Config and ``(x_T, price, delta, vega)`` of paths on one fixed grid."""
+    kwargs = dict(payoff=Payoff.call(1.2), n_paths=n_paths)
     kwargs.update(overrides)
-    return RunConfig.with_injected_draws(zeta=zeta, z1=z1, z2=z2, **kwargs)
+    cfg = base_config(**kwargs)
+    out = engine_weights(cfg, fixed_grid([zeta] * n_paths), fixed_normals(z1, z2))
+    return cfg, out
+
+
+def discounted(cfg, x, weight):
+    return cfg.payoff(x) * weight * math.exp(-cfg.model.r * cfg.T)
 
 
 def test_injected_zero_noise_out_of_the_money():
-    cfg = inject_config((0.0, 0.5), (0.0,), (0.0,), payoff=Payoff.call(1.5))
-    res = estimate_price(cfg)
+    cfg, (x, price_w, _, _) = injected((0.0, 0.5), (0.0,), (0.0,),
+                                       payoff=Payoff.call(1.5))
     # drift-only terminal spot e^0.399375 < 1.5 so every contribution is zero
-    assert res.mean == 0.0
-    assert res.std_error == 0.0
-    assert res.n_jumps_mean == 0.0
-    assert res.n_paths == 4
+    assert x.shape == (4,)
+    assert x == pytest.approx(0.4 + 0.03 * 0.5 - 0.03125 / 2, rel=1e-15)
+    assert np.all(discounted(cfg, x, price_w) == 0.0)
 
 
 @pytest.mark.parametrize("sampler, frozen", [
@@ -169,34 +178,22 @@ def test_injected_zero_noise_out_of_the_money():
     (BETA, 0.4020083563491625),
 ])
 def test_injected_zero_noise_in_the_money_price(sampler, frozen):
-    cfg = inject_config((0.0, 0.5), (0.0,), (0.0,), sampler=sampler)
-    res = estimate_price(cfg)
+    cfg, (x, price_w, _, _) = injected((0.0, 0.5), (0.0,), (0.0,),
+                                       sampler=sampler)
+    got = discounted(cfg, x, price_w)
     # single zero-jump interval: x_T = x0 + r*T - a_S_i/2 with a_S_i =
     # 0.0625 * 0.5, weight 1/survival(T), discounted by e^(-r*T)
     x_term = 0.4 + 0.03 * 0.5 - 0.03125 / 2
     hand = (math.exp(x_term) - 1.2) / survival(sampler, 0.5) * math.exp(-0.015)
-    assert res.mean == pytest.approx(hand, rel=1e-14)
-    assert res.mean == pytest.approx(frozen, rel=1e-14)
-    assert res.std_error <= 1e-8 * abs(res.mean)
+    assert got == pytest.approx(hand, rel=1e-14)
+    assert got == pytest.approx(frozen, rel=1e-14)
 
 
 def test_injected_zero_noise_digital_price():
-    cfg = inject_config((0.0, 0.5), (0.0,), (0.0,),
-                        payoff=Payoff.digital_call(1.2))
-    res = estimate_price(cfg)
+    cfg, (x, price_w, _, _) = injected((0.0, 0.5), (0.0,), (0.0,),
+                                       payoff=Payoff.digital_call(1.2))
     hand = math.exp(0.25) * math.exp(-0.015)  # 1/survival * discount
-    assert res.mean == pytest.approx(hand, rel=1e-14)
-
-
-class _FixedDraws:
-    """Scalar-path stand-in for the counter-based stream."""
-
-    def __init__(self, z1, z2):
-        self.z1 = z1
-        self.z2 = z2
-
-    def normals_for_interval(self, i):
-        return self.z1[i], self.z2[i]
+    assert discounted(cfg, x, price_w) == pytest.approx(hand, rel=1e-14)
 
 
 @pytest.mark.parametrize("tag, frozen", [
@@ -205,28 +202,27 @@ class _FixedDraws:
     ("SteinSteinAffine",
      (0.24775100817039433, -1.2316710300013398, 3.434437261643168)),
 ])
-def test_injected_two_intervals_match_scalar_path_api(tag, frozen):
-    """The chunk engine and the per-path API agree to the last bit.
+def test_injected_two_intervals_match_literal_products(tag, frozen):
+    """The engine's prefix fold equals the literal weight products.
 
-    Both sides use the same injected grid and Gaussian draws; the engine
-    folds the prefix recurrences chunk-wise while the scalar route builds
-    a ChainPath and evaluates the literal weight products.
+    Both sides use the same grid and Gaussian draws; the engine folds the
+    prefix recurrences over a batch of paths, while the reference builds
+    each step with ``make_step`` and expands the products term by term.
     """
     zeta, z1, z2 = (0.0, 0.2, 0.5), (0.7, -0.3), (0.1, 1.1)
     model = builtin(tag)
-    pay = Payoff.call(1.2)
+    cfg, (x, price_w, delta_w, vega_w) = injected(zeta, z1, z2, n_paths=3,
+                                                  model=model)
+    deltas = np.diff(zeta)
+    steps = chain_steps(model, cfg.x0, Y0, deltas, lambda k: (z1[k], z2[k]))
+    vals = production_path_values(steps, EXPO)
+    h = float(cfg.payoff(steps[-1].x_next))
     disc = math.exp(-model.r * T)
-
-    grid = TimeGrid(zeta=zeta, n_jumps=1, last_gap=0.3)
-    path = simulate_chain(model, math.log(S0), Y0, grid, _FixedDraws(z1, z2))
-    h = float(pay(path.terminal[0]))
-    manual = (h * price_weight(path, EXPO) * disc,
-              h * delta_weight(path, EXPO) / (S0 * T) * disc,
-              h * vega_weight(path, EXPO) / T * disc)
-
-    cfg = inject_config(zeta, z1, z2, model=model, n_paths=3, seed=9)
-    engine = (estimate_price(cfg).mean, estimate_delta(cfg).mean,
-              estimate_vega(cfg).mean)
+    manual = (h * product_price(vals) * disc,
+              h * product_delta(vals, deltas) / (S0 * T) * disc,
+              h * product_vega(vals, deltas) / T * disc)
+    engine = (discounted(cfg, x, price_w), discounted(cfg, x, delta_w) / (S0 * T),
+              discounted(cfg, x, vega_w) / T)
 
     for got, man, pin in zip(engine, manual, frozen):
         assert got == pytest.approx(man, rel=1e-13, abs=1e-15)

@@ -1,4 +1,4 @@
-"""Gap distributions, renewal grids, and the redraw rules."""
+"""Gap distributions, the engine's renewal grids, and the redraw rules."""
 
 import math
 
@@ -6,24 +6,33 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from uvol.renewal import (DomainError, JumpSampler, TimeGrid, cdf, density,
-                          quantile, sample_grid, survival)
-from uvol.rng import PathStream
+from helpers import philox_grid
+from uvol.estimators import _sample_gap_columns
+from uvol.renewal import (DomainError, JumpSampler, cdf, density, quantile,
+                          survival)
 
 EXPO = JumpSampler.exponential(0.5)
 BETA = JumpSampler.beta_one_minus_alpha(0.1, 2.0)
 
 
-class ScriptedStream:
-    """Feeds a fixed list of gap uniforms and counts consumption."""
+class ScriptedUniforms:
+    """Gap-uniform source giving every path the same list, by draw counter."""
 
     def __init__(self, values):
-        self.values = list(values)
+        self.values = np.asarray(values, dtype=float)
         self.consumed = 0
 
-    def next_gap_uniform(self):
-        self.consumed += 1
-        return self.values.pop(0)
+    def __call__(self, ia, j):
+        self.consumed = max(self.consumed, int(j.max()) + 1)
+        return self.values[j.astype(np.int64)]
+
+
+def scripted_grid(T, values, n_paths=2):
+    """Engine grids of ``n_paths`` identical scripted paths under EXPO."""
+    stream = ScriptedUniforms(values)
+    gaps, n_jumps, last_gap = _sample_gap_columns(stream, EXPO, T, n_paths)
+    assert np.all(n_jumps == n_jumps[0]) and np.all(last_gap == last_gap[0])
+    return gaps[0, :n_jumps[0]], int(n_jumps[0]), float(last_gap[0]), stream
 
 
 # -------------------------------------------------------- distributions ---
@@ -71,6 +80,22 @@ def test_vectorized_matches_scalar(sampler):
                        [survival(sampler, float(v)) for v in t], rtol=1e-15)
 
 
+@pytest.mark.parametrize("sampler", [EXPO, BETA])
+def test_scalar_matches_array_element_bitwise(sampler):
+    """A scalar goes through the same ufuncs as an array, bit for bit."""
+    u = np.random.default_rng(3).uniform(1e-9, 1.0 - 1e-9, 20000)
+    t = quantile(sampler, u)
+    for fn, arg in ((density, t), (cdf, t), (survival, t), (quantile, u)):
+        whole = fn(sampler, arg)
+        one_by_one = np.array([fn(sampler, float(v)) for v in arg])
+        assert np.array_equal(whole.view(np.uint64), one_by_one.view(np.uint64)), \
+            fn.__name__
+    at_zero = density(sampler, 0.0)
+    assert at_zero == density(sampler, np.zeros(2))[0]
+    if sampler is BETA:
+        assert math.isinf(at_zero)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         density(BETA, 2.1)
@@ -98,48 +123,25 @@ def test_factory_validation():
         JumpSampler.beta_one_minus_alpha(0.5, 0.0)
 
 
-def test_instance_conveniences():
-    assert BETA.density(1.0) == density(BETA, 1.0)
-    assert EXPO.quantile(0.5) == quantile(EXPO, 0.5)
-    assert EXPO.survival(0.25) == survival(EXPO, 0.25)
-    assert BETA.cdf(0.5) == cdf(BETA, 0.5)
-
-
-# ------------------------------------------------------------ TimeGrid ---
-
-def test_time_grid_validation():
-    TimeGrid(zeta=(0.0, 0.2, 0.5), n_jumps=1, last_gap=0.3)
-    with pytest.raises(ValueError):
-        TimeGrid(zeta=(0.1, 0.5), n_jumps=0, last_gap=0.4)
-    with pytest.raises(ValueError):
-        TimeGrid(zeta=(0.0, 0.5), n_jumps=1, last_gap=0.5)
-    with pytest.raises(ValueError):
-        TimeGrid(zeta=(0.0, 0.3, 0.3, 0.5), n_jumps=2, last_gap=0.2)
-
-
-# ---------------------------------------------------------- sample_grid ---
+# ----------------------------------------------------- engine grid sampler ---
 
 def test_sample_grid_basic_structure():
-    stream = ScriptedStream([0.1, 0.15, 0.9])
     g1 = quantile(EXPO, 0.1)
     g2 = quantile(EXPO, 0.15)
-    grid = sample_grid(EXPO, 1.0, stream)
-    assert grid.zeta[0] == 0.0
-    assert grid.zeta[-1] == 1.0
-    assert grid.n_jumps == 2
-    assert grid.zeta[1] == pytest.approx(g1, rel=1e-15)
-    assert grid.zeta[2] == pytest.approx(g1 + g2, rel=1e-15)
-    assert grid.last_gap == pytest.approx(1.0 - (g1 + g2), rel=1e-12)
+    gaps, n_jumps, last_gap, stream = scripted_grid(1.0, [0.1, 0.15, 0.9])
+    assert n_jumps == 2
+    assert gaps[0] == pytest.approx(g1, rel=1e-15)
+    assert gaps[0] + gaps[1] == pytest.approx(g1 + g2, rel=1e-15)
+    assert last_gap == pytest.approx(1.0 - (g1 + g2), rel=1e-12)
     assert stream.consumed == 3
 
 
 def test_sample_grid_redraws_gap_landing_on_horizon():
     """A draw hitting T exactly is discarded, consuming an extra uniform."""
     T = float(quantile(EXPO, 0.5))
-    stream = ScriptedStream([0.5, 0.9])
-    grid = sample_grid(EXPO, T, stream)
-    assert grid.n_jumps == 0
-    assert grid.zeta == (0.0, T)
+    gaps, n_jumps, last_gap, stream = scripted_grid(T, [0.5, 0.9])
+    assert n_jumps == 0
+    assert last_gap == T
     assert stream.consumed == 2
 
 
@@ -149,33 +151,26 @@ def test_sample_grid_redraws_tied_interval():
     cum = float(quantile(EXPO, first))
     tiny = float(cdf(EXPO, 1e-18))  # quantile(tiny) cannot move cum
     assert cum + float(quantile(EXPO, tiny)) == cum
-    stream = ScriptedStream([first, tiny, 0.98])
-    grid = sample_grid(EXPO, 3.0, stream)
-    assert grid.n_jumps == 1
-    assert grid.zeta[1] == pytest.approx(cum, rel=1e-15)
+    gaps, n_jumps, last_gap, stream = scripted_grid(3.0, [first, tiny, 0.98])
+    assert n_jumps == 1
+    assert gaps[0] == pytest.approx(cum, rel=1e-15)
+    assert last_gap == pytest.approx(3.0 - cum, rel=1e-15)
     assert stream.consumed == 3
 
 
-def test_sample_grid_rejects_bad_horizon():
-    with pytest.raises(ValueError):
-        sample_grid(EXPO, 0.0, ScriptedStream([0.5]))
-    with pytest.raises(ValueError):
-        sample_grid(EXPO, math.inf, ScriptedStream([0.5]))
-
-
 def test_sample_grid_beta_gaps_within_support():
-    for p in range(50):
-        grid = sample_grid(BETA, 0.5, PathStream(seed=5, path_index=p))
-        gaps = np.diff(grid.zeta)
-        assert np.all(gaps > 0)
-        assert np.all(gaps[:-1] <= 2.0)  # jump gaps live in the Beta support
-        assert grid.zeta[-1] == 0.5
+    gaps, n_jumps, last_gap = philox_grid(BETA, 0.5, 5, np.arange(50, dtype=np.uint64))
+    inner = gaps[np.arange(gaps.shape[1]) < n_jumps[:, None]]
+    assert inner.size == n_jumps.sum() > 0
+    assert np.all(inner > 0)
+    assert np.all(inner <= 2.0)  # jump gaps live in the Beta support
+    assert np.all(last_gap > 0)
+    assert np.all(np.nansum(gaps, axis=1) + last_gap == pytest.approx(0.5, rel=1e-15))
 
 
 def test_sample_grid_mean_jump_count():
     """E[N_T] = lam * T for the exponential sampler."""
     n = 20000
-    counts = np.array([sample_grid(EXPO, 0.5, PathStream(seed=42, path_index=p)).n_jumps
-                       for p in range(n)], dtype=float)
+    counts = philox_grid(EXPO, 0.5, 42, np.arange(n, dtype=np.uint64))[1].astype(float)
     se = counts.std(ddof=1) / math.sqrt(n)
     assert abs(counts.mean() - 0.25) < 4 * se

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from uvol.rng import PathStream, normal_pair, philox4x32, uniform_pair
+import uvol.rng as rng
+from helpers import builtin
+from uvol.estimators import Payoff, RunConfig, estimate_price
+from uvol.renewal import JumpSampler
+from uvol.rng import (GAP_STREAM, NORMAL_STREAM, normal_pair, philox4x32,
+                      uniform_pair)
 
 
 def test_philox_known_answer_zeros():
@@ -85,20 +90,41 @@ def test_normal_moments():
     assert abs(np.mean(n1 * n2)) < 0.01  # independent coordinates
 
 
-def test_path_stream_layout_matches_flat_functions():
-    ps = PathStream(seed=7, path_index=3)
-    gaps = [ps.next_gap_uniform() for _ in range(4)]
-    expected = [uniform_pair(7, 3, 0, k)[0] for k in range(4)]
-    assert gaps == expected
-    for interval in (0, 1, 5):
-        assert PathStream(seed=7, path_index=3).normals_for_interval(interval) \
-            == normal_pair(7, 3, interval)
+def test_path_stream_layout_matches_flat_functions(monkeypatch):
+    """The engine reads each path's gap uniforms at consecutive counters of
+    stream 0, and the normals of interval k at index k of stream 1."""
+    calls = []
+    real = rng.uniform_pair
+
+    def spy(seed, path, stream, index):
+        path = np.array(path, dtype=np.uint64, ndmin=1)
+        calls.append((seed, stream, path, np.broadcast_to(index, path.shape)))
+        return real(seed, path, stream, index)
+
+    monkeypatch.setattr(rng, "uniform_pair", spy)
+    estimate_price(RunConfig(
+        model=builtin("BlackScholes"), payoff=Payoff.call(1.5),
+        sampler=JumpSampler.exponential(4.0), s0=1.5, y0=0.2, T=0.5,
+        n_paths=200, seed=7, chunk_size=64))
+    seen = {}
+    for seed, stream, path, index in calls:
+        assert seed == 7
+        for p, i in zip(path.tolist(), index.tolist()):
+            seen.setdefault((p, stream), []).append(i)
+    for p in range(200):
+        gap, normal = seen[p, GAP_STREAM], seen[p, NORMAL_STREAM]
+        assert gap == list(range(len(gap)))
+        assert normal == list(range(len(normal)))
+        # every interval, the last included, takes at least one gap draw
+        assert len(gap) >= len(normal) >= 1
+    assert max(len(seen[p, NORMAL_STREAM]) for p in range(200)) >= 3
 
 
 def test_gap_and_normal_streams_do_not_collide():
-    """Consuming gap draws never changes the Gaussian draws."""
-    ps = PathStream(seed=9, path_index=1)
-    before = ps.normals_for_interval(0)
-    for _ in range(5):
-        ps.next_gap_uniform()
-    assert ps.normals_for_interval(0) == before
+    """Gap draws and Gaussian draws sit on different substreams."""
+    paths = np.arange(1000)
+    for index in (0, 1, 5):
+        g1, g2 = uniform_pair(9, paths, GAP_STREAM, index)
+        n1, n2 = uniform_pair(9, paths, NORMAL_STREAM, index)
+        assert not np.any(g1 == n1) and not np.any(g2 == n2)
+        assert np.array_equal(normal_pair(9, paths, index)[0], ndtri(n1))

@@ -1,5 +1,8 @@
 """Correction weights: operator kernels, transfer triples, path products.
 
+Path products are the engine's own per-path weights, checked against
+literal sum-over-splittings expansions of the closed-form step weights.
+
 The deep checks work in three layers: frozen single-step examples that can
 be verified by hand, exact identities (duality under the Gaussian step,
 transfer of the y-derivative, finite-difference chain rules), and full
@@ -11,16 +14,16 @@ import math
 import numpy as np
 import pytest
 
-from uvol.chain import ChainPath, simulate_chain
+from uvol.chain import one_minus_rho_sq
+from uvol.estimators import Payoff, RunConfig
 from uvol.flow import frozen_coeffs
-from uvol.renewal import JumpSampler, TimeGrid, density, sample_grid
-from uvol.rng import PathStream
-from uvol.weights import (base_operators, delta_weight, flow_derivatives,
-                          price_weight, step_weights, terminal_weights,
-                          theta_i, transfer_weights, vega_weight)
+from uvol.renewal import JumpSampler, density
+from uvol.rng import normal_pair
+from uvol.weights import step_weights, terminal_weights
 
-from helpers import (builtin, gh_step_expectation, make_step, rel_err,
-                     step_from_states, synthetic_model)
+from helpers import (builtin, chain_steps, engine_weights, fixed_grid,
+                     fixed_normals, gh_step_expectation, make_step,
+                     philox_grid, rel_err, step_from_states, synthetic_model)
 from jet_oracle import (oracle_model_from_kind, oracle_step_weights,
                         oracle_terminal_weights, product_delta, product_price,
                         product_vega, production_path_values)
@@ -43,11 +46,18 @@ def _models():
     ]
 
 
+def engine_config(model, sampler, n_paths=1, **overrides):
+    kwargs = dict(model=model, payoff=Payoff.call(1.5), sampler=sampler,
+                  s0=math.exp(0.4), y0=0.2, T=0.5, n_paths=n_paths, seed=0)
+    kwargs.update(overrides)
+    return RunConfig(**kwargs)
+
+
 # ----------------------------------------------------- frozen step values ---
 
 def test_base_operator_values_unit_shock():
     step = make_step(BS, 0.4, 0.2, 0.5, 1.0, 0.0)
-    ops = base_operators(step)
+    ops = step_weights(step, EXPO)
     # I1_1 = z1/sigma_S - rho z2/(sigma_S sqrt(1-rho^2)) with z2 = 0
     assert ops.I1_1 == pytest.approx(5.65685424949238, rel=1e-14)
     assert ops.I1_1 == pytest.approx(1.0 / step.fc.sigma_S_i, rel=1e-14)
@@ -64,7 +74,7 @@ def test_score_kernels_are_proxy_score():
     from uvol.chain import proxy_density
     m = synthetic_model()
     step = make_step(m, 0.4, 0.25, 0.3, 0.7, -0.4)
-    ops = base_operators(step)
+    ops = step_weights(step, EXPO)
     h = 1e-6
     xn, yn = float(step.x_next), float(step.y_next)
 
@@ -80,8 +90,9 @@ def test_score_kernels_are_proxy_score():
 def test_theta_zero_noise_pins():
     step = make_step(BS, 0.4, 0.2, 0.5, 0.0, 0.0)
     # all difference terms vanish; theta = -b1_Y(m)/f(delta) = lambda/f(delta)
-    assert theta_i(step, EXPO) == pytest.approx(math.exp(0.25), rel=1e-13)
-    assert theta_i(step, BETA) == pytest.approx(0.9672784036623601, rel=1e-13)
+    assert step_weights(step, EXPO).theta == pytest.approx(math.exp(0.25), rel=1e-13)
+    assert step_weights(step, BETA).theta == pytest.approx(0.9672784036623601,
+                                                           rel=1e-13)
 
 
 def test_theta_black_scholes_identity():
@@ -127,28 +138,15 @@ def test_terminal_weights_pins():
     assert tw_e.I1_theta_last == 0.0  # I1_1 = 0 at zero noise
 
 
-def test_transfer_weights_wrapper():
-    step = make_step(STEIN, 0.4, 0.2, 0.3, 0.4, -0.2)
-    sw = step_weights(step, EXPO)
-    assert transfer_weights(step, EXPO, is_last=False) == (
-        sw.theta_eY, sw.theta_eX, sw.theta_c)
-    tw = terminal_weights(step, EXPO)
-    ey, ex, c = transfer_weights(step, EXPO, is_last=True)
-    assert (ey, ex) == (tw.theta_eY_last, tw.theta_eX_last)
-    assert c == 0.0
-
-
 def test_single_interval_path_pins():
-    step = make_step(BS, 0.4, 0.2, 0.5, 1.0, 0.0)
-    path = ChainPath(grid=TimeGrid(zeta=(0.0, 0.5), n_jumps=0, last_gap=0.5),
-                     steps=[step])
-    assert price_weight(path, EXPO) == pytest.approx(1.2840254166877414,
-                                                     rel=1e-14)
-    # delta_weight = delta * theta_last * I1_1
-    assert delta_weight(path, EXPO) == pytest.approx(3.631772317423137,
-                                                     rel=1e-13)
+    _, price_w, delta_w, vega_w = engine_weights(
+        engine_config(BS, EXPO), fixed_grid([(0.0, 0.5)]),
+        fixed_normals((1.0,), (0.0,)))
+    assert price_w[0] == pytest.approx(1.2840254166877414, rel=1e-14)
+    # delta weight = delta * theta_last * I1_1
+    assert delta_w[0] == pytest.approx(3.631772317423137, rel=1e-13)
     # BS: y0 cannot move the price and every vega term vanishes pathwise
-    assert vega_weight(path, EXPO) == 0.0
+    assert vega_w[0] == 0.0
 
 
 # ------------------------------------------------------- duality identity ---
@@ -170,7 +168,7 @@ def test_duality_for_monomials(model, alpha):
     for i, j in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
 
         def integrand(step, i=i, j=j):
-            ops = base_operators(step)
+            ops = step_weights(step, EXPO)
             u, v = step.x_next - xc, step.y_next - yc
             H = u ** i * v ** j
             dH = (i * u ** (i - 1) * v ** j if alpha == 1 and i else
@@ -230,24 +228,37 @@ def test_state_derivatives_match_finite_differences(model):
         assert abs(float(sw.D2prev_theta) - num_p) <= 1e-5
 
 
+def _flow_derivatives(step):
+    """``dX``, ``dY`` from the terminal weights, and the chain-rule
+    derivatives ``Dprev I1_1``, ``Dprev I2_1`` of the score kernels."""
+    fc = step.fc
+    tw = terminal_weights(step, EXPO)
+    sw = step_weights(step, EXPO)
+    r2 = one_minus_rho_sq(fc)
+    dprev_i11 = -(fc.sigma1_S_i / fc.sigma_S_i) * sw.I1_1 \
+        - fc.rho1_i / r2 * (fc.sigma_Y_i / fc.sigma_S_i) * sw.I2_1
+    dprev_i21 = -(fc.sigma1_Y_i / fc.sigma_Y_i - fc.rho1_i * fc.rho_i / r2) * sw.I2_1
+    return (tw.theta_eX_last / tw.theta_last, tw.theta_eY_last / tw.theta_last,
+            dprev_i11, dprev_i21)
+
+
 @pytest.mark.parametrize("model", [STEIN, synthetic_model()])
 def test_flow_derivatives_match_finite_differences(model):
     h = 1e-6
     for y, delta, z1, z2 in _random_configs(13, 5):
         step = make_step(model, 0.4, y, delta, z1, z2)
-        fd = flow_derivatives(step)
+        dx, dy, dprev_i11, dprev_i21 = _flow_derivatives(step)
         up = make_step(model, 0.4, y + h, delta, z1, z2)
         dn = make_step(model, 0.4, y - h, delta, z1, z2)
-        assert float(fd.dX) == pytest.approx(
+        assert float(dx) == pytest.approx(
             (float(up.x_next) - float(dn.x_next)) / (2 * h), abs=1e-6)
-        assert float(fd.dY) == pytest.approx(
+        assert float(dy) == pytest.approx(
             (float(up.y_next) - float(dn.y_next)) / (2 * h), abs=1e-6)
-        num_i1 = (float(base_operators(up).I1_1)
-                  - float(base_operators(dn).I1_1)) / (2 * h)
-        num_i2 = (float(base_operators(up).I2_1)
-                  - float(base_operators(dn).I2_1)) / (2 * h)
-        assert float(fd.Dprev_I1_1) == pytest.approx(num_i1, abs=1e-4)
-        assert float(fd.Dprev_I2_1) == pytest.approx(num_i2, abs=1e-4)
+        sw_up, sw_dn = step_weights(up, EXPO), step_weights(dn, EXPO)
+        num_i1 = (float(sw_up.I1_1) - float(sw_dn.I1_1)) / (2 * h)
+        num_i2 = (float(sw_up.I2_1) - float(sw_dn.I2_1)) / (2 * h)
+        assert float(dprev_i11) == pytest.approx(num_i1, abs=1e-4)
+        assert float(dprev_i21) == pytest.approx(num_i2, abs=1e-4)
 
 
 # ----------------------------------------------- transfer of y-derivative ---
@@ -309,8 +320,9 @@ def test_terminal_transfer_is_flow_derivative():
                                  lambda st: h_fn(st.x_next, st.y_next))) / (2 * eps)
 
     def rhs_fn(st):
-        fd = flow_derivatives(st)
-        return dhy(st.x_next, st.y_next) * fd.dY + dhx(st.x_next, st.y_next) * fd.dX
+        tw = terminal_weights(st, EXPO)
+        dx, dy = tw.theta_eX_last / tw.theta_last, tw.theta_eY_last / tw.theta_last
+        return dhy(st.x_next, st.y_next) * dy + dhx(st.x_next, st.y_next) * dx
 
     rhs = gh_step_expectation(model, x_prev, y, delta, rhs_fn)
     assert abs(lhs - rhs) <= 1e-5
@@ -361,34 +373,37 @@ def test_terminal_weights_match_jet_oracle():
 
 # ------------------------------------------- path products vs recurrences ---
 
+def _check_engine_against_products(cfg, grid, ids, normals):
+    """Engine weights of each path against literal products of its steps."""
+    _, price_w, delta_w, vega_w = engine_weights(cfg, grid, normals, ids=ids)
+    gaps, n_jumps, last_gap = grid
+    for i, p in enumerate(ids):
+        deltas = list(gaps[i, :n_jumps[i]]) + [last_gap[i]]
+        steps = chain_steps(cfg.model, cfg.x0, cfg.y0, deltas,
+                            lambda k: normals(k, ids[i:i + 1]))
+        vals = production_path_values(steps, cfg.sampler)
+        assert rel_err(price_w[i], product_price(vals)) <= 1e-12
+        assert rel_err(delta_w[i], product_delta(vals, deltas)) <= 1e-12
+        assert rel_err(vega_w[i], product_vega(vals, deltas)) <= 1e-12
+
+
 @pytest.mark.parametrize("sampler", [EXPO, BETA])
 def test_path_weights_match_literal_products(sampler):
-    """The O(1)-state recurrences equal the literal sum-over-splittings."""
-    model = STEIN
-    checked = {0: 0, 1: 0, 2: 0}
-    for p in range(60):
-        grid = sample_grid(sampler, 0.5, PathStream(seed=21, path_index=p))
-        path = simulate_chain(model, 0.4, 0.2, grid,
-                              PathStream(seed=21, path_index=p))
-        vals = production_path_values(path, sampler)
-        deltas = [st.fc.delta for st in path.steps]
-        assert rel_err(price_weight(path, sampler),
-                       product_price(vals)) <= 1e-12
-        assert rel_err(delta_weight(path, sampler),
-                       product_delta(vals, deltas)) <= 1e-12
-        assert rel_err(vega_weight(path, sampler),
-                       product_vega(vals, deltas)) <= 1e-12
-        checked[min(grid.n_jumps, 2)] = checked.get(min(grid.n_jumps, 2), 0) + 1
+    """The engine's O(1)-state recurrences equal the literal sum-over-splittings."""
+    ids = np.arange(60, dtype=np.uint64)
+    grid = philox_grid(sampler, 0.5, 21, ids)
+    _check_engine_against_products(
+        engine_config(STEIN, sampler, n_paths=60, seed=21), grid, ids,
+        lambda k, p: normal_pair(21, p, k))
     # the sample must exercise single- and multi-interval paths
-    assert checked[0] > 0 and (checked[1] + checked[2]) > 0
+    assert np.any(grid[1] == 0) and np.any(grid[1] > 0)
 
 
-def test_price_weight_log_branch_matches_plain_product():
-    """Deep grids switch to log-sign accumulation; values must agree."""
-    zeta = tuple(np.linspace(0.0, 0.45, 11)) + (0.5,)
-    grid = TimeGrid(zeta=zeta, n_jumps=10, last_gap=0.05)
-    path = simulate_chain(STEIN, 0.4, 0.2, grid, PathStream(seed=2, path_index=0))
-    assert grid.n_jumps > 8
-    vals = production_path_values(path, EXPO)
-    plain = product_price(vals)
-    assert price_weight(path, EXPO) == pytest.approx(plain, rel=1e-12)
+def test_deep_grid_weights_match_literal_products():
+    """A ten-jump grid, next to shallower ones in the same batch."""
+    deep = tuple(np.linspace(0.0, 0.45, 11)) + (0.5,)
+    grid = fixed_grid([deep, (0.0, 0.2, 0.5), (0.0, 0.5)])
+    assert grid[1][0] == 10
+    ids = np.arange(3, dtype=np.uint64)
+    _check_engine_against_products(engine_config(STEIN, EXPO, n_paths=3), grid,
+                                   ids, lambda k, p: normal_pair(2, p, k))
