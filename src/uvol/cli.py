@@ -74,6 +74,7 @@ _DEFAULTS = {
     "seed": 0,
     "threads": None,
     "discount": True,
+    "control": True,
     "panels": 8,
 }
 
@@ -87,7 +88,7 @@ _CSV_FIELDS = [
     "table_id", "quantity", "method", "model", "payoff", "strike",
     "sigma_s", "sigma1", "sigma2", "sampler", "s0", "y0", "T", "r",
     "n_paths", "seed", "mean", "ci_lo", "ci_hi", "std_error",
-    "n_jumps_mean", "seconds",
+    "n_jumps_mean", "seconds", "control_z1", "control_z2",
 ]
 
 
@@ -143,9 +144,10 @@ def _merge_settings(file_cfg: dict, flag_cfg: dict) -> dict:
         raise ConfigError("give either 's0' or 'x0', not both")
     merged.update(user)
     _coerce_numbers(merged)
-    if not isinstance(merged["discount"], bool):
-        raise ConfigError(f"config key 'discount' must be true or false, "
-                          f"got {merged['discount']!r}")
+    for key in ("discount", "control"):
+        if not isinstance(merged[key], bool):
+            raise ConfigError(f"config key {key!r} must be true or false, "
+                              f"got {merged[key]!r}")
     if "s0" in merged:
         if not merged["s0"] > 0:
             raise ConfigError("'s0' must be positive")
@@ -205,6 +207,7 @@ def _run_config(settings: dict) -> RunConfig:
         n_paths=int(settings["paths"]),
         seed=int(settings["seed"]),
         discount=settings["discount"],
+        control=settings["control"],
         panels=int(settings["panels"]),
         threads=int(settings["threads"]),
     )
@@ -250,6 +253,8 @@ def _add_common_options(p: argparse.ArgumentParser):
     g.add_argument("--panels", type=int)
     g.add_argument("--no-discount", dest="discount", action="store_false",
                    default=None)
+    g.add_argument("--no-control", dest="control", action="store_false",
+                   default=None, help="plain mean, without the control variates")
     p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument("--csv", help="append result rows to this CSV file")
 
@@ -301,12 +306,23 @@ def _flags_dict(args: argparse.Namespace) -> dict:
 
 def _csv_append(path: str, rows: list):
     new = not os.path.exists(path)
+    if not new:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+        new = header is None
+        if header not in (None, _CSV_FIELDS):
+            raise ConfigError(f"CSV file {path} has other columns than this "
+                              f"version writes; append to a new file")
     with open(path, "a", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
         if new:
             w.writeheader()
         for row in rows:
             w.writerow(row)
+
+
+def _g17_or_blank(x) -> str:
+    return "" if math.isnan(x) else _g17(x)
 
 
 def _result_row(quantity, method, settings, res, table_id="") -> dict:
@@ -331,8 +347,10 @@ def _result_row(quantity, method, settings, res, table_id="") -> dict:
         "ci_lo": _g17(res.ci95[0]),
         "ci_hi": _g17(res.ci95[1]),
         "std_error": _g17(res.std_error),
-        "n_jumps_mean": "" if math.isnan(res.n_jumps_mean) else _g17(res.n_jumps_mean),
+        "n_jumps_mean": _g17_or_blank(res.n_jumps_mean),
         "seconds": _g17(res.elapsed),
+        "control_z1": _g17_or_blank(res.control_z[0]),
+        "control_z2": _g17_or_blank(res.control_z[1]),
     }
 
 
@@ -344,6 +362,9 @@ def _exact_result(value: float):
 
 def _print_result(quantity: str, method: str, res):
     extra = "" if math.isnan(res.n_jumps_mean) else f"  jumps_mean={res.n_jumps_mean:.4f}"
+    z1, z2 = res.control_z
+    if not (math.isnan(z1) and math.isnan(z2)):
+        extra += f"  control_z=[{z1:.2f}, {z2:.2f}]"
     print(f"{quantity:<6s} {method:<12s} mean={res.mean: .8f}  "
           f"ci95=[{res.ci95[0]: .8f}, {res.ci95[1]: .8f}]  "
           f"n={res.n_paths}{extra}  {res.elapsed:.2f}s")

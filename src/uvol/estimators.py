@@ -6,6 +6,15 @@ chunks; each chunk produces a ``(sum, sum_sq, count)`` partial that is
 reduced in chunk order, which makes the reported mean bit-identical for
 any thread count.
 
+The same weights are unbiased for every payoff, so applied to ``h = 1`` and
+``h = exp(x)`` they have known means (:func:`_control_means`).  By default
+the estimate is a regression on these two controls, cross-fitted over two
+folds of paths (even and odd global index): the coefficients fitted on one
+fold correct the other, so they never see the samples they correct and the
+estimate stays exactly unbiased.  Each chunk also returns the per-fold
+centred moments of the contribution and the controls, which
+:func:`_merge_moments` combines in chunk order.
+
 This module holds the only route from a seed to a weight.  For each chunk,
 :func:`_sample_gap_columns` draws the renewal grids, and
 :func:`_path_weights` runs the chain on them.  It calls
@@ -23,6 +32,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,7 +41,7 @@ from . import rng as _rng
 from .chain import StepRecord, chain_step
 from .flow import FrozenCoeffs, frozen_coeffs
 from .model import Model, ParameterError
-from .renewal import JumpSampler, quantile
+from .renewal import JumpSampler, mean_gap, quantile
 from .weights import step_weights, terminal_weights
 
 __all__ = [
@@ -46,6 +56,12 @@ __all__ = [
 ]
 
 _MAX_SAMPLING_ROUNDS = 10000
+# Horizons beyond this many expected jumps per path are rejected: the gap
+# matrix grows with the jump count, and the weight variance with it.
+_MAX_EXPECTED_JUMPS = 1000
+# A fold's 2x2 control covariance counts as singular when its determinant is
+# below this fraction of the product of its diagonal (|correlation| ~ 1).
+_SINGULAR = 1e-12
 _FC_FIELDS = tuple(FrozenCoeffs.__dataclass_fields__)
 
 
@@ -91,7 +107,11 @@ class Payoff:
 class EstimateResult:
     """Monte Carlo estimate with its statistical error.
 
-    ``ci95`` is ``mean -+ 1.96 * std_error``.
+    ``ci95`` is ``mean -+ 1.96 * std_error``.  ``control_z`` holds the
+    z-scores of the two controls' sample means against their known means
+    (NaN where there is no spread to measure): an unbiased run keeps them
+    near N(0, 1), and a large one says the weights, and so the CI, cannot
+    be trusted.
     """
 
     mean: float
@@ -100,6 +120,7 @@ class EstimateResult:
     n_paths: int
     n_jumps_mean: float
     elapsed: float
+    control_z: tuple = (math.nan, math.nan)
 
 
 @dataclass(frozen=True)
@@ -126,6 +147,9 @@ class RunConfig:
         Paths per vectorized chunk.  The paths do not depend on it, but the
         order of the floating-point sums does, so means at two chunk sizes
         can differ in the last few bits.
+    control : bool
+        Use the cross-fitted control-variate estimator (default on).  Off,
+        the estimate is the plain mean of the contributions.
     """
 
     model: Model
@@ -140,6 +164,7 @@ class RunConfig:
     panels: int = 8
     threads: int = 1
     chunk_size: int = 1 << 17
+    control: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.s0) and self.s0 > 0):
@@ -152,6 +177,11 @@ class RunConfig:
             raise ParameterError("threads and chunk_size must be >= 1")
         if self.panels < 1:
             raise ParameterError(f"panels must be >= 1, got {self.panels}")
+        gap = mean_gap(self.sampler)
+        if self.T / gap > _MAX_EXPECTED_JUMPS:
+            raise ParameterError(
+                f"T = {self.T} is {self.T / gap:.4g} mean gaps of {gap:.4g}; "
+                f"at most {_MAX_EXPECTED_JUMPS} expected jumps per path are allowed")
 
     @property
     def x0(self) -> float:
@@ -167,13 +197,15 @@ def _sample_gap_columns(uniforms: Callable, sampler: JumpSampler, T: float,
     that would give a zero-length or tied interval, or land exactly on
     ``T``, is discarded; the counter still advances, so the next round
     redraws it.  Returns ``(gaps, n_jumps, last_gap)``: ``gaps[p, k]`` is
-    the k-th interior interval of path ``p`` (NaN beyond its jump count).
+    the k-th interior interval of path ``p`` (NaN beyond its jump count);
+    it has as many columns as the longest grid has interior intervals, and
+    at least one.
     """
-    gaps = np.full((n, 8), np.nan)
     slot = np.zeros(n, dtype=np.int64)
     cum = np.zeros(n)
     gap_idx = np.zeros(n, dtype=np.uint64)
     alive = np.ones(n, dtype=bool)
+    rows, slots, vals = [], [], []  # each round's jumps, scattered at the end
     for _ in range(_MAX_SAMPLING_ROUNDS):
         ia = np.flatnonzero(alive)
         if ia.size == 0:
@@ -183,16 +215,20 @@ def _sample_gap_columns(uniforms: Callable, sampler: JumpSampler, T: float,
         g = quantile(sampler, u)
         nxt = cum[ia] + g
         ok = (g > 0) & (nxt != cum[ia]) & (nxt != T)
-        jump = ia[ok & (nxt < T)]
+        inside = ok & (nxt < T)
+        jump = ia[inside]
         if jump.size:
-            if np.any(slot[jump] >= gaps.shape[1]):
-                gaps = np.hstack([gaps, np.full((n, gaps.shape[1]), np.nan)])
-            gaps[jump, slot[jump]] = (nxt - cum[ia])[ok & (nxt < T)]
-            cum[jump] = nxt[ok & (nxt < T)]
+            rows.append(jump)
+            slots.append(slot[jump])
+            vals.append((nxt - cum[ia])[inside])
+            cum[jump] = nxt[inside]
             slot[jump] += 1
         alive[ia[ok & (nxt > T)]] = False
     else:  # pragma: no cover - would need a broken sampler
         raise RuntimeError("renewal sampling did not terminate")
+    gaps = np.full((n, max(1, int(slot.max(initial=0)))), np.nan)
+    if rows:
+        gaps[np.concatenate(rows), np.concatenate(slots)] = np.concatenate(vals)
     return gaps, slot, T - cum
 
 
@@ -253,9 +289,12 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
     """
     n = n_jumps.size
     mdl, smp = cfg.model, cfg.sampler
-    order = np.argsort(-n_jumps, kind="stable")
+    top = int(n_jumps.max())
+    # a 16-bit key gets numpy's radix sort, in the same order as the int64 one
+    key = (top - n_jumps).astype(np.uint16) if top < 1 << 16 else -n_jumps
+    order = np.argsort(key, kind="stable")
     ids = ids[order]
-    n_steps = int(n_jumps.max()) + 1
+    n_steps = top + 1
     # n_act[k] = number of paths with at least k jumps, i.e. active at step k
     n_act = np.append(np.cumsum(np.bincount(n_jumps, minlength=n_steps)[::-1])[::-1], 0)
 
@@ -293,11 +332,47 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
     return x[unsort], price_pref[unsort], delta_acc[unsort], vega_acc[unsort]
 
 
+def _control_means(cfg: RunConfig, kind: str):
+    """Known means of the undiscounted weight ``w`` of ``kind`` and of
+    ``exp(x_T) * w``: the payoffs 1 and ``S_T``, whose price is 1 and
+    ``s0 * exp(r T)``, differentiated in ``s0`` (Delta weights are in units
+    of ``s0 * T``) or in ``y0``."""
+    try:
+        forward = cfg.s0 * math.exp(cfg.model.r * cfg.T)
+    except OverflowError:  # the control is then unusable; see _fit
+        forward = math.inf
+    return {"price": (1.0, forward), "delta": (0.0, cfg.T * forward),
+            "vega": (0.0, 0.0)}[kind]
+
+
+def _fold_moments(lo: int, *columns):
+    """Per-fold ``(count, mean, centred cross products)`` of ``columns``.
+
+    Fold ``f`` holds the paths whose global index ``lo + i`` has parity
+    ``f``.  Each moment triple is over the stacked columns, so ``mean`` has
+    one entry per column and the cross products form a square matrix.
+    """
+    v = np.stack(columns)
+    out = []
+    for f in (0, 1):
+        part = v[:, (f - lo) % 2::2]
+        mean = part.mean(axis=1) if part.shape[1] else np.zeros(len(columns))
+        d = part - mean[:, None]
+        # einsum keeps the products off BLAS, whose idle threads would spin
+        out.append((part.shape[1], mean, np.einsum("ik,jk->ij", d, d)))
+    return tuple(out)
+
+
 def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str):
     """Simulate paths [lo, hi) and return the chunk's partial statistics.
 
-    Every random number comes from the counter-based streams of
-    :mod:`uvol.rng`, addressed by ``(cfg.seed, path index)``.
+    Returns ``(sum, sum_sq, count, jumps, folds)``: the sums of the
+    discounted contributions and of their squares, the path count, the
+    total jump count, and the two folds' moments (:func:`_fold_moments`) of
+    the contribution and the two centred controls ``w - mu1`` and
+    ``exp(x_T) * w - mu2``.  Every random number comes from the
+    counter-based streams of :mod:`uvol.rng`, addressed by
+    ``(cfg.seed, path index)``.
     """
     n = hi - lo
     ids = np.arange(lo, hi, dtype=np.uint64)
@@ -306,13 +381,14 @@ def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str):
         cfg.sampler, cfg.T, n)
     x, price_w, delta_w, vega_w = _path_weights(
         cfg, ids, *grid, lambda k, p: _rng.normal_pair(cfg.seed, p, k))
-    h = cfg.payoff(x)
-    if kind == "price":
-        contrib = h * price_w
-    elif kind == "delta":
-        contrib = h * delta_w / (cfg.s0 * cfg.T)
-    else:
-        contrib = h * vega_w / cfg.T
+    spot = np.exp(x)
+    h = cfg.payoff.value_spot(spot)
+    w = {"price": price_w, "delta": delta_w, "vega": vega_w}[kind]
+    contrib = h * w
+    if kind == "delta":
+        contrib = contrib / (cfg.s0 * cfg.T)
+    elif kind == "vega":
+        contrib = contrib / cfg.T
     if cfg.discount:
         contrib = contrib * math.exp(-cfg.model.r * cfg.T)
     bad = ~np.isfinite(contrib)
@@ -321,9 +397,12 @@ def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str):
         raise NonFinitePathError(
             f"{int(bad.sum())} non-finite {kind} contribution(s) in chunk "
             f"[{lo}, {hi}); first bad path index {first}")
+    mu1, mu2 = _control_means(cfg, kind)
+    with np.errstate(invalid="ignore"):  # non-finite controls only void the fit
+        folds = _fold_moments(lo, contrib, w - mu1, spot * w - mu2)
     # einsum keeps the sum of squares off BLAS, whose idle threads would spin
     return (float(contrib.sum()), float(np.einsum("i,i->", contrib, contrib)), n,
-            float(grid[1].sum()))
+            float(grid[1].sum()), folds)
 
 
 def aggregate(partials: Sequence, **extras) -> EstimateResult:
@@ -356,7 +435,58 @@ def aggregate(partials: Sequence, **extras) -> EstimateResult:
         n_paths=n_tot,
         n_jumps_mean=extras.get("n_jumps_mean", float("nan")),
         elapsed=extras.get("elapsed", 0.0),
+        control_z=extras.get("control_z", (math.nan, math.nan)),
     )
+
+
+def _merge_moments(a, b):
+    """Merge two ``(count, mean, centred cross products)`` triples.
+
+    The multivariate form of :func:`aggregate`'s pairwise Welford update
+    (Chan, Golub and LeVeque).
+    """
+    na, ma, ca = a
+    nb, mb, cb = b
+    if na == 0 or nb == 0:
+        return b if na == 0 else a
+    n = na + nb
+    d = mb - ma
+    return n, ma + d * (nb / n), ca + cb + np.outer(d, d) * (na * nb / n)
+
+
+def _fit(m):
+    """Regression coefficients of the contribution on the two controls,
+    from one fold's moments, or None when the fold has fewer than 3 paths
+    or a singular (or non-finite) control covariance."""
+    n, _, c = m
+    if n < 3 or not np.isfinite(c).all():
+        return None
+    (_, y1, y2), (_, v1, v12), (_, _, v2) = c.tolist()
+    det = v1 * v2 - v12 * v12
+    if not det > _SINGULAR * v1 * v2:
+        return None
+    return (v2 * y1 - v12 * y2) / det, (v1 * y2 - v12 * y1) / det
+
+
+def _residual(m, beta):
+    """``(sum, sum_sq, count)`` of ``y - beta . c`` over one fold, from its moments."""
+    n, mean, c = m
+    b1, b2 = beta
+    mean, c = mean.tolist(), c.tolist()
+    r = mean[0] - b1 * mean[1] - b2 * mean[2]
+    ss = (c[0][0] - 2.0 * (b1 * c[0][1] + b2 * c[0][2])
+          + b1 * b1 * c[1][1] + 2.0 * b1 * b2 * c[1][2] + b2 * b2 * c[2][2])
+    return n * r, max(ss, 0.0) + n * r * r, n
+
+
+def _control_z(m):
+    """z-scores of the controls' means (known to be 0 once centred)."""
+    n, mean, c = m
+    out = []
+    for k in (1, 2):
+        se = math.sqrt(max(float(c[k, k]), 0.0) / (n - 1) / n) if n > 1 else 0.0
+        out.append(float(mean[k]) / se if se > 0 else math.nan)
+    return tuple(out)
 
 
 def _run(cfg: RunConfig, kind: str) -> EstimateResult:
@@ -370,10 +500,16 @@ def _run(cfg: RunConfig, kind: str) -> EstimateResult:
     else:
         partials = [_chunk_partials(cfg, lo, hi, kind) for lo, hi in bounds]
     jumps = sum(p[3] for p in partials)
+    folds = [reduce(_merge_moments, (p[4][f] for p in partials)) for f in (0, 1)]
+    betas = [_fit(m) for m in folds] if cfg.control else [None]
+    if None not in betas:
+        # each fold is corrected with the coefficients fitted on the other
+        partials = [_residual(folds[0], betas[1]), _residual(folds[1], betas[0])]
     return aggregate(
         partials,
         n_jumps_mean=jumps / cfg.n_paths,
         elapsed=time.perf_counter() - start,
+        control_z=_control_z(_merge_moments(*folds)),
     )
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "cdf",
     "survival",
     "quantile",
+    "mean_gap",
 ]
 
 
@@ -116,3 +117,10 @@ def quantile(s: JumpSampler, u):
     if s.kind == "exponential":
         return -np.log1p(-u) / s.lam
     return s.tau_bar * np.power(u, 1.0 / (1.0 - s.alpha))
+
+
+def mean_gap(s: JumpSampler) -> float:
+    """Expected gap ``E[tau]``: ``1/lam``, or ``tau_bar (1-alpha)/(2-alpha)``."""
+    if s.kind == "exponential":
+        return 1.0 / s.lam
+    return s.tau_bar * (1.0 - s.alpha) / (2.0 - s.alpha)

@@ -68,7 +68,7 @@ PAIR_SWEEP = ((0.1, 0.15), (0.2, 0.25), (0.3, 0.4), (0.4, 0.5))
 def _bs_config(sigma, sampler, seed, **overrides):
     kwargs = dict(model=builtin("BlackScholes", sigma_s=sigma),
                   payoff=Payoff.call(K), sampler=sampler, s0=S0, y0=Y0, T=T,
-                  n_paths=M, seed=seed, threads=THREADS)
+                  n_paths=M, seed=seed, threads=THREADS, control=False)
     kwargs.update(overrides)
     return RunConfig(**kwargs)
 
@@ -124,7 +124,7 @@ def test_criterion_04_cross_method_consistency():
             ub = estimate_price(RunConfig(
                 model=model, payoff=Payoff.call(K), sampler=BETA, s0=S0,
                 y0=Y0, T=T, n_paths=M, seed=7000 + 100 * mi + i,
-                threads=THREADS))
+                threads=THREADS, control=False))
             ev = euler_price(model, Payoff.call(K), S0, Y0, T,
                              EulerConfig(n_steps=200, n_paths=160000,
                                          seed=9000 + 100 * mi + i))

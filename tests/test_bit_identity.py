@@ -30,7 +30,7 @@ ESTIMATORS = {"price": estimate_price, "delta": estimate_delta, "vega": estimate
 
 def _config(model, payoff, sampler, **overrides):
     kwargs = dict(model=model, payoff=payoff, sampler=sampler, s0=math.exp(0.4),
-                  y0=0.2, T=0.5, n_paths=3000, seed=11)
+                  y0=0.2, T=0.5, n_paths=3000, seed=11, control=False)
     kwargs.update(overrides)
     return RunConfig(**kwargs)
 

@@ -5,6 +5,8 @@ import csv
 import json
 import math
 import tempfile
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from uvol.cli import (_CONFIG_KEYS, _CSV_FIELDS, ConfigError, TableSpec,
                       load_config, run, table_spec)
-from uvol.estimators import estimate_price
+from uvol.estimators import estimate_price, estimate_vega
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -143,6 +145,14 @@ def test_float_overflow_is_numerical_error(capsys, flags):
     assert "numerical error:" in capsys.readouterr().err
 
 
+def test_horizon_beyond_the_jump_cap_is_config_error(capsys):
+    start = time.perf_counter()
+    assert run(["price", "--model", "stein", "-T", "9319", "--paths", "64"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "T = 9319.0" in err and "mean gaps of 0.9474" in err
+
+
 # wrong-typed values for any config key; none spell a large number, so runs stay small
 _WRONG_VALUES = st.one_of(
     st.none(), st.booleans(),
@@ -227,6 +237,44 @@ def test_csv_append_keeps_single_header(tmp_path):
     assert sum(1 for ln in lines if ln.startswith("table_id")) == 1
 
 
+def test_no_control_gives_the_plain_estimate(tmp_path, monkeypatch):
+    monkeypatch.delenv("UVOL_THREADS", raising=False)
+    base = {"model": "stein", "paths": 600, "seed": 4}
+    runs = {"flag": (write_config(tmp_path, base, "flag.json"), ["--no-control"]),
+            "key": (write_config(tmp_path, dict(base, control=False), "key.json"), [])}
+    plain = estimate_vega(replace(load_config(runs["flag"][0]), control=False))
+    assert load_config(runs["key"][0]).control is False
+    for name, (cfg_path, flags) in runs.items():
+        out = tmp_path / f"{name}.csv"
+        assert run(["vega", "--config", cfg_path, "--csv", str(out)] + flags) == 0
+        (row,) = read_rows(out)
+        assert float(row["mean"]) == plain.mean
+        assert float(row["std_error"]) == plain.std_error
+
+
+def test_control_z_flags_collapsed_weights(tmp_path, capsys):
+    # ~15 jumps a path: the price weight averages ~0 against a known mean of 1
+    out = tmp_path / "rows.csv"
+    assert run(["price", "--model", "stein", "--sampler", "beta", "--alpha", "0.5",
+                "--tau-bar", "1", "-T", "5", "--paths", "20000",
+                "--csv", str(out)]) == 0
+    line = capsys.readouterr().out
+    z1 = float(line.split("control_z=[")[1].split(",")[0])
+    (row,) = read_rows(out)
+    assert float(row["control_z1"]) == pytest.approx(z1, abs=0.005)
+    assert abs(z1) > 20.0
+    assert row["control_z2"] != ""
+
+
+def test_csv_with_other_columns_is_not_appended_to(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    old = ",".join(_CSV_FIELDS[:-2]) + "\n"  # a file from before the z-score columns
+    out.write_text(old)
+    assert run(["price", "--model", "bs", "--paths", "60", "--csv", str(out)]) == 2
+    assert "other columns" in capsys.readouterr().err
+    assert out.read_text() == old
+
+
 def test_no_discount_scales_mean(tmp_path):
     means = {}
     for label, extra in (("disc", []), ("nodisc", ["--no-discount"])):
@@ -250,6 +298,8 @@ def test_compare_euler_adds_baseline_row(tmp_path, capsys):
     assert [r["method"] for r in rows] == ["beta", "euler"]
     # the baseline row reports its own wall time
     assert all(float(r["seconds"]) > 0 for r in rows)
+    # and no control z-scores, which only the weighted estimator has
+    assert rows[0]["control_z1"] != "" and rows[1]["control_z1"] == ""
 
 
 def test_compare_euler_fd_for_delta(tmp_path):

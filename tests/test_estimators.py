@@ -88,10 +88,17 @@ def test_run_config_x0():
     {"chunk_size": 0},
     {"T": math.inf},
     {"panels": 0},
+    {"T": 2001.0},  # 1000.5 expected jumps of mean 2
 ])
 def test_run_config_rejects_bad_arguments(overrides):
     with pytest.raises(ParameterError):
         base_config(**overrides)
+
+
+def test_grid_width_cap_names_horizon_and_mean_gap():
+    with pytest.raises(ParameterError, match=r"T = 2001.0 .* mean gaps of 2\b"):
+        base_config(T=2001.0)
+    assert base_config(T=2000.0).T == 2000.0  # exactly 1000 expected jumps
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +292,8 @@ def test_mean_jump_count_matches_renewal_rate():
 class _PoisonPayoff:
     strike = 1.0
 
-    def __call__(self, x):
-        return np.full_like(np.asarray(x, dtype=float), np.nan)
+    def value_spot(self, s):
+        return np.full_like(np.asarray(s, dtype=float), np.nan)
 
 
 def test_non_finite_contributions_abort():

@@ -8,8 +8,8 @@ from scipy.integrate import quad
 
 from helpers import philox_grid
 from uvol.estimators import _sample_gap_columns
-from uvol.renewal import (DomainError, JumpSampler, cdf, density, quantile,
-                          survival)
+from uvol.renewal import (DomainError, JumpSampler, cdf, density, mean_gap,
+                          quantile, survival)
 
 EXPO = JumpSampler.exponential(0.5)
 BETA = JumpSampler.beta_one_minus_alpha(0.1, 2.0)
@@ -166,6 +166,23 @@ def test_sample_grid_beta_gaps_within_support():
     assert np.all(inner <= 2.0)  # jump gaps live in the Beta support
     assert np.all(last_gap > 0)
     assert np.all(np.nansum(gaps, axis=1) + last_gap == pytest.approx(0.5, rel=1e-15))
+
+
+@pytest.mark.parametrize("sampler", [EXPO, BETA])
+def test_mean_gap_is_the_first_moment(sampler):
+    upper = math.inf if sampler.kind == "exponential" else sampler.tau_bar
+    value, _ = quad(lambda t: float(survival(sampler, t)), 0.0, upper)
+    assert mean_gap(sampler) == pytest.approx(value, rel=1e-9)
+
+
+def test_sample_grid_width_is_the_longest_grid():
+    gaps, n_jumps, _ = philox_grid(EXPO, 20.0, 3, np.arange(200, dtype=np.uint64))
+    assert gaps.shape == (200, n_jumps.max())
+    assert not np.any(np.isnan(gaps[np.arange(gaps.shape[1]) < n_jumps[:, None]]))
+    assert np.all(np.isnan(gaps[np.arange(gaps.shape[1]) >= n_jumps[:, None]]))
+    # with no jump at all there is still one (empty) column
+    gaps, n_jumps, _ = philox_grid(EXPO, 1e-9, 3, np.arange(4, dtype=np.uint64))
+    assert gaps.shape == (4, 1) and not n_jumps.any()
 
 
 def test_sample_grid_mean_jump_count():
