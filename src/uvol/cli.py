@@ -74,7 +74,6 @@ _DEFAULTS = {
     "seed": 0,
     "threads": None,
     "discount": True,
-    "control": True,
     "panels": 8,
 }
 
@@ -144,10 +143,9 @@ def _merge_settings(file_cfg: dict, flag_cfg: dict) -> dict:
         raise ConfigError("give either 's0' or 'x0', not both")
     merged.update(user)
     _coerce_numbers(merged)
-    for key in ("discount", "control"):
-        if not isinstance(merged[key], bool):
-            raise ConfigError(f"config key {key!r} must be true or false, "
-                              f"got {merged[key]!r}")
+    if not isinstance(merged["discount"], bool):
+        raise ConfigError(f"config key 'discount' must be true or false, "
+                          f"got {merged['discount']!r}")
     if "s0" in merged:
         if not merged["s0"] > 0:
             raise ConfigError("'s0' must be positive")
@@ -207,7 +205,6 @@ def _run_config(settings: dict) -> RunConfig:
         n_paths=int(settings["paths"]),
         seed=int(settings["seed"]),
         discount=settings["discount"],
-        control=settings["control"],
         panels=int(settings["panels"]),
         threads=int(settings["threads"]),
     )
@@ -253,8 +250,6 @@ def _add_common_options(p: argparse.ArgumentParser):
     g.add_argument("--panels", type=int)
     g.add_argument("--no-discount", dest="discount", action="store_false",
                    default=None)
-    g.add_argument("--no-control", dest="control", action="store_false",
-                   default=None, help="plain mean, without the control variates")
     p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument("--csv", help="append result rows to this CSV file")
 
@@ -304,15 +299,21 @@ def _flags_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k in keys}
 
 
+def _csv_is_new(path: str) -> bool:
+    """Whether ``path`` still needs a header; refuse a file with other
+    columns, before any estimate runs."""
+    if not os.path.exists(path):
+        return True
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+    if header not in (None, _CSV_FIELDS):
+        raise ConfigError(f"CSV file {path} has other columns than this "
+                          f"version writes; append to a new file")
+    return header is None
+
+
 def _csv_append(path: str, rows: list):
-    new = not os.path.exists(path)
-    if not new:
-        with open(path, newline="") as fh:
-            header = next(csv.reader(fh), None)
-        new = header is None
-        if header not in (None, _CSV_FIELDS):
-            raise ConfigError(f"CSV file {path} has other columns than this "
-                              f"version writes; append to a new file")
+    new = _csv_is_new(path)
     with open(path, "a", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
         if new:
@@ -391,6 +392,8 @@ def _cmd_estimate(quantity: str, args: argparse.Namespace) -> int:
     file_cfg = _read_config_file(args.config) if args.config else {}
     settings = _merge_settings(file_cfg, _flags_dict(args))
     cfg = _run_config(settings)
+    if args.csv:
+        _csv_is_new(args.csv)
     res = _ESTIMATORS[quantity](cfg)
     _print_result(quantity, settings["sampler"], res)
     rows = [_result_row(quantity, settings["sampler"], settings, res)]
@@ -455,6 +458,8 @@ def table_spec(table_id: int, model_override: Optional[str] = None) -> TableSpec
 def _cmd_table(args: argparse.Namespace) -> int:
     spec = table_spec(args.id, args.model)
     threads = args.threads if args.threads is not None else _env_threads()
+    if args.csv:
+        _csv_is_new(args.csv)
     rows = []
     print(f"table {spec.table_id}: {spec.model} {spec.payoff} {spec.quantity}  "
           f"(paths={args.paths}, seed={args.seed})")

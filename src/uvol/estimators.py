@@ -7,13 +7,14 @@ reduced in chunk order, which makes the reported mean bit-identical for
 any thread count.
 
 The same weights are unbiased for every payoff, so applied to ``h = 1`` and
-``h = exp(x)`` they have known means (:func:`_control_means`).  By default
-the estimate is a regression on these two controls, cross-fitted over two
-folds of paths (even and odd global index): the coefficients fitted on one
-fold correct the other, so they never see the samples they correct and the
-estimate stays exactly unbiased.  Each chunk also returns the per-fold
-centred moments of the contribution and the controls, which
-:func:`_merge_moments` combines in chunk order.
+``h = exp(x)`` they have known means (:func:`_control_means`).  The
+estimate is a regression on these two controls, cross-fitted over two folds
+of paths (even and odd global index): the coefficients fitted on one fold
+correct the other, so they never see the samples they correct and the
+estimate stays exactly unbiased.  Where a fold's control covariance is
+singular, the plain mean of the contributions is returned.  Each chunk also
+returns the per-fold centred moments of the contribution and the controls,
+which :func:`_merge_moments` combines in chunk order.
 
 This module holds the only route from a seed to a weight.  For each chunk,
 :func:`_sample_gap_columns` draws the renewal grids, and
@@ -147,9 +148,6 @@ class RunConfig:
         Paths per vectorized chunk.  The paths do not depend on it, but the
         order of the floating-point sums does, so means at two chunk sizes
         can differ in the last few bits.
-    control : bool
-        Use the cross-fitted control-variate estimator (default on).  Off,
-        the estimate is the plain mean of the contributions.
     """
 
     model: Model
@@ -164,7 +162,6 @@ class RunConfig:
     panels: int = 8
     threads: int = 1
     chunk_size: int = 1 << 17
-    control: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.s0) and self.s0 > 0):
@@ -290,9 +287,9 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
     n = n_jumps.size
     mdl, smp = cfg.model, cfg.sampler
     top = int(n_jumps.max())
-    # a 16-bit key gets numpy's radix sort, in the same order as the int64 one
-    key = (top - n_jumps).astype(np.uint16) if top < 1 << 16 else -n_jumps
-    order = np.argsort(key, kind="stable")
+    # A 16-bit key gets numpy's radix sort.  It holds every jump count: the
+    # sampler adds at most one jump per round, in _MAX_SAMPLING_ROUNDS < 2**16.
+    order = np.argsort((top - n_jumps).astype(np.uint16), kind="stable")
     ids = ids[order]
     n_steps = top + 1
     # n_act[k] = number of paths with at least k jumps, i.e. active at step k
@@ -456,10 +453,10 @@ def _merge_moments(a, b):
 
 def _fit(m):
     """Regression coefficients of the contribution on the two controls,
-    from one fold's moments, or None when the fold has fewer than 3 paths
-    or a singular (or non-finite) control covariance."""
-    n, _, c = m
-    if n < 3 or not np.isfinite(c).all():
+    from one fold's moments, or None when the fold's control covariance is
+    singular or non-finite (as it is for a fold of fewer than 3 paths)."""
+    c = m[2]
+    if not np.isfinite(c).all():
         return None
     (_, y1, y2), (_, v1, v12), (_, _, v2) = c.tolist()
     det = v1 * v2 - v12 * v12
@@ -489,7 +486,10 @@ def _control_z(m):
     return tuple(out)
 
 
-def _run(cfg: RunConfig, kind: str) -> EstimateResult:
+def _run(cfg: RunConfig, kind: str, *, control: bool = True) -> EstimateResult:
+    """Estimate ``kind`` with the cross-fitted controls, or with the plain
+    mean of the contributions when they cannot be fitted or when
+    ``control`` is off (the tests' reference estimator)."""
     start = time.perf_counter()
     bounds = [(lo, min(lo + cfg.chunk_size, cfg.n_paths))
               for lo in range(0, cfg.n_paths, cfg.chunk_size)]
@@ -501,7 +501,7 @@ def _run(cfg: RunConfig, kind: str) -> EstimateResult:
         partials = [_chunk_partials(cfg, lo, hi, kind) for lo, hi in bounds]
     jumps = sum(p[3] for p in partials)
     folds = [reduce(_merge_moments, (p[4][f] for p in partials)) for f in (0, 1)]
-    betas = [_fit(m) for m in folds] if cfg.control else [None]
+    betas = [_fit(m) for m in folds] if control else [None]
     if None not in betas:
         # each fold is corrected with the coefficients fitted on the other
         partials = [_residual(folds[0], betas[1]), _residual(folds[1], betas[0])]

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from uvol.chain import StepRecord, chain_step, one_minus_rho_sq
-from uvol.estimators import _path_weights, _sample_gap_columns
+from uvol.estimators import _path_weights, _run, _sample_gap_columns
 from uvol.flow import frozen_coeffs
 from uvol.model import BuiltinModelKind, Model, make_builtin
 from uvol.rng import GAP_STREAM, uniform_pair
@@ -76,6 +77,12 @@ def engine_weights(cfg, grid, normals, ids=None):
     if ids is None:
         ids = np.arange(grid[1].size, dtype=np.uint64)
     return _path_weights(cfg, ids, *grid, normals)
+
+
+def plain_estimator(kind):
+    """``RunConfig -> EstimateResult`` for the plain mean of the
+    contributions of ``kind``, without the control variates."""
+    return partial(_run, kind=kind, control=False)
 
 
 def philox_grid(sampler, T, seed, ids):

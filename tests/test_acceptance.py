@@ -21,6 +21,7 @@ from helpers import (
     gh_step_expectation,
     make_step,
     philox_grid,
+    plain_estimator,
     rel_err,
     step_from_states,
     synthetic_model,
@@ -35,13 +36,7 @@ from jet_oracle import (
 )
 from uvol.baselines import EulerConfig, euler_price
 from uvol.chain import proxy_density
-from uvol.estimators import (
-    Payoff,
-    RunConfig,
-    estimate_delta,
-    estimate_price,
-    estimate_vega,
-)
+from uvol.estimators import Payoff, RunConfig
 from uvol.flow import frozen_coeffs, simpson38
 from uvol.model import BuiltinModelKind
 from uvol.renewal import JumpSampler
@@ -59,6 +54,10 @@ EXPO = JumpSampler.exponential(0.5)
 BETA = JumpSampler.beta_one_minus_alpha(0.1, 2.0)
 BETA_HALF = JumpSampler.beta_one_minus_alpha(0.5, 2.0)
 
+# ROADMAP keeps the criteria on the plain estimator, without the controls
+plain_price, plain_delta, plain_vega = (
+    plain_estimator(kind) for kind in ("price", "delta", "vega"))
+
 SIGMA_SWEEP = (0.25, 0.3, 0.4, 0.6)
 PRICE_TARGETS = (0.111804, 0.132621, 0.174152, 0.256572)
 DELTA_TARGETS = (0.556589, 0.560018, 0.569512, 0.592743)
@@ -68,7 +67,7 @@ PAIR_SWEEP = ((0.1, 0.15), (0.2, 0.25), (0.3, 0.4), (0.4, 0.5))
 def _bs_config(sigma, sampler, seed, **overrides):
     kwargs = dict(model=builtin("BlackScholes", sigma_s=sigma),
                   payoff=Payoff.call(K), sampler=sampler, s0=S0, y0=Y0, T=T,
-                  n_paths=M, seed=seed, threads=THREADS, control=False)
+                  n_paths=M, seed=seed, threads=THREADS)
     kwargs.update(overrides)
     return RunConfig(**kwargs)
 
@@ -86,7 +85,7 @@ def _sweep_zscores(estimator, targets, seed_base):
 
 def test_criterion_01_constant_vol_price():
     start = time.perf_counter()
-    worst = _sweep_zscores(estimate_price, PRICE_TARGETS, 1000)
+    worst = _sweep_zscores(plain_price, PRICE_TARGETS, 1000)
     elapsed = time.perf_counter() - start
     ok = worst <= 3.0 and elapsed <= 120.0
     line = record_criterion(
@@ -97,7 +96,7 @@ def test_criterion_01_constant_vol_price():
 
 
 def test_criterion_02_constant_vol_delta():
-    worst = _sweep_zscores(estimate_delta, DELTA_TARGETS, 3000)
+    worst = _sweep_zscores(plain_delta, DELTA_TARGETS, 3000)
     ok = worst <= 3.0
     line = record_criterion(
         2, ok, f"Delta vs closed form, 4 sigmas x 2 samplers x 1e6 paths: "
@@ -106,7 +105,7 @@ def test_criterion_02_constant_vol_delta():
 
 
 def test_criterion_03_constant_vol_vega_null():
-    worst = _sweep_zscores(estimate_vega, (0.0, 0.0, 0.0, 0.0), 5000)
+    worst = _sweep_zscores(plain_vega, (0.0, 0.0, 0.0, 0.0), 5000)
     ok = worst <= 3.0
     line = record_criterion(
         3, ok, f"Vega null test, 4 sigmas x 2 samplers x 1e6 paths: "
@@ -121,10 +120,10 @@ def test_criterion_04_cross_method_consistency():
     for mi, tag in enumerate(("SteinSteinAffine", "PeriodicCosine")):
         for i, (s1, s2) in enumerate(PAIR_SWEEP):
             model = builtin(tag, sigma1=s1, sigma2=s2)
-            ub = estimate_price(RunConfig(
+            ub = plain_price(RunConfig(
                 model=model, payoff=Payoff.call(K), sampler=BETA, s0=S0,
                 y0=Y0, T=T, n_paths=M, seed=7000 + 100 * mi + i,
-                threads=THREADS, control=False))
+                threads=THREADS))
             ev = euler_price(model, Payoff.call(K), S0, Y0, T,
                              EulerConfig(n_steps=200, n_paths=160000,
                                          seed=9000 + 100 * mi + i))
@@ -318,7 +317,7 @@ def test_criterion_08_deterministic_parallelism():
     for threads in (1, 2, 8):
         cfg = _bs_config(0.3, BETA, 77, n_paths=200000, threads=threads,
                          chunk_size=1 << 15)
-        results[threads] = estimate_price(cfg)
+        results[threads] = plain_price(cfg)
     means = {t: r.mean for t, r in results.items()}
     ok = means[1] == means[2] == means[8] and (
         results[1].std_error == results[2].std_error == results[8].std_error)
@@ -361,9 +360,9 @@ def test_criterion_09_quadrature_exactness():
 
 def test_criterion_10_variance_stability_heavy_tail_sampler():
     ratios = {}
-    for name, estimator in (("price", estimate_price),
-                            ("delta", estimate_delta),
-                            ("vega", estimate_vega)):
+    for name, estimator in (("price", plain_price),
+                            ("delta", plain_delta),
+                            ("vega", plain_vega)):
         variances = []
         for b in range(10):
             res = estimator(_bs_config(0.25, BETA_HALF, 100 + b,

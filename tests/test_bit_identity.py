@@ -19,18 +19,18 @@ import math
 import numpy as np
 import pytest
 
-from helpers import builtin, synthetic_model
-from uvol.estimators import (Payoff, RunConfig, estimate_delta, estimate_price,
-                             estimate_vega)
+from helpers import builtin, plain_estimator, synthetic_model
+from uvol.estimators import Payoff, RunConfig
 from uvol.flow import frozen_coeffs
 from uvol.renewal import JumpSampler
 
-ESTIMATORS = {"price": estimate_price, "delta": estimate_delta, "vega": estimate_vega}
+# ROADMAP keeps the pinned means on the plain estimator, without the controls
+ESTIMATORS = {kind: plain_estimator(kind) for kind in ("price", "delta", "vega")}
 
 
 def _config(model, payoff, sampler, **overrides):
     kwargs = dict(model=model, payoff=payoff, sampler=sampler, s0=math.exp(0.4),
-                  y0=0.2, T=0.5, n_paths=3000, seed=11, control=False)
+                  y0=0.2, T=0.5, n_paths=3000, seed=11)
     kwargs.update(overrides)
     return RunConfig(**kwargs)
 

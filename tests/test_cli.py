@@ -6,7 +6,6 @@ import json
 import math
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +14,8 @@ from hypothesis import strategies as st
 
 from uvol.cli import (_CONFIG_KEYS, _CSV_FIELDS, ConfigError, TableSpec,
                       load_config, run, table_spec)
-from uvol.estimators import estimate_price, estimate_vega
+from uvol import estimators
+from uvol.estimators import estimate_price
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -237,21 +237,6 @@ def test_csv_append_keeps_single_header(tmp_path):
     assert sum(1 for ln in lines if ln.startswith("table_id")) == 1
 
 
-def test_no_control_gives_the_plain_estimate(tmp_path, monkeypatch):
-    monkeypatch.delenv("UVOL_THREADS", raising=False)
-    base = {"model": "stein", "paths": 600, "seed": 4}
-    runs = {"flag": (write_config(tmp_path, base, "flag.json"), ["--no-control"]),
-            "key": (write_config(tmp_path, dict(base, control=False), "key.json"), [])}
-    plain = estimate_vega(replace(load_config(runs["flag"][0]), control=False))
-    assert load_config(runs["key"][0]).control is False
-    for name, (cfg_path, flags) in runs.items():
-        out = tmp_path / f"{name}.csv"
-        assert run(["vega", "--config", cfg_path, "--csv", str(out)] + flags) == 0
-        (row,) = read_rows(out)
-        assert float(row["mean"]) == plain.mean
-        assert float(row["std_error"]) == plain.std_error
-
-
 def test_control_z_flags_collapsed_weights(tmp_path, capsys):
     # ~15 jumps a path: the price weight averages ~0 against a known mean of 1
     out = tmp_path / "rows.csv"
@@ -266,11 +251,20 @@ def test_control_z_flags_collapsed_weights(tmp_path, capsys):
     assert row["control_z2"] != ""
 
 
-def test_csv_with_other_columns_is_not_appended_to(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["price", "--model", "bs", "--paths", "60"],
+    ["table", "--id", "1", "--paths", "60"],
+])
+def test_csv_with_other_columns_is_not_appended_to(tmp_path, capsys, monkeypatch, argv):
     out = tmp_path / "rows.csv"
     old = ",".join(_CSV_FIELDS[:-2]) + "\n"  # a file from before the z-score columns
     out.write_text(old)
-    assert run(["price", "--model", "bs", "--paths", "60", "--csv", str(out)]) == 2
+
+    def no_simulation(*args):
+        raise AssertionError("the refusal must come before any simulation")
+
+    monkeypatch.setattr(estimators, "_chunk_partials", no_simulation)
+    assert run(argv + ["--csv", str(out)]) == 2
     assert "other columns" in capsys.readouterr().err
     assert out.read_text() == old
 

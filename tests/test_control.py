@@ -4,12 +4,11 @@
 # the estimate unbiased while cutting its variance.
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import builtin, engine_weights, philox_grid
+from helpers import builtin, engine_weights, philox_grid, plain_estimator
 from uvol.baselines import bs_delta, bs_price
 from uvol.estimators import (Payoff, RunConfig, _fit, _fold_moments,
                              _merge_moments, estimate_delta, estimate_price,
@@ -18,6 +17,7 @@ from uvol.renewal import JumpSampler
 from uvol.rng import normal_pair
 
 ESTIMATORS = {"price": estimate_price, "delta": estimate_delta, "vega": estimate_vega}
+PLAIN = {kind: plain_estimator(kind) for kind in ESTIMATORS}
 BETA = JumpSampler.beta_one_minus_alpha(0.1, 2.0)
 S0 = math.exp(0.4)
 K = 1.5
@@ -80,10 +80,10 @@ def test_thread_counts_give_bit_identical_results(kind):
 @pytest.mark.parametrize("n_paths", [1, 2, 3])
 @pytest.mark.parametrize("kind", sorted(ESTIMATORS))
 def test_tiny_runs_fall_back_to_the_plain_estimator(kind, n_paths):
-    # a fold of fewer than 3 paths cannot fit the controls
+    # a fold of fewer than 3 paths has a singular control covariance
     cfg = config(n_paths=n_paths)
     ctl = ESTIMATORS[kind](cfg)
-    plain = ESTIMATORS[kind](replace(cfg, control=False))
+    plain = PLAIN[kind](cfg)
     assert ctl.mean == plain.mean
     assert ctl.std_error == plain.std_error
     assert ctl.n_paths == n_paths
@@ -128,7 +128,7 @@ def test_merged_moments_match_flat_statistics():
 def test_controls_cut_the_standard_error(kind, tag, payoff, sampler):
     cfg = config(tag, payoff=payoff, sampler=sampler, n_paths=20000, seed=8)
     ctl = ESTIMATORS[kind](cfg)
-    plain = ESTIMATORS[kind](replace(cfg, control=False))
+    plain = PLAIN[kind](cfg)
     assert ctl.std_error < plain.std_error
     assert ctl.n_jumps_mean == plain.n_jumps_mean
 
@@ -158,6 +158,5 @@ def test_control_z_flags_collapsed_weights():
     # averages ~0 against its known mean of 1
     cfg = config(sampler=JumpSampler.beta_one_minus_alpha(0.5, 1.0), T=5.0,
                  n_paths=20000, seed=0)
-    for control in (True, False):
-        res = estimate_price(replace(cfg, control=control))
-        assert abs(res.control_z[0]) > 20.0
+    for estimator in (estimate_price, PLAIN["price"]):
+        assert abs(estimator(cfg).control_z[0]) > 20.0
