@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -34,7 +34,8 @@ from .chain import DegenerateCovariance
 from .estimators import (NonFinitePathError, Payoff, RunConfig,
                          estimate_delta, estimate_price, estimate_vega)
 from .flow import NonFiniteError, QuadratureError
-from .model import BuiltinModelKind, ParameterError, make_builtin, validate_model
+from .model import (BuiltinModelKind, Model, ParameterError, make_builtin,
+                    validate_model)
 from .renewal import DomainError, JumpSampler
 
 __all__ = ["ConfigError", "TableSpec", "load_config", "run", "main"]
@@ -50,17 +51,12 @@ _MODEL_ALIASES = {
     "cosine": "PeriodicCosine", "periodiccosine": "PeriodicCosine",
 }
 
+# the builtin model's parameters: every BuiltinModelKind field but the tag
+_MODEL_FIELDS = tuple(f for f in fields(BuiltinModelKind) if f.default is not MISSING)
+
 _DEFAULTS = {
     "model": None,
-    "sigma_s": 0.25,
-    "sigma1": 0.1,
-    "sigma2": 0.15,
-    "lambda_y": 0.5,
-    "mu": 0.3,
-    "sigma_y": 0.2,
-    "rho": 0.6,
-    "r": 0.03,
-    "kappa": None,
+    **{f.name: f.default for f in _MODEL_FIELDS},
     "payoff": "call",
     "strike": 1.5,
     "sampler": "beta",
@@ -74,14 +70,12 @@ _DEFAULTS = {
     "seed": 0,
     "threads": None,
     "discount": True,
-    "panels": 8,
 }
 
 _CONFIG_KEYS = set(_DEFAULTS) | {"s0"}
-_INT_KEYS = ("paths", "seed", "threads", "panels")
-_FLOAT_KEYS = ("sigma_s", "sigma1", "sigma2", "lambda_y", "mu", "sigma_y", "rho",
-               "r", "kappa", "strike", "rate", "alpha", "tau_bar", "x0", "y0",
-               "T", "s0")
+_INT_KEYS = ("paths", "seed", "threads")
+_FLOAT_KEYS = tuple(f.name for f in _MODEL_FIELDS) + (
+    "strike", "rate", "alpha", "tau_bar", "x0", "y0", "T", "s0")
 
 _CSV_FIELDS = [
     "table_id", "quantity", "method", "model", "payoff", "strike",
@@ -167,37 +161,29 @@ def _merge_settings(file_cfg: dict, flag_cfg: dict) -> dict:
     return merged
 
 
-def _model_kind(settings: dict) -> BuiltinModelKind:
-    return BuiltinModelKind(
-        tag=settings["model"],
-        sigma_s=float(settings["sigma_s"]),
-        sigma1=float(settings["sigma1"]),
-        sigma2=float(settings["sigma2"]),
-        lambda_y=float(settings["lambda_y"]),
-        mu=float(settings["mu"]),
-        sigma_y=float(settings["sigma_y"]),
-        rho=float(settings["rho"]),
-        r=float(settings["r"]),
-        kappa=settings["kappa"],
-    )
+def _model(settings: dict) -> Model:
+    kind = BuiltinModelKind(settings["model"],
+                            **{f.name: settings[f.name] for f in _MODEL_FIELDS})
+    try:
+        return make_builtin(kind)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _sampler(settings: dict) -> JumpSampler:
-    if settings["sampler"] == "beta":
-        return JumpSampler.beta_one_minus_alpha(float(settings["alpha"]),
-                                                float(settings["tau_bar"]))
-    return JumpSampler.exponential(float(settings["rate"]))
+    try:
+        if settings["sampler"] == "beta":
+            return JumpSampler.beta_one_minus_alpha(float(settings["alpha"]),
+                                                    float(settings["tau_bar"]))
+        return JumpSampler.exponential(float(settings["rate"]))
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _run_config(settings: dict) -> RunConfig:
-    try:
-        model = make_builtin(_model_kind(settings))
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-    payoff = Payoff(kind=settings["payoff"], strike=float(settings["strike"]))
     return RunConfig(
-        model=model,
-        payoff=payoff,
+        model=_model(settings),
+        payoff=Payoff(kind=settings["payoff"], strike=float(settings["strike"])),
         sampler=_sampler(settings),
         s0=math.exp(float(settings["x0"])),
         y0=float(settings["y0"]),
@@ -205,7 +191,6 @@ def _run_config(settings: dict) -> RunConfig:
         n_paths=int(settings["paths"]),
         seed=int(settings["seed"]),
         discount=settings["discount"],
-        panels=int(settings["panels"]),
         threads=int(settings["threads"]),
     )
 
@@ -222,16 +207,8 @@ def load_config(path: str) -> RunConfig:
 def _add_common_options(p: argparse.ArgumentParser):
     g = p.add_argument_group("model")
     g.add_argument("--model", choices=["bs", "stein", "cosine"])
-    g.add_argument("--sigma-s", type=float, dest="sigma_s",
-                   help="constant volatility (bs)")
-    g.add_argument("--sigma1", type=float)
-    g.add_argument("--sigma2", type=float)
-    g.add_argument("--lambda-y", type=float, dest="lambda_y")
-    g.add_argument("--mu", type=float)
-    g.add_argument("--sigma-y", type=float, dest="sigma_y")
-    g.add_argument("--rho", type=float)
-    g.add_argument("--r", type=float)
-    g.add_argument("--kappa", type=float)
+    for f in _MODEL_FIELDS:
+        g.add_argument("--" + f.name.replace("_", "-"), type=float, dest=f.name)
     g = p.add_argument_group("contract")
     g.add_argument("--payoff", choices=["call", "digital"])
     g.add_argument("--strike", type=float)
@@ -247,7 +224,6 @@ def _add_common_options(p: argparse.ArgumentParser):
     g.add_argument("--paths", type=int)
     g.add_argument("--seed", type=int)
     g.add_argument("--threads", type=int)
-    g.add_argument("--panels", type=int)
     g.add_argument("--no-discount", dest="discount", action="store_false",
                    default=None)
     p.add_argument("--config", help="JSON config file (flags override it)")
@@ -374,17 +350,18 @@ def _print_result(quantity: str, method: str, res):
 _ESTIMATORS = {"price": estimate_price, "delta": estimate_delta, "vega": estimate_vega}
 
 
-def _euler_comparison(quantity: str, settings: dict, args) -> tuple:
-    model = make_builtin(_model_kind(settings))
-    payoff = Payoff(kind=settings["payoff"], strike=float(settings["strike"]))
-    s0 = math.exp(float(settings["x0"]))
-    ecfg = EulerConfig(n_steps=args.euler_steps, n_paths=args.euler_paths,
-                       seed=int(settings["seed"]))
+def _euler_config(quantity: str, seed: int, args) -> EulerConfig:
+    """The baseline's settings, checked before any estimate runs."""
+    if quantity != "price" and not args.fd_eps > 0:
+        raise ConfigError(f"--fd-eps must be positive, got {args.fd_eps}")
+    return EulerConfig(n_steps=args.euler_steps, n_paths=args.euler_paths, seed=seed)
+
+
+def _euler_comparison(quantity: str, cfg: RunConfig, ecfg: EulerConfig,
+                      fd_eps: float) -> tuple:
     if quantity == "price":
-        return "euler", euler_price(model, payoff, s0, float(settings["y0"]),
-                                    float(settings["T"]), ecfg)
-    res = fd_greek(model, payoff, s0, float(settings["y0"]), float(settings["T"]),
-                   quantity, args.fd_eps, ecfg)
+        return "euler", euler_price(cfg.model, cfg.payoff, cfg.s0, cfg.y0, cfg.T, ecfg)
+    res = fd_greek(cfg.model, cfg.payoff, cfg.s0, cfg.y0, cfg.T, quantity, fd_eps, ecfg)
     return "euler_fd", res
 
 
@@ -394,11 +371,13 @@ def _cmd_estimate(quantity: str, args: argparse.Namespace) -> int:
     cfg = _run_config(settings)
     if args.csv:
         _csv_is_new(args.csv)
+    if args.compare_euler:
+        ecfg = _euler_config(quantity, cfg.seed, args)
     res = _ESTIMATORS[quantity](cfg)
     _print_result(quantity, settings["sampler"], res)
     rows = [_result_row(quantity, settings["sampler"], settings, res)]
     if args.compare_euler:
-        method, eres = _euler_comparison(quantity, settings, args)
+        method, eres = _euler_comparison(quantity, cfg, ecfg, args.fd_eps)
         _print_result(quantity, method, eres)
         rows.append(_result_row(quantity, method, settings, eres))
     if args.csv:
@@ -460,6 +439,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     threads = args.threads if args.threads is not None else _env_threads()
     if args.csv:
         _csv_is_new(args.csv)
+    if {"euler", "euler_fd"} & set(spec.methods):
+        ecfg = _euler_config(spec.quantity, args.seed, args)
     rows = []
     print(f"table {spec.table_id}: {spec.model} {spec.payoff} {spec.quantity}  "
           f"(paths={args.paths}, seed={args.seed})")
@@ -483,7 +464,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
                     val = 0.0  # constant sigma_S: price does not depend on y0
                 res = _exact_result(val)
             elif method in ("euler", "euler_fd"):
-                _, res = _euler_comparison(spec.quantity, settings, args)
+                _, res = _euler_comparison(spec.quantity, _run_config(settings),
+                                           ecfg, args.fd_eps)
             else:
                 settings["sampler"] = method
                 res = _ESTIMATORS[spec.quantity](_run_config(settings))
@@ -500,10 +482,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     file_cfg = _read_config_file(args.config) if args.config else {}
     settings = _merge_settings(file_cfg, _flags_dict(args))
-    try:
-        model = make_builtin(_model_kind(settings))
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    model = _model(settings)
+    if args.grid_points < 1:
+        raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
     rep = validate_model(model, grid)
     print(f"model {settings['model']}  kappa={model.kappa:.6g}  "

@@ -134,14 +134,13 @@ class RunConfig:
     payoff : Payoff
     sampler : JumpSampler
     s0, y0, T : float
-        Initial spot (strictly positive), initial variance factor, horizon.
+        Initial spot (strictly positive), initial variance factor (finite),
+        horizon (positive, at most 1 000 mean gaps of ``sampler``).
     n_paths : int
     seed : int
         Drives every random draw via counter-based streams.
     discount : bool
         Multiply estimates by ``exp(-r*T)`` (default on).
-    panels : int
-        Simpson panel count for coefficient quadratures.
     threads : int
         Worker threads for chunk processing; results do not depend on it.
     chunk_size : int
@@ -159,21 +158,20 @@ class RunConfig:
     n_paths: int
     seed: int
     discount: bool = True
-    panels: int = 8
     threads: int = 1
     chunk_size: int = 1 << 17
 
     def __post_init__(self):
         if not (math.isfinite(self.s0) and self.s0 > 0):
             raise ParameterError(f"s0 must be positive, got {self.s0}")
+        if not math.isfinite(self.y0):
+            raise ParameterError(f"y0 must be finite, got {self.y0}")
         if not (math.isfinite(self.T) and self.T > 0):
             raise ParameterError(f"T must be positive, got {self.T}")
         if self.n_paths < 1:
             raise ParameterError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.threads < 1 or self.chunk_size < 1:
             raise ParameterError("threads and chunk_size must be >= 1")
-        if self.panels < 1:
-            raise ParameterError(f"panels must be >= 1, got {self.panels}")
         gap = mean_gap(self.sampler)
         if self.T / gap > _MAX_EXPECTED_JUMPS:
             raise ParameterError(
@@ -305,7 +303,7 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
         col = gaps[order[:n_int], min(k, gaps.shape[1] - 1)]
         delta_k = np.concatenate((col, last_gap[order[n_int:n_k]]))
         z1, z2 = normals(k, ids[:n_k])
-        fc = frozen_coeffs(mdl, y[:n_k], delta_k, panels=cfg.panels)
+        fc = frozen_coeffs(mdl, y[:n_k], delta_k)
         x_next, y_next = chain_step(mdl, x[:n_k], y[:n_k], fc, z1, z2)
         rec = StepRecord(index=k, x_prev=x[:n_k], y_prev=y[:n_k],
                          x_next=x_next, y_next=y_next, z1=z1, z2=z2,

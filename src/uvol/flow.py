@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 RK4_DIVISOR = 16  # flow steps per interval: step size delta/16
-DEFAULT_PANELS = 8
+PANELS = 8  # Simpson 3/8 panels of the frozen-coefficient quadrature
 
 
 class NonFiniteError(ArithmeticError):
@@ -154,7 +154,7 @@ def _simpson38_scheme(panels: int):
     return frac, w
 
 
-def simpson38(g: Callable, t: float, panels: int = DEFAULT_PANELS) -> float:
+def simpson38(g: Callable, t: float, panels: int = PANELS) -> float:
     """Composite Simpson 3/8 approximation of ``int_0^t g(s) ds``.
 
     Exact for cubics on each panel.
@@ -204,7 +204,7 @@ def _flow_nodes(model: Model, y, delta, frac):
         yield m, jac
 
 
-def _flow_integrals(model: Model, y, delta, panels: int, integrands):
+def _flow_integrals(model: Model, y, delta, integrands):
     """Simpson 3/8 integrals over ``[0, delta]`` of functions of the flow.
 
     Each integrand maps ``(jet, tangent)`` at a node, the model's
@@ -225,7 +225,7 @@ def _flow_integrals(model: Model, y, delta, panels: int, integrands):
         positive and sum to one, so a running sum is finite exactly when
         every value added into it is.
     """
-    frac, w = _simpson38_scheme(panels)
+    frac, w = _simpson38_scheme(PANELS)
     single = np.broadcast(y, delta).size == 1
     sums, kept = None, []
     for wk, (m, jac) in zip(w, _flow_nodes(model, y, delta, frac)):
@@ -245,9 +245,15 @@ def _flow_integrals(model: Model, y, delta, panels: int, integrands):
     return [delta * s for s in sums]
 
 
-def frozen_coeffs(model: Model, y, delta, *, panels: int = DEFAULT_PANELS,
-                  method: str = "auto") -> FrozenCoeffs:
+def frozen_coeffs(model: Model, y, delta) -> FrozenCoeffs:
     """Frozen coefficients of one interval, with their y-derivatives.
+
+    The integrals take the model's closed forms where it declares them:
+    ``sigma_Y_const`` for the ``sigma_Y`` integrals, and ``sigma_S_affine``
+    with both ``sigma_Y_const`` and ``ou_params`` for the ``sigma_S`` ones.
+    Everything else goes through a Simpson 3/8 rule of :data:`PANELS`
+    panels along the flow, so a model rebuilt without these declarations
+    takes the quadrature route.
 
     Parameters
     ----------
@@ -256,12 +262,6 @@ def frozen_coeffs(model: Model, y, delta, *, panels: int = DEFAULT_PANELS,
         Freezing point (left-endpoint variance value).
     delta : float or ndarray
         Interval length, strictly positive.
-    panels : int
-        Simpson 3/8 panel count for the quadrature route.
-    method : {"auto", "quadrature"}
-        "auto" uses the model's closed forms when declared and falls back
-        to quadrature; "quadrature" forces the Simpson route (used to
-        cross-check the closed forms).
 
     Returns
     -------
@@ -270,12 +270,10 @@ def frozen_coeffs(model: Model, y, delta, *, panels: int = DEFAULT_PANELS,
     Raises
     ------
     ValueError
-        If ``delta <= 0`` anywhere or ``method`` is unknown.
+        If ``delta <= 0`` anywhere.
     QuadratureError
         If an integrand is non-finite or a frozen variance is degenerate.
     """
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
     y = np.asarray(y, dtype=float)
     delta = np.asarray(delta, dtype=float)
     if np.any(delta <= 0):
@@ -283,11 +281,8 @@ def frozen_coeffs(model: Model, y, delta, *, panels: int = DEFAULT_PANELS,
 
     m_i, m1_i = flow_tangent(model, y, delta)
 
-    use_closed_S = method == "auto" and model.sigma_S_form is not None \
-        and model.ou_params is not None
-    use_closed_Y = method == "auto" and model.sigma_Y_const is not None
-
-    if use_closed_S and use_closed_Y:
+    closed_Y = model.sigma_Y_const is not None
+    if closed_Y and model.sigma_S_affine is not None and model.ou_params is not None:
         lam, mu = model.ou_params
         if lam > 0:
             efold = np.exp(-lam * delta)
@@ -296,31 +291,23 @@ def frozen_coeffs(model: Model, y, delta, *, panels: int = DEFAULT_PANELS,
         else:
             e1 = delta
             e2 = delta
-        if model.sigma_S_form[0] == "constant":
-            s = model.sigma_S_form[1]
-            I_aS = s * s * delta
-            I1_aS = 0.0 * I_aS
-            I_sS = s * delta
-            I1_sS = 0.0 * I_aS
-        else:
-            _, s1, s2 = model.sigma_S_form
-            sbar = s1 * mu + s2
-            dy = y - mu
-            I_aS = sbar * sbar * delta + s1 * s1 * dy * dy * e2 + 2 * s1 * sbar * dy * e1
-            I1_aS = 2 * s1 * s1 * dy * e2 + 2 * s1 * sbar * e1
-            I_sS = sbar * delta + s1 * dy * e1
-            I1_sS = s1 * e1 + 0.0 * I_aS
-    elif use_closed_Y:
-        I_aS, I1_aS, I_sS, I1_sS = _flow_integrals(model, y, delta, panels, (
+        s1, s2 = model.sigma_S_affine
+        sbar = s1 * mu + s2
+        dy = y - mu
+        I_aS = sbar * sbar * delta + s1 * s1 * dy * dy * e2 + 2 * s1 * sbar * dy * e1
+        I1_aS = 2 * s1 * s1 * dy * e2 + 2 * s1 * sbar * e1
+        I_sS = sbar * delta + s1 * dy * e1
+        I1_sS = s1 * e1 + 0.0 * I_aS
+    elif closed_Y:
+        I_aS, I1_aS, I_sS, I1_sS = _flow_integrals(model, y, delta, (
             lambda c, j: c.a_S, lambda c, j: c.a1_S * j,
             lambda c, j: c.sigma_S, lambda c, j: c.sigma1_S * j))
     else:
-        I_aS, I1_aS, I_aY, I1_aY, I_SY, I1_SY = _flow_integrals(
-            model, y, delta, panels, (
-                lambda c, j: c.a_S, lambda c, j: c.a1_S * j,
-                lambda c, j: c.a_Y, lambda c, j: c.a1_Y * j,
-                lambda c, j: c.sigma_SY, lambda c, j: c.sigma1_SY * j))
-    if use_closed_Y:
+        I_aS, I1_aS, I_aY, I1_aY, I_SY, I1_SY = _flow_integrals(model, y, delta, (
+            lambda c, j: c.a_S, lambda c, j: c.a1_S * j,
+            lambda c, j: c.a_Y, lambda c, j: c.a1_Y * j,
+            lambda c, j: c.sigma_SY, lambda c, j: c.sigma1_SY * j))
+    if closed_Y:
         sy = model.sigma_Y_const
         I_aY = sy * sy * delta
         I1_aY = 0.0 * I_aY

@@ -14,8 +14,9 @@ with the derived variance shorthands (:class:`CoeffJet`).
 Three builtin families are provided through :func:`make_builtin`:
 
 ``BlackScholes``
-    constant ``sigma_S``; the variance process is decorative and every
-    correction weight collapses to the pure drift term.
+    constant ``sigma_S``, the affine form with zero slope; the variance
+    process is decorative and every correction weight collapses to the pure
+    drift term.
 ``SteinSteinAffine``
     ``sigma_S(y) = sigma1*y + sigma2``; frozen coefficients admit closed
     forms.
@@ -83,9 +84,10 @@ class Model:
     ou_params : (float, float), optional
         ``(lambda_Y, mu)`` when ``b_Y`` is the linear mean-reverting drift;
         enables the closed-form flow.
-    sigma_S_form : tuple, optional
-        ``("constant", s)`` or ``("affine", s1, s2)`` when ``sigma_S`` has
-        one of the closed-form frozen-coefficient shapes.
+    sigma_S_affine : (float, float), optional
+        ``(s1, s2)`` when ``sigma_S(y) = s1*y + s2`` (``s1 = 0`` for a
+        constant); with ``ou_params`` and ``sigma_Y_const`` it enables the
+        closed-form ``sigma_S`` integrals.
     sigma_Y_const : float, optional
         Set when ``sigma_Y`` is constant; enables closed-form Y-integrals.
     """
@@ -104,7 +106,7 @@ class Model:
     sigma2_Y: Callable = field(default=_zero)
     sigma3_Y: Callable = field(default=_zero)
     ou_params: Optional[tuple] = None
-    sigma_S_form: Optional[tuple] = None
+    sigma_S_affine: Optional[tuple] = None
     sigma_Y_const: Optional[float] = None
 
     def __post_init__(self):
@@ -322,7 +324,7 @@ def make_builtin(kind: BuiltinModelKind) -> Model:
 
         sigma1_S = _zero
         sigma2_S = _zero
-        form = ("constant", s)
+        affine = (0.0, s)
         kappa = kind.kappa
         if kappa is None:
             kappa = _default_kappa([s * s, sy * sy], [s * s, sy * sy])
@@ -336,7 +338,7 @@ def make_builtin(kind: BuiltinModelKind) -> Model:
             return s1 + _zero(y)
 
         sigma2_S = _zero
-        form = ("affine", s1, s2)
+        affine = (s1, s2)
         kappa = kind.kappa
         if kappa is None:
             # affine sigma_S vanishes somewhere on the line, so only upper
@@ -359,7 +361,7 @@ def make_builtin(kind: BuiltinModelKind) -> Model:
         def sigma2_S(y):
             return -s1 * np.cos(y)
 
-        form = None
+        affine = None
         kappa = kind.kappa
         if kappa is None:
             lo, hi = (s2 - abs(s1)) ** 2, (s2 + abs(s1)) ** 2
@@ -372,7 +374,7 @@ def make_builtin(kind: BuiltinModelKind) -> Model:
         sigma_Y=sigma_Y, sigma1_Y=sigma1_Y,
         rho=kind.rho, kappa=kappa,
         ou_params=(lam, mu),
-        sigma_S_form=form,
+        sigma_S_affine=affine,
         sigma_Y_const=sy,
     )
 

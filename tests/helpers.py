@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from functools import partial
 
@@ -19,6 +20,12 @@ def builtin(tag, **overrides):
     return make_builtin(BuiltinModelKind(tag=tag, **overrides))
 
 
+def quadrature_only(model):
+    """``model`` without its closed-form declarations, so the frozen
+    coefficients take the Simpson route."""
+    return dataclasses.replace(model, sigma_S_affine=None, sigma_Y_const=None)
+
+
 def rel_err(a, b, floor=1.0):
     """Scale-aware relative error ``|a-b| / max(floor, |a|, |b|)``."""
     a = np.asarray(a, dtype=float)
@@ -26,24 +33,22 @@ def rel_err(a, b, floor=1.0):
     return np.max(np.abs(a - b) / np.maximum(floor, np.maximum(np.abs(a), np.abs(b))))
 
 
-def make_step(model, x_prev, y_prev, delta, z1, z2, *, index=0, panels=8,
-              method="auto"):
+def make_step(model, x_prev, y_prev, delta, z1, z2, *, index=0):
     """Build a single :class:`StepRecord` from explicit Gaussian draws."""
-    fc = frozen_coeffs(model, y_prev, delta, panels=panels, method=method)
+    fc = frozen_coeffs(model, y_prev, delta)
     x_next, y_next = chain_step(model, x_prev, y_prev, fc, z1, z2)
     return StepRecord(index=index, x_prev=x_prev, y_prev=y_prev,
                       x_next=x_next, y_next=y_next, z1=z1, z2=z2,
                       fc=fc, model=model)
 
 
-def step_from_states(model, x_prev, y_prev, delta, x_next, y_next, *,
-                     index=0, panels=8, method="auto"):
+def step_from_states(model, x_prev, y_prev, delta, x_next, y_next, *, index=0):
     """Rebuild a :class:`StepRecord` from its endpoint states.
 
     Inverts the step map for the implied ``(z1, z2)``, so weights can be
     differentiated in the endpoints while everything else stays fixed.
     """
-    fc = frozen_coeffs(model, y_prev, delta, panels=panels, method=method)
+    fc = frozen_coeffs(model, y_prev, delta)
     r2 = one_minus_rho_sq(fc)
     z1 = (x_next - x_prev - (model.r * fc.delta - 0.5 * fc.a_S_i)) / fc.sigma_S_i
     w = (y_next - fc.m_i) / fc.sigma_Y_i
@@ -116,14 +121,13 @@ def gauss_hermite_2d(fn, order=40):
     return float(np.einsum("i,j,ij->", w, w, vals))
 
 
-def gh_step_expectation(model, x_prev, y_prev, delta, fn, *, order=40,
-                        panels=8):
+def gh_step_expectation(model, x_prev, y_prev, delta, fn, *, order=40):
     """``E[fn(step)]`` over one Gaussian transition, by 2-D quadrature.
 
     ``fn`` receives a batched :class:`StepRecord` whose ``z1``/``z2`` hold
     the quadrature nodes and must act elementwise.
     """
-    fc = frozen_coeffs(model, y_prev, delta, panels=panels)
+    fc = frozen_coeffs(model, y_prev, delta)
     x, w = np.polynomial.hermite_e.hermegauss(order)
     w = w / math.sqrt(2.0 * math.pi)
     z1, z2 = np.meshgrid(x, x, indexing="ij")

@@ -132,10 +132,24 @@ def test_bad_thread_variable_is_config_error(monkeypatch, capsys, argv):
     assert "UVOL_THREADS" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("model", ["bs", "stein", "cosine"])
-def test_zero_panels_is_config_error(capsys, model):
-    assert run(["price", "--model", model, "--panels", "0", "--paths", "10"]) == 2
-    assert "panels" in capsys.readouterr().err
+@pytest.mark.parametrize("bad", [
+    {"sampler": "exponential", "rate": 0.0},
+    {"alpha": 1.5},
+    {"tau_bar": -1.0},
+])
+def test_bad_sampler_parameters_are_config_errors(tmp_path, capsys, bad):
+    flags = [a for k, v in bad.items() for a in ("--" + k.replace("_", "-"), str(v))]
+    assert run(["price", "--model", "stein", "--paths", "10"] + flags) == 2
+    path = write_config(tmp_path, {"model": "stein", "paths": 10, **bad})
+    assert run(["price", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "numerical" not in err
+
+
+@pytest.mark.parametrize("y0", ["nan", "inf"])
+def test_non_finite_y0_is_config_error(capsys, y0):
+    assert run(["price", "--model", "stein", "--paths", "10", "--y0", y0]) == 2
+    assert "y0 must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--x0", "710"], ["--r", "-1420"]])
@@ -296,6 +310,29 @@ def test_compare_euler_adds_baseline_row(tmp_path, capsys):
     assert rows[0]["control_z1"] != "" and rows[1]["control_z1"] == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["price", "--euler-steps", "0"],
+    ["price", "--euler-paths", "0"],
+    ["delta", "--fd-eps", "0"],
+    ["vega", "--fd-eps", "-0.01"],
+])
+def test_bad_euler_options_are_refused_before_the_estimate(capsys, monkeypatch, argv):
+    def no_simulation(*args):
+        raise AssertionError("the refusal must come before any simulation")
+
+    monkeypatch.setattr(estimators, "_chunk_partials", no_simulation)
+    assert run(argv[:1] + ["--model", "bs", "--paths", "60", "--compare-euler"]
+               + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
+def test_fd_eps_is_not_checked_for_price(capsys):
+    # only the finite-difference Greeks use the bump size
+    assert run(["price", "--model", "bs", "--paths", "60", "--compare-euler",
+                "--euler-steps", "5", "--euler-paths", "200", "--fd-eps", "0"]) == 0
+
+
 def test_compare_euler_fd_for_delta(tmp_path):
     out = tmp_path / "rows.csv"
     assert run(["delta", "--model", "bs", "--paths", "200", "--seed", "1",
@@ -405,6 +442,12 @@ def test_validate_reports_bound_violations(capsys):
     out = capsys.readouterr().out
     assert "VIOLATED" in out
     assert out.strip().endswith("advisory warnings above")
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_validate_needs_a_grid_point(capsys, points):
+    assert run(["validate", "--model", "bs", "--grid-points", points]) == 2
+    assert "--grid-points" in capsys.readouterr().err
 
 
 def test_validate_narrow_grid_is_clean(capsys):

@@ -9,18 +9,20 @@ for the paths a step needs them for.
 
 import dataclasses
 import math
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import uvol.estimators as est
-from helpers import builtin, make_step, synthetic_model
+from helpers import builtin, make_step, quadrature_only, synthetic_model
 from uvol.estimators import Payoff, RunConfig, estimate_vega
 from uvol.flow import frozen_coeffs
 from uvol.renewal import JumpSampler
 from uvol.weights import step_weights
 
+FLOW = sys.modules[frozen_coeffs.__module__]  # `uvol.flow` is the re-exported function
 FIELDS = ("b_Y", "b1_Y", "b2_Y", "sigma_S", "sigma1_S", "sigma2_S",
           "sigma_Y", "sigma1_Y", "sigma2_Y", "sigma3_Y")
 
@@ -39,16 +41,17 @@ def counting(model):
         model, **{f: wrap(f, getattr(model, f)) for f in FIELDS}), log
 
 
-@pytest.mark.parametrize("model, method", [
+@pytest.mark.parametrize("model, route", [
     (builtin("PeriodicCosine"), "auto"),
-    (builtin("SteinSteinAffine"), "quadrature"),
+    (quadrature_only(builtin("SteinSteinAffine")), "quadrature"),
     (synthetic_model(), "auto"),
 ])
 @pytest.mark.parametrize("panels", [1, 8])
-def test_quadrature_evaluates_sigma_S_once_per_node(model, method, panels):
+def test_quadrature_evaluates_sigma_S_once_per_node(monkeypatch, model, route, panels):
+    monkeypatch.setattr(FLOW, "PANELS", panels)
     mdl, log = counting(model)
     y = np.array([0.1, 0.25, 0.4, -0.3, 0.9])
-    frozen_coeffs(mdl, y, np.full(5, 0.3), panels=panels, method=method)
+    frozen_coeffs(mdl, y, np.full(5, 0.3))
     calls = Counter(name for name, _, _ in log)
     assert calls["sigma_S"] == calls["sigma1_S"] == 3 * panels + 1
     assert all(size == y.size for name, _, size in log if name.startswith("sigma"))

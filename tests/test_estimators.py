@@ -87,8 +87,9 @@ def test_run_config_x0():
     {"threads": 0},
     {"chunk_size": 0},
     {"T": math.inf},
-    {"panels": 0},
+    {"y0": math.nan},
     {"T": 2001.0},  # 1000.5 expected jumps of mean 2
+    {"y0": math.inf},
 ])
 def test_run_config_rejects_bad_arguments(overrides):
     with pytest.raises(ParameterError):

@@ -10,7 +10,7 @@ from uvol.flow import (FrozenCoeffs, NonFiniteError, QuadratureError, flow,
                        flow_tangent, frozen_coeffs, simpson38)
 from uvol.model import Model
 
-from helpers import builtin, synthetic_model
+from helpers import builtin, quadrature_only, synthetic_model
 
 BS = builtin("BlackScholes")
 STEIN = builtin("SteinSteinAffine")
@@ -130,7 +130,7 @@ def test_frozen_affine_closed_vs_quadrature():
     """The affine/OU closed forms against the generic Simpson route."""
     for y, delta in [(0.2, 0.25), (0.05, 0.5), (0.4, 0.1)]:
         closed = frozen_coeffs(STEIN, y, delta)
-        numeric = frozen_coeffs(STEIN, y, delta, method="quadrature")
+        numeric = frozen_coeffs(quadrature_only(STEIN), y, delta)
         for name in FrozenCoeffs.__dataclass_fields__:
             a = float(getattr(closed, name))
             b = float(getattr(numeric, name))
@@ -219,8 +219,6 @@ def test_frozen_rejects_bad_delta():
         frozen_coeffs(BS, 0.2, 0.0)
     with pytest.raises(ValueError):
         frozen_coeffs(BS, 0.2, -0.1)
-    with pytest.raises(ValueError):
-        frozen_coeffs(BS, 0.2, 0.5, method="simpson")
 
 
 def test_quadrature_error_on_degenerate_volatility():
