@@ -8,7 +8,6 @@ expectations (and the spot/volatility Greeks) with no discretization bias.
 from .baselines import (EulerConfig, bs_delta, bs_price, euler_price,
                         euler_terminal, fd_greek)
 from .chain import DegenerateCovariance, StepRecord, chain_step, proxy_density
-from .cli import ConfigError, load_config
 from .estimators import (EstimateResult, NonFinitePathError, Payoff, RunConfig,
                          aggregate, estimate_delta, estimate_price,
                          estimate_vega)
@@ -21,6 +20,16 @@ from .rng import philox4x32
 from .weights import step_weights, terminal_weights
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The CLI is imported on first use, so that ``python -m uvol.cli`` does
+    # not find it imported already by the package.
+    if name in ("ConfigError", "load_config"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BuiltinModelKind", "ConfigError", "DegenerateCovariance", "DomainError",

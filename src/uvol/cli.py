@@ -485,6 +485,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     model = _model(settings)
     if args.grid_points < 1:
         raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
+    if not (math.isfinite(args.grid_min) and math.isfinite(args.grid_max)):
+        raise ConfigError("--grid-min and --grid-max must be finite, got "
+                          f"{args.grid_min} and {args.grid_max}")
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
     rep = validate_model(model, grid)
     print(f"model {settings['model']}  kappa={model.kappa:.6g}  "

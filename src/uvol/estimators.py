@@ -6,13 +6,17 @@ chunks; each chunk produces a ``(sum, sum_sq, count)`` partial that is
 reduced in chunk order, which makes the reported mean bit-identical for
 any thread count.
 
-The same weights are unbiased for every payoff, so applied to ``h = 1`` and
-``h = exp(x)`` they have known means (:func:`_control_means`).  The
-estimate is a regression on these two controls, cross-fitted over two folds
-of paths (even and odd global index): the coefficients fitted on one fold
-correct the other, so they never see the samples they correct and the
+The same weights are unbiased for every payoff, so the price, Delta and
+Vega weights ``W``, ``D``, ``V`` applied to ``h = 1`` and ``h = exp(x)``
+have known means, and so, when the model declares an Ornstein-Uhlenbeck
+variance factor (``ou_params`` with ``sigma_Y_const``), do ``y_T`` and
+``y_T**2`` times each weight (:func:`_control_means`).  Every estimate is a
+regression on this one set of six or twelve controls, cross-fitted over two
+folds of paths (even and odd global index): the coefficients fitted on one
+fold correct the other, so they never see the samples they correct and the
 estimate stays exactly unbiased.  Where a fold's control covariance is
-singular, the plain mean of the contributions is returned.  Each chunk also
+singular, the plain mean of the contributions is returned.  Each chunk
+simulates its paths fold by fold, so each fold's rows are contiguous, and
 returns the per-fold centred moments of the contribution and the controls,
 which :func:`_merge_moments` combines in chunk order.
 
@@ -60,9 +64,10 @@ _MAX_SAMPLING_ROUNDS = 10000
 # Horizons beyond this many expected jumps per path are rejected: the gap
 # matrix grows with the jump count, and the weight variance with it.
 _MAX_EXPECTED_JUMPS = 1000
-# A fold's 2x2 control covariance counts as singular when its determinant is
-# below this fraction of the product of its diagonal (|correlation| ~ 1).
+# A fold's control covariance counts as singular when the smallest eigenvalue
+# of its correlation matrix is below this fraction of the largest.
 _SINGULAR = 1e-12
+_KINDS = ("price", "delta", "vega")
 _FC_FIELDS = tuple(FrozenCoeffs.__dataclass_fields__)
 
 
@@ -109,10 +114,12 @@ class EstimateResult:
     """Monte Carlo estimate with its statistical error.
 
     ``ci95`` is ``mean -+ 1.96 * std_error``.  ``control_z`` holds the
-    z-scores of the two controls' sample means against their known means
-    (NaN where there is no spread to measure): an unbiased run keeps them
-    near N(0, 1), and a large one says the weights, and so the CI, cannot
-    be trusted.
+    z-scores of the sample means of the quantity's own weight ``w`` and of
+    ``exp(x_T) * w`` against their known means (NaN where there is no spread
+    to measure): an unbiased run keeps them near N(0, 1), and a large one
+    says the weights, and so the CI, cannot be trusted.  The estimate
+    regresses on more controls than these two (see the module docstring);
+    ``control_z`` reports this pair only.
     """
 
     mean: float
@@ -271,8 +278,9 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
     ``(gaps, n_jumps, last_gap)`` are the grids of the paths ``ids``, as
     :func:`_sample_gap_columns` returns them, and ``normals(k, ids)``
     returns the Gaussian pair ``(z1, z2)`` of interval ``k`` for the paths
-    ``ids``.  Returns the terminal log-spot and the undiscounted price,
-    Delta and Vega weights (see :func:`_fold`), in the order of ``ids``.
+    ``ids``.  Returns the terminal log-spot, the undiscounted price, Delta
+    and Vega weights (see :func:`_fold`) and the terminal variance factor,
+    in the order of ``ids``.
 
     The paths are stably sorted by jump count, most jumps first, so at step
     ``k`` the active paths are a prefix ``[:n_act[k]]`` whose interior steps
@@ -324,37 +332,57 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
     unsort = np.empty_like(order)
     unsort[order] = np.arange(n)
     price_pref, _, delta_acc, _, _, vega_acc = state
-    return x[unsort], price_pref[unsort], delta_acc[unsort], vega_acc[unsort]
+    return (x[unsort], price_pref[unsort], delta_acc[unsort], vega_acc[unsort],
+            y[unsort])
 
 
-def _control_means(cfg: RunConfig, kind: str):
-    """Known means of the undiscounted weight ``w`` of ``kind`` and of
-    ``exp(x_T) * w``: the payoffs 1 and ``S_T``, whose price is 1 and
-    ``s0 * exp(r T)``, differentiated in ``s0`` (Delta weights are in units
-    of ``s0 * T``) or in ``y0``."""
-    try:
-        forward = cfg.s0 * math.exp(cfg.model.r * cfg.T)
-    except OverflowError:  # the control is then unusable; see _fit
-        forward = math.inf
-    return {"price": (1.0, forward), "delta": (0.0, cfg.T * forward),
-            "vega": (0.0, 0.0)}[kind]
+def _control_means(cfg: RunConfig) -> np.ndarray:
+    """Known means of the controls, in their row order.
 
-
-def _fold_moments(lo: int, *columns):
-    """Per-fold ``(count, mean, centred cross products)`` of ``columns``.
-
-    Fold ``f`` holds the paths whose global index ``lo + i`` has parity
-    ``f``.  Each moment triple is over the stacked columns, so ``mean`` has
-    one entry per column and the cross products form a square matrix.
+    The undiscounted weights ``W``, ``D`` (in units of ``s0 * T``) and ``V``
+    (in units of ``T``) times the payoffs 1 and ``S_T``, whose price is 1
+    and ``F = s0 * exp(r T)``, differentiated in ``s0`` or in ``y0``:
+    ``(W, S_T W, D, S_T D, V, S_T V)``.  When the model declares
+    ``ou_params`` and ``sigma_Y_const``, ``Y_T`` is Gaussian with mean
+    ``m = mu + (y0 - mu) exp(-lambda T)`` and variance
+    ``v = sigma_Y**2 (1 - exp(-2 lambda T)) / (2 lambda)`` (``sigma_Y**2 T``
+    at ``lambda = 0``), and six more follow:
+    ``y_T (W, D, V)`` and ``y_T**2 (W, D, V)``.
     """
-    v = np.stack(columns)
+    T = cfg.T
+    try:
+        forward = cfg.s0 * math.exp(cfg.model.r * T)
+    except OverflowError:  # the controls are then unusable; see _fit
+        forward = math.inf
+    means = [1.0, forward, 0.0, T * forward, 0.0, 0.0]
+    mdl = cfg.model
+    if mdl.ou_params is not None and mdl.sigma_Y_const is not None:
+        lam, mu = mdl.ou_params
+        decay = math.exp(-lam * T)
+        m = mu + (cfg.y0 - mu) * decay
+        v = mdl.sigma_Y_const ** 2 * (-math.expm1(-2.0 * lam * T) / (2.0 * lam)
+                                      if lam != 0 else T)
+        means += [m, 0.0, T * decay, m * m + v, 0.0, 2.0 * T * m * decay]
+    return np.array(means)
+
+
+def _fold_moments(v: np.ndarray, n0: int):
+    """Per-fold ``(count, mean, centred cross products)`` of the rows of ``v``.
+
+    Columns ``[:n0]`` of ``v`` are fold 0 and the rest fold 1.  ``mean`` has
+    one entry per row and the cross products form a square matrix.  Centres
+    ``v`` in place.
+    """
+    k = len(v)
     out = []
-    for f in (0, 1):
-        part = v[:, (f - lo) % 2::2]
-        mean = part.mean(axis=1) if part.shape[1] else np.zeros(len(columns))
-        d = part - mean[:, None]
-        # einsum keeps the products off BLAS, whose idle threads would spin
-        out.append((part.shape[1], mean, np.einsum("ik,jk->ij", d, d)))
+    for part in (v[:, :n0], v[:, n0:]):
+        mean = part.mean(axis=1) if part.shape[1] else np.zeros(k)
+        part -= mean[:, None]
+        cross = np.empty((k, k))
+        for j in range(k):
+            # einsum keeps the products off BLAS, whose idle threads would spin
+            cross[j, j:] = cross[j:, j] = np.einsum("jk,k->j", part[j:], part[j])
+        out.append((part.shape[1], mean, cross))
     return tuple(out)
 
 
@@ -362,41 +390,57 @@ def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str):
     """Simulate paths [lo, hi) and return the chunk's partial statistics.
 
     Returns ``(sum, sum_sq, count, jumps, folds)``: the sums of the
-    discounted contributions and of their squares, the path count, the
-    total jump count, and the two folds' moments (:func:`_fold_moments`) of
-    the contribution and the two centred controls ``w - mu1`` and
-    ``exp(x_T) * w - mu2``.  Every random number comes from the
-    counter-based streams of :mod:`uvol.rng`, addressed by
-    ``(cfg.seed, path index)``.
+    discounted contributions and of their squares (in path order), the
+    path count, the total jump count, and the two folds' moments
+    (:func:`_fold_moments`) of the contribution and the controls, each
+    centred at its known mean (:func:`_control_means`).  The paths are
+    simulated fold by fold, even global indices first.  Every random number
+    comes from the counter-based streams of :mod:`uvol.rng`, addressed by
+    ``(cfg.seed, path index)``, so the order changes no path.
     """
     n = hi - lo
-    ids = np.arange(lo, hi, dtype=np.uint64)
+    first = lo % 2  # chunk position of the first even path
+    n0 = (n + 1 - first) // 2
+    ids = np.concatenate((np.arange(lo + first, hi, 2, dtype=np.uint64),
+                          np.arange(lo + 1 - first, hi, 2, dtype=np.uint64)))
     grid = _sample_gap_columns(
         lambda ia, j: _rng.uniform_pair(cfg.seed, ids[ia], _rng.GAP_STREAM, j)[0],
         cfg.sampler, cfg.T, n)
-    x, price_w, delta_w, vega_w = _path_weights(
+    x, *weights, y = _path_weights(
         cfg, ids, *grid, lambda k, p: _rng.normal_pair(cfg.seed, p, k))
     spot = np.exp(x)
-    h = cfg.payoff.value_spot(spot)
-    w = {"price": price_w, "delta": delta_w, "vega": vega_w}[kind]
-    contrib = h * w
+    means = _control_means(cfg)
+    rows = np.empty((1 + means.size, n))
+    contrib = rows[0]
+    np.multiply(cfg.payoff.value_spot(spot), weights[_KINDS.index(kind)], out=contrib)
     if kind == "delta":
-        contrib = contrib / (cfg.s0 * cfg.T)
+        contrib /= cfg.s0 * cfg.T
     elif kind == "vega":
-        contrib = contrib / cfg.T
+        contrib /= cfg.T
     if cfg.discount:
-        contrib = contrib * math.exp(-cfg.model.r * cfg.T)
-    bad = ~np.isfinite(contrib)
+        contrib *= math.exp(-cfg.model.r * cfg.T)
+    # back in path order, so the plain sums keep their bits
+    flat = np.empty(n)
+    flat[first::2] = contrib[:n0]
+    flat[1 - first::2] = contrib[n0:]
+    bad = ~np.isfinite(flat)
     if np.any(bad):
-        first = lo + int(np.argmax(bad))
+        first_bad = lo + int(np.argmax(bad))
         raise NonFinitePathError(
             f"{int(bad.sum())} non-finite {kind} contribution(s) in chunk "
-            f"[{lo}, {hi}); first bad path index {first}")
-    mu1, mu2 = _control_means(cfg, kind)
+            f"[{lo}, {hi}); first bad path index {first_bad}")
     with np.errstate(invalid="ignore"):  # non-finite controls only void the fit
-        folds = _fold_moments(lo, contrib, w - mu1, spot * w - mu2)
+        for j, w in enumerate(weights):
+            rows[1 + 2 * j] = w
+            np.multiply(spot, w, out=rows[2 + 2 * j])
+            if means.size > 6:
+                np.multiply(y, w, out=rows[7 + j])
+                np.multiply(y, rows[7 + j], out=rows[10 + j])
+        folds = _fold_moments(rows, n0)
+    for _, mean, _ in folds:
+        mean[1:] -= means
     # einsum keeps the sum of squares off BLAS, whose idle threads would spin
-    return (float(contrib.sum()), float(np.einsum("i,i->", contrib, contrib)), n,
+    return (float(flat.sum()), float(np.einsum("i,i->", flat, flat)), n,
             float(grid[1].sum()), folds)
 
 
@@ -450,35 +494,39 @@ def _merge_moments(a, b):
 
 
 def _fit(m):
-    """Regression coefficients of the contribution on the two controls,
-    from one fold's moments, or None when the fold's control covariance is
-    singular or non-finite (as it is for a fold of fewer than 3 paths)."""
-    c = m[2]
-    if not np.isfinite(c).all():
+    """Regression coefficients of the contribution on the controls, from
+    one fold's moments, or None when the fold's control covariance is
+    singular or non-finite (as it is for a fold with no more paths than
+    controls).  The system is solved on the correlation scale, where the
+    eigenvalue ratio measures how close to collinear the controls are."""
+    _, mean, c = m
+    if not (np.isfinite(c).all() and np.isfinite(mean).all()):
         return None
-    (_, y1, y2), (_, v1, v12), (_, _, v2) = c.tolist()
-    det = v1 * v2 - v12 * v12
-    if not det > _SINGULAR * v1 * v2:
+    scale = np.sqrt(np.diag(c)[1:])
+    if not (scale > 0).all():
         return None
-    return (v2 * y1 - v12 * y2) / det, (v1 * y2 - v12 * y1) / det
+    corr = c[1:, 1:] / np.outer(scale, scale)
+    eig = np.linalg.eigvalsh(corr)
+    if not eig[0] > _SINGULAR * eig[-1]:
+        return None
+    return np.linalg.solve(corr, c[1:, 0] / scale) / scale
 
 
 def _residual(m, beta):
     """``(sum, sum_sq, count)`` of ``y - beta . c`` over one fold, from its moments."""
     n, mean, c = m
-    b1, b2 = beta
-    mean, c = mean.tolist(), c.tolist()
-    r = mean[0] - b1 * mean[1] - b2 * mean[2]
-    ss = (c[0][0] - 2.0 * (b1 * c[0][1] + b2 * c[0][2])
-          + b1 * b1 * c[1][1] + 2.0 * b1 * b2 * c[1][2] + b2 * b2 * c[2][2])
+    b = np.concatenate(([1.0], -beta))
+    r = float(np.einsum("i,i->", b, mean))
+    ss = float(np.einsum("i,ij,j->", b, c, b))
     return n * r, max(ss, 0.0) + n * r * r, n
 
 
-def _control_z(m):
-    """z-scores of the controls' means (known to be 0 once centred)."""
+def _control_z(m, kind: str):
+    """z-scores of the means of ``kind``'s own two controls (0 once centred)."""
     n, mean, c = m
+    q = 2 * _KINDS.index(kind)
     out = []
-    for k in (1, 2):
+    for k in (q + 1, q + 2):
         se = math.sqrt(max(float(c[k, k]), 0.0) / (n - 1) / n) if n > 1 else 0.0
         out.append(float(mean[k]) / se if se > 0 else math.nan)
     return tuple(out)
@@ -500,14 +548,14 @@ def _run(cfg: RunConfig, kind: str, *, control: bool = True) -> EstimateResult:
     jumps = sum(p[3] for p in partials)
     folds = [reduce(_merge_moments, (p[4][f] for p in partials)) for f in (0, 1)]
     betas = [_fit(m) for m in folds] if control else [None]
-    if None not in betas:
+    if all(b is not None for b in betas):
         # each fold is corrected with the coefficients fitted on the other
         partials = [_residual(folds[0], betas[1]), _residual(folds[1], betas[0])]
     return aggregate(
         partials,
         n_jumps_mean=jumps / cfg.n_paths,
         elapsed=time.perf_counter() - start,
-        control_z=_control_z(_merge_moments(*folds)),
+        control_z=_control_z(_merge_moments(*folds), kind),
     )
 
 

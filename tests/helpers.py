@@ -78,10 +78,11 @@ def fixed_normals(z1, z2):
 
 
 def engine_weights(cfg, grid, normals, ids=None):
-    """The engine's ``(x_T, price, delta, vega)`` per-path arrays on ``grid``."""
+    """The engine's ``(x_T, price, delta, vega)`` per-path arrays on ``grid``
+    (:func:`_path_weights` without its terminal ``y_T``)."""
     if ids is None:
         ids = np.arange(grid[1].size, dtype=np.uint64)
-    return _path_weights(cfg, ids, *grid, normals)
+    return _path_weights(cfg, ids, *grid, normals)[:4]
 
 
 def plain_estimator(kind):

@@ -4,6 +4,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import uvol
 from uvol.cli import (_CONFIG_KEYS, _CSV_FIELDS, ConfigError, TableSpec,
                       load_config, run, table_spec)
 from uvol import estimators
@@ -31,6 +35,21 @@ def read_rows(path):
 
 # ---------------------------------------------------------------------------
 # Exit codes and basic dispatch
+
+
+@pytest.mark.parametrize("module", ["uvol", "uvol.cli"])
+def test_module_run_prints_no_warning(module):
+    # warnings are errors here: the package must not import the CLI module
+    # before ``-m`` runs it
+    env = dict(os.environ)
+    src = str(Path(uvol.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", module, "price", "--model", "bs",
+         "--paths", "2000"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("price")
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -448,6 +467,15 @@ def test_validate_reports_bound_violations(capsys):
 def test_validate_needs_a_grid_point(capsys, points):
     assert run(["validate", "--model", "bs", "--grid-points", points]) == 2
     assert "--grid-points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", [["--grid-min", "nan"], ["--grid-max", "inf"],
+                                   ["--grid-min=-inf"]])
+def test_validate_needs_finite_grid_bounds(capsys, bound):
+    assert run(["validate", "--model", "bs", *bound]) == 2
+    captured = capsys.readouterr()
+    assert "--grid-min and --grid-max must be finite" in captured.err
+    assert "VIOLATED" not in captured.out
 
 
 def test_validate_narrow_grid_is_clean(capsys):

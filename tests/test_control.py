@@ -1,18 +1,22 @@
-# The cross-fitted control-variate estimator: the weights applied to the
-# payoffs 1 and exp(x) have known means, and regressing on them, with the
+# The cross-fitted control-variate estimator: the price, Delta and Vega
+# weights applied to the payoffs 1 and exp(x), and for an OU variance factor
+# to y_T and y_T**2, have known means, and regressing on them, with the
 # coefficients fitted on one fold of paths and applied to the other, keeps
 # the estimate unbiased while cutting its variance.
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from helpers import builtin, engine_weights, philox_grid, plain_estimator
+from helpers import (builtin, philox_grid, plain_estimator, quadrature_only,
+                     synthetic_model)
 from uvol.baselines import bs_delta, bs_price
-from uvol.estimators import (Payoff, RunConfig, _fit, _fold_moments,
-                             _merge_moments, estimate_delta, estimate_price,
-                             estimate_vega)
+from uvol.estimators import (Payoff, RunConfig, _chunk_partials, _control_means,
+                             _fit, _fold_moments, _merge_moments, _path_weights,
+                             estimate_delta, estimate_price, estimate_vega)
 from uvol.renewal import JumpSampler
 from uvol.rng import normal_pair
 
@@ -30,22 +34,48 @@ def config(tag="SteinSteinAffine", **overrides):
     return RunConfig(**kwargs)
 
 
+def control_columns(cfg, x, weights, y):
+    """Every control, centred at its known mean, computed from the OU
+    closed forms: the six weight controls, then, for an OU variance factor,
+    y_T and y_T**2 times each weight."""
+    r, T, s0 = cfg.model.r, cfg.T, cfg.s0
+    forward = s0 * math.exp(r * T)
+    spot = np.exp(x)
+    w, d, v = weights
+    cols = [w - 1.0, spot * w - forward, d, spot * d - T * forward, v, spot * v]
+    if cfg.model.ou_params is not None and cfg.model.sigma_Y_const is not None:
+        lam, mu = cfg.model.ou_params
+        decay = math.exp(-lam * T)
+        m = mu + (cfg.y0 - mu) * decay
+        var = cfg.model.sigma_Y_const ** 2 * (1.0 - decay * decay) / (2.0 * lam)
+        cols += [y * w - m, y * d, y * v - T * decay,
+                 y * (y * w) - (m * m + var), y * (y * d), y * (y * v) - 2.0 * T * m * decay]
+    return np.column_stack(cols)
+
+
+def fold_moments(lo, *columns):
+    """:func:`_fold_moments` of ``columns`` over the global paths ``lo + i``:
+    the columns laid out fold by fold, even global indices first."""
+    v = np.stack(columns)
+    first = lo % 2
+    return _fold_moments(np.concatenate((v[:, first::2], v[:, 1 - first::2]), axis=1),
+                         len(range(first, v.shape[1], 2)))
+
+
 def numpy_cross_fit(cfg, kind):
-    """Mean and standard error of the cross-fitted estimator, computed
-    directly from the engine's per-path weights with numpy least squares."""
+    """Mean, standard error and ``control_z`` of the cross-fitted estimator,
+    computed directly from the engine's per-path weights with numpy least
+    squares."""
     ids = np.arange(cfg.n_paths, dtype=np.uint64)
     grid = philox_grid(cfg.sampler, cfg.T, cfg.seed, ids)
-    x, price_w, delta_w, vega_w = engine_weights(
-        cfg, grid, lambda k, p: normal_pair(cfg.seed, p, k), ids)
+    x, *weights, y_T = _path_weights(
+        cfg, ids, *grid, lambda k, p: normal_pair(cfg.seed, p, k))
     r, T, s0 = cfg.model.r, cfg.T, cfg.s0
     h = cfg.payoff.value_spot(np.exp(x)) * math.exp(-r * T)
-    w, scale, mu1, mu2 = {
-        "price": (price_w, 1.0, 1.0, s0 * math.exp(r * T)),
-        "delta": (delta_w, 1.0 / (s0 * T), 0.0, s0 * T * math.exp(r * T)),
-        "vega": (vega_w, 1.0 / T, 0.0, 0.0),
-    }[kind]
-    y = h * w * scale
-    c = np.column_stack((w - mu1, np.exp(x) * w - mu2))
+    scale = {"price": 1.0, "delta": 1.0 / (s0 * T), "vega": 1.0 / T}[kind]
+    q = ("price", "delta", "vega").index(kind)
+    y = h * weights[q] * scale
+    c = control_columns(cfg, x, weights, y_T)
     fold = np.arange(cfg.n_paths) % 2
     betas = []
     for f in (0, 1):
@@ -55,7 +85,9 @@ def numpy_cross_fit(cfg, kind):
     resid = y.copy()
     for f in (0, 1):
         resid[fold == f] -= c[fold == f] @ betas[1 - f]
-    return resid.mean(), resid.std(ddof=1) / math.sqrt(resid.size)
+    own = c[:, 2 * q:2 * q + 2]  # the quantity's own w and exp(x_T) w
+    z = own.mean(axis=0) / (own.std(axis=0, ddof=1) / math.sqrt(own.shape[0]))
+    return resid.mean(), resid.std(ddof=1) / math.sqrt(resid.size), z
 
 
 @pytest.mark.parametrize("kind", sorted(ESTIMATORS))
@@ -64,9 +96,10 @@ def test_mean_matches_numpy_cross_fit(kind):
     # moment merge across chunks both matter
     cfg = config(chunk_size=701)
     res = ESTIMATORS[kind](cfg)
-    mean, se = numpy_cross_fit(cfg, kind)
+    mean, se, z = numpy_cross_fit(cfg, kind)
     assert res.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
     assert res.std_error == pytest.approx(se, rel=1e-9, abs=0.0)
+    np.testing.assert_allclose(res.control_z, z, rtol=1e-9)
 
 
 @pytest.mark.parametrize("kind", sorted(ESTIMATORS))
@@ -95,18 +128,18 @@ def test_singular_control_covariance_is_not_fitted():
     rng = np.random.default_rng(0)
     c = rng.normal(size=50)
     y = c + rng.normal(size=50)
-    fold = _fold_moments(0, y, c, 2.0 * c)[0]
+    fold = fold_moments(0, y, c, 2.0 * c)[0]
     assert _fit(fold) is None
-    fold = _fold_moments(0, y, c, rng.normal(size=50))[0]
+    fold = fold_moments(0, y, c, rng.normal(size=50))[0]
     assert _fit(fold) is not None
-    assert _fit(_fold_moments(0, y[:4], c[:4], y[:4] ** 2)[0]) is None  # 2 paths
+    assert _fit(fold_moments(0, y[:4], c[:4], y[:4] ** 2)[0]) is None  # 2 paths
 
 
 def test_merged_moments_match_flat_statistics():
     rng = np.random.default_rng(1)
     v = rng.normal(size=(3, 1001)) * [[1.0], [2.0], [0.5]] + [[0.3], [-1.0], [4.0]]
     bounds = (0, 137, 202, 640, 641, 1001)
-    folds = [_fold_moments(lo, *v[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    folds = [fold_moments(lo, *v[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     for f in (0, 1):
         n, mean, cross = folds[0][f]
         for chunk in folds[1:]:
@@ -160,3 +193,69 @@ def test_control_z_flags_collapsed_weights():
                  n_paths=20000, seed=0)
     for estimator in (estimate_price, PLAIN["price"]):
         assert abs(estimator(cfg).control_z[0]) > 20.0
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-9, 0.5, 3.0])
+def test_control_means_match_the_ou_closed_forms(lam):
+    cfg = config(model=builtin("SteinSteinAffine", lambda_y=lam, mu=0.3, sigma_y=0.2),
+                 y0=-0.4, T=0.7)
+    T, y0, mu, sy = cfg.T, cfg.y0, 0.3, 0.2
+    forward = cfg.s0 * math.exp(cfg.model.r * T)
+    # Y_T = mu + (y0 - mu) e^{-lam T} + int_0^T sy e^{-lam (T - s)} dB_s
+    decay = math.exp(-lam * T)
+    m = mu + (y0 - mu) * decay
+    v = quad(lambda u: (sy * math.exp(-lam * (T - u))) ** 2, 0.0, T, epsabs=0.0,
+             epsrel=1e-13)[0]
+    expected = [1.0, forward, 0.0, T * forward, 0.0, 0.0,
+                m, 0.0, T * decay, m * m + v, 0.0, 2.0 * T * m * decay]
+    got = _control_means(cfg)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+    # the y_T V and y_T**2 V means are T times the y0-derivatives of the
+    # y_T W and y_T**2 W means
+    bumped = [_control_means(config(model=cfg.model, y0=y0 + e, T=T))
+              for e in (1e-5, -1e-5)]
+    fd = T * (bumped[0] - bumped[1]) / 2e-5
+    np.testing.assert_allclose(got[[8, 11]], fd[[6, 9]], rtol=1e-8)
+
+
+def test_models_without_an_ou_factor_use_the_six_weight_controls():
+    for model in (synthetic_model(), quadrature_only(builtin("SteinSteinAffine"))):
+        cfg = config(model=model, n_paths=400)
+        assert _control_means(cfg).size == 6
+        for count, mean, cross in _chunk_partials(cfg, 0, 400, "price")[4]:
+            assert count == 200 and mean.shape == (7,) and cross.shape == (7, 7)
+    assert _control_means(config()).size == 12
+
+
+def merged_control_moments(cfg):
+    """Both folds' moments of the contribution and every control, merged."""
+    bounds = range(0, cfg.n_paths + 1, cfg.chunk_size)
+    return _merge_moments(*(
+        reduce(_merge_moments, folds) for folds in zip(*(
+            _chunk_partials(cfg, lo, hi, "price")[4] for lo, hi in zip(bounds, bounds[1:])))))
+
+
+@pytest.mark.parametrize("tag, payoff, sampler", [
+    ("BlackScholes", Payoff.call(K), BETA),
+    ("SteinSteinAffine", Payoff.call(K), JumpSampler.beta_one_minus_alpha(0.5, 1.0)),
+    ("PeriodicCosine", Payoff.digital_call(K), JumpSampler.exponential(0.5)),
+])
+def test_every_control_averages_to_its_known_mean(tag, payoff, sampler):
+    """Pooled over 4 seeds of 2**18 paths, each of the twelve controls' mean
+    lies within 4 standard errors of its known mean."""
+    means, variances = [], []
+    for seed in (61, 62, 63, 64):
+        n, mean, cross = merged_control_moments(
+            config(tag, payoff=payoff, sampler=sampler, n_paths=1 << 18, seed=seed))
+        means.append(mean[1:])
+        variances.append(np.diag(cross)[1:] / (n - 1) / n)
+    z = np.mean(means, axis=0) / (np.sqrt(np.sum(variances, axis=0)) / len(means))
+    assert z.shape == (12,)
+    assert np.all(np.abs(z) <= 4.0), z
+
+
+def test_stein_call_price_keeps_a_twentieth_of_the_variance():
+    cfg = config(sampler=JumpSampler.beta_one_minus_alpha(0.5, 1.0), n_paths=1 << 17,
+                 seed=9)
+    ratio = (estimate_price(cfg).std_error / PLAIN["price"](cfg).std_error) ** 2
+    assert ratio < 0.05, ratio
