@@ -63,7 +63,7 @@ _DEFAULTS = {
     "rate": 0.5,
     "alpha": 0.1,
     "tau_bar": 2.0,
-    "x0": 0.4,
+    "s0": math.exp(0.4),  # x0 = 0.4
     "y0": 0.2,
     "T": 0.5,
     "paths": 100000,
@@ -72,7 +72,7 @@ _DEFAULTS = {
     "discount": True,
 }
 
-_CONFIG_KEYS = set(_DEFAULTS) | {"s0"}
+_CONFIG_KEYS = set(_DEFAULTS) | {"x0"}
 _INT_KEYS = ("paths", "seed", "threads")
 _FLOAT_KEYS = tuple(f.name for f in _MODEL_FIELDS) + (
     "strike", "rate", "alpha", "tau_bar", "x0", "y0", "T", "s0")
@@ -140,11 +140,10 @@ def _merge_settings(file_cfg: dict, flag_cfg: dict) -> dict:
     if not isinstance(merged["discount"], bool):
         raise ConfigError(f"config key 'discount' must be true or false, "
                           f"got {merged['discount']!r}")
-    if "s0" in merged:
-        if not merged["s0"] > 0:
-            raise ConfigError("'s0' must be positive")
-        merged["x0"] = math.log(merged["s0"])
-        del merged["s0"]
+    if "x0" in merged:  # s0 is the one key kept, so a given s0 keeps its bits
+        merged["s0"] = math.exp(merged.pop("x0"))
+    if not merged["s0"] > 0:
+        raise ConfigError("'s0' must be positive")
     if merged["model"] is None:
         raise ConfigError("missing required key 'model'")
     key = str(merged["model"]).lower()
@@ -185,7 +184,7 @@ def _run_config(settings: dict) -> RunConfig:
         model=_model(settings),
         payoff=Payoff(kind=settings["payoff"], strike=float(settings["strike"])),
         sampler=_sampler(settings),
-        s0=math.exp(float(settings["x0"])),
+        s0=float(settings["s0"]),
         y0=float(settings["y0"]),
         T=float(settings["T"]),
         n_paths=int(settings["paths"]),
@@ -314,7 +313,7 @@ def _result_row(quantity, method, settings, res, table_id="") -> dict:
         "sigma1": _g17(settings["sigma1"]),
         "sigma2": _g17(settings["sigma2"]),
         "sampler": settings["sampler"],
-        "s0": _g17(math.exp(float(settings["x0"]))),
+        "s0": _g17(settings["s0"]),
         "y0": _g17(settings["y0"]),
         "T": _g17(settings["T"]),
         "r": _g17(settings["r"]),
@@ -453,7 +452,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         cells = []
         for method in spec.methods:
             if method == "closed":
-                s0 = math.exp(settings["x0"])
+                s0 = settings["s0"]
                 if spec.quantity == "price":
                     val = bs_price(s0, settings["strike"], settings["r"],
                                    settings["T"], settings["sigma_s"])

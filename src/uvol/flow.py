@@ -285,7 +285,7 @@ def frozen_coeffs(model: Model, y, delta) -> FrozenCoeffs:
     if closed_Y and model.sigma_S_affine is not None and model.ou_params is not None:
         lam, mu = model.ou_params
         if lam > 0:
-            efold = np.exp(-lam * delta)
+            efold = m1_i  # the OU flow's tangent is exp(-lam * delta)
             e1 = (1.0 - efold) / lam
             e2 = (1.0 - efold * efold) / (2.0 * lam)
         else:

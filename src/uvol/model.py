@@ -13,13 +13,14 @@ with the derived variance shorthands (:class:`CoeffJet`).
 
 Three builtin families are provided through :func:`make_builtin`:
 
-``BlackScholes``
-    constant ``sigma_S``, the affine form with zero slope; the variance
-    process is decorative and every correction weight collapses to the pure
-    drift term.
 ``SteinSteinAffine``
     ``sigma_S(y) = sigma1*y + sigma2``; frozen coefficients admit closed
     forms.
+``BlackScholes``
+    constant ``sigma_S = sigma_s``, built as the affine model with
+    ``(sigma1, sigma2) = (0, sigma_s)``; only its ``sigma_s > 0`` check and
+    its default ``kappa`` are its own.  The variance process is decorative
+    and every correction weight collapses to the pure drift term.
 ``PeriodicCosine``
     ``sigma_S(y) = sigma1*cos(y) + sigma2`` with ``sigma2 - sigma1 > 0`` so
     the volatility stays positive; frozen coefficients go through the
@@ -315,39 +316,13 @@ def make_builtin(kind: BuiltinModelKind) -> Model:
     sigma1_Y = _zero
 
     if kind.tag == "BlackScholes":
-        s = kind.sigma_s
-        if s <= 0:
-            raise ParameterError(f"sigma_s must be positive, got {s}")
-
-        def sigma_S(y):
-            return s + _zero(y)
-
-        sigma1_S = _zero
-        sigma2_S = _zero
-        affine = (0.0, s)
-        kappa = kind.kappa
-        if kappa is None:
-            kappa = _default_kappa([s * s, sy * sy], [s * s, sy * sy])
-    elif kind.tag == "SteinSteinAffine":
+        if kind.sigma_s <= 0:
+            raise ParameterError(f"sigma_s must be positive, got {kind.sigma_s}")
+        s1, s2 = 0.0, kind.sigma_s
+    else:
         s1, s2 = kind.sigma1, kind.sigma2
-
-        def sigma_S(y):
-            return s1 * y + s2
-
-        def sigma1_S(y):
-            return s1 + _zero(y)
-
-        sigma2_S = _zero
-        affine = (s1, s2)
-        kappa = kind.kappa
-        if kappa is None:
-            # affine sigma_S vanishes somewhere on the line, so only upper
-            # bounds (taken on |y - mu| <= 2) can inform the constant;
-            # validation on wide grids is expected to warn.
-            hi = max(abs(s1 * (mu - 2) + s2), abs(s1 * (mu + 2) + s2)) ** 2
-            kappa = _default_kappa([hi, sy * sy], [sy * sy])
-    else:  # PeriodicCosine
-        s1, s2 = kind.sigma1, kind.sigma2
+    kappa = kind.kappa
+    if kind.tag == "PeriodicCosine":
         if s2 - s1 <= 0:
             raise ParameterError(
                 f"PeriodicCosine needs sigma2 - sigma1 > 0, got {s2} - {s1} = {s2 - s1}")
@@ -362,10 +337,27 @@ def make_builtin(kind: BuiltinModelKind) -> Model:
             return -s1 * np.cos(y)
 
         affine = None
-        kappa = kind.kappa
         if kappa is None:
             lo, hi = (s2 - abs(s1)) ** 2, (s2 + abs(s1)) ** 2
             kappa = _default_kappa([hi, sy * sy], [lo, sy * sy])
+    else:  # affine: Black-Scholes is the flat case s1 = 0
+
+        def sigma_S(y):
+            return s1 * y + s2
+
+        def sigma1_S(y):
+            return s1 + _zero(y)
+
+        sigma2_S = _zero
+        affine = (s1, s2)
+        if kappa is None and kind.tag == "BlackScholes":
+            kappa = _default_kappa([s2 * s2, sy * sy], [s2 * s2, sy * sy])
+        elif kappa is None:
+            # affine sigma_S vanishes somewhere on the line, so only upper
+            # bounds (taken on |y - mu| <= 2) can inform the constant;
+            # validation on wide grids is expected to warn.
+            hi = max(abs(s1 * (mu - 2) + s2), abs(s1 * (mu + 2) + s2)) ** 2
+            kappa = _default_kappa([hi, sy * sy], [sy * sy])
 
     return Model(
         r=kind.r,

@@ -33,8 +33,9 @@ step, with ``I1_1 = z1/sigma_S_i - rho_i z2 / (sigma_S_i sqrt(1-rho_i^2))``
 and ``I2_1 = z2 / (sigma_Y_i sqrt(1-rho_i^2))``.
 
 Both functions accept scalar or array-valued records, so the same code
-weights a single step and a vectorized batch.  The engine in
-:mod:`uvol.estimators` folds them into path weights.
+weights a single step and a vectorized batch.  Both return the factors of
+a :class:`FoldWeights`, which the engine in :mod:`uvol.estimators` folds
+into path weights the same way for interior and final intervals.
 """
 
 from __future__ import annotations
@@ -47,16 +48,31 @@ from .chain import StepRecord, one_minus_rho_sq
 from .renewal import DomainError, JumpSampler, density, survival
 
 __all__ = [
+    "FoldWeights",
     "StepWeights",
-    "TerminalWeights",
     "step_weights",
     "terminal_weights",
 ]
 
 
 @dataclass(frozen=True)
-class StepWeights:
-    """All interior weights of one step."""
+class FoldWeights:
+    """The factors one interval contributes to the path weights, the ones
+    :func:`uvol.estimators._fold` reads.  The final interval's ``theta_c``
+    is 0."""
+
+    theta: object
+    theta_eY: object
+    theta_eX: object
+    theta_c: object
+    I1_theta: object
+    I2_theta_eY: object
+    I1_theta_eX: object
+
+
+@dataclass(frozen=True)
+class StepWeights(FoldWeights):
+    """All interior weights of one step: the fold factors and their parts."""
 
     I1_1: object
     I2_1: object
@@ -68,33 +84,9 @@ class StepWeights:
     c_Y: object
     b_Y_w: object
     c_YS: object
-    theta: object
     D1_theta: object
     D2_theta: object
     D2prev_theta: object
-    theta_eY: object
-    theta_eX: object
-    theta_c: object
-    I1_theta: object
-    I2_theta_eY: object
-    I1_theta_eX: object
-
-
-@dataclass(frozen=True)
-class TerminalWeights:
-    """Weights of the final (truncated) interval.
-
-    ``theta_eY_last`` and ``theta_eX_last`` are ``theta_last * dY`` and
-    ``theta_last * dX``, the flow derivatives of the step map scaled by the
-    survival reweighting.
-    """
-
-    theta_last: object
-    theta_eY_last: object
-    theta_eX_last: object
-    I1_theta_last: object
-    I2_theta_eY_last: object
-    I1_theta_eX_last: object
 
 
 def _f_inv(s: JumpSampler, delta):
@@ -102,6 +94,28 @@ def _f_inv(s: JumpSampler, delta):
     if np.any(np.asarray(f) <= 0) or not np.all(np.isfinite(np.asarray(f))):
         raise DomainError("gap density vanishes on an interior interval")
     return 1.0 / f
+
+
+def _gaussian_terms(step: StepRecord):
+    """``(1 - rho_i**2, its root, I1_1, I2_1, w, g, dX, dY, D2 dY)`` of a step:
+    the score kernels, the rotated draws and the flow derivatives, which
+    both kernels share."""
+    fc = step.fc
+    sig_s, sig_y = fc.sigma_S_i, fc.sigma_Y_i
+    rho_i, rho1 = fc.rho_i, fc.rho1_i
+    s1y = fc.sigma1_Y_i
+    z1, z2 = step.z1, step.z2
+    r2 = one_minus_rho_sq(fc)
+    sq = np.sqrt(r2)
+
+    i11 = z1 / sig_s - rho_i * z2 / (sig_s * sq)
+    i21 = z2 / (sig_y * sq)
+    w = rho_i * z1 + sq * z2
+    g = sq * z1 - rho_i * z2
+    dx = -0.5 * fc.a1_S_i + fc.sigma1_S_i * z1
+    dy = fc.m1_i + s1y * w + sig_y * rho1 / sq * g
+    d2_dy = s1y / sig_y - rho1 * rho_i / r2
+    return r2, sq, i11, i21, w, g, dx, dy, d2_dy
 
 
 def step_weights(step: StepRecord, s: JumpSampler) -> StepWeights:
@@ -126,16 +140,12 @@ def step_weights(step: StepRecord, s: JumpSampler) -> StepWeights:
     sig_s, sig_y = fc.sigma_S_i, fc.sigma_Y_i
     a_s, a_y = fc.a_S_i, fc.a_Y_i
     rho_i, rho1 = fc.rho_i, fc.rho1_i
-    r2 = one_minus_rho_sq(fc)
-    sq = np.sqrt(r2)
     mp, m1 = fc.m_i, fc.m1_i
     s1s, s1y = fc.sigma1_S_i, fc.sigma1_Y_i
     a1s, a1y = fc.a1_S_i, fc.a1_Y_i
-    z1, z2 = step.z1, step.z2
     yn = step.y_next
+    r2, sq, i11, i21, w, g, dx, dy, d2_dy = _gaussian_terms(step)
 
-    i11 = z1 / sig_s - rho_i * z2 / (sig_s * sq)
-    i21 = z2 / (sig_y * sq)
     d1_i11 = 1.0 / (a_s * r2)
     d2_i11 = -rho_i / (r2 * sig_s * sig_y)
     d1_i21 = d2_i11
@@ -184,14 +194,9 @@ def step_weights(step: StepRecord, s: JumpSampler) -> StepWeights:
         - i11 * d22c_ys - 2.0 * d2c_ys * d2_i11
     )
 
-    # flow-derivative atoms
-    w = rho_i * z1 + sq * z2
-    g = sq * z1 - rho_i * z2
-    dx = -0.5 * a1s + s1s * z1
-    dy = m1 + s1y * w + sig_y * rho1 / sq * g
+    # x_next-derivatives of the flow derivatives dX, dY
     d1_dx = s1s / sig_s
     d1_dy = sig_y * rho1 / (sig_s * r2)
-    d2_dy = s1y / sig_y - rho1 * rho_i / r2
 
     # flow derivatives of the interval-change coefficients
     a1s_y = cy.a1_S
@@ -222,8 +227,8 @@ def step_weights(step: StepRecord, s: JumpSampler) -> StepWeights:
     i2_theta_ey = theta_ey * i21 - d2_theta_ey
 
     # flow derivative of theta
-    dprev_i11 = -(s1s / sig_s) * i11 - rho1 / r2 * (sig_y / sig_s) * i21
-    dprev_i21 = -(s1y / sig_y - rho1 * rho_i / r2) * i21
+    dprev_i11 = -d1_dx * i11 - rho1 / r2 * (sig_y / sig_s) * i21
+    dprev_i21 = -d2_dy * i21
     dp_d1_i11 = -a1s / (a_s * a_s * r2) + 2.0 * rho_i * rho1 / (a_s * r2 * r2)
     v = r2 * sig_s * sig_y
     v1 = -2.0 * rho_i * rho1 * sig_s * sig_y + r2 * (s1s * sig_y + sig_s * s1y)
@@ -256,22 +261,22 @@ def step_weights(step: StepRecord, s: JumpSampler) -> StepWeights:
     theta_c = t_comp + t_rho + t_sig_y + t_dx - i1_theta_ex + d2prev_theta
 
     return StepWeights(
+        theta=theta, theta_eY=theta_ey, theta_eX=theta_ex, theta_c=theta_c,
+        I1_theta=i1_theta, I2_theta_eY=i2_theta_ey, I1_theta_eX=i1_theta_ex,
         I1_1=i11, I2_1=i21,
         D1_I1_1=d1_i11, D2_I1_1=d2_i11, D1_I2_1=d1_i21, D2_I2_1=d2_i21,
         c_S=c_s, c_Y=c_y, b_Y_w=b_w, c_YS=c_ys,
-        theta=theta, D1_theta=d1_theta, D2_theta=d2_theta,
-        D2prev_theta=d2prev_theta,
-        theta_eY=theta_ey, theta_eX=theta_ex, theta_c=theta_c,
-        I1_theta=i1_theta, I2_theta_eY=i2_theta_ey, I1_theta_eX=i1_theta_ex,
+        D1_theta=d1_theta, D2_theta=d2_theta, D2prev_theta=d2prev_theta,
     )
 
 
-def terminal_weights(step: StepRecord, s: JumpSampler) -> TerminalWeights:
+def terminal_weights(step: StepRecord, s: JumpSampler) -> FoldWeights:
     """Weights of the final interval ``[zeta_{N_T}, T]``.
 
-    ``theta_last`` is the survival reweighting ``1/(1 - F(T - zeta_{N_T}))``;
-    the transfer weights are the direct flow derivatives of the step map
-    (the correction weight of the final interval vanishes).
+    ``theta`` is the survival reweighting ``1/(1 - F(T - zeta_{N_T}))``;
+    the transfer weights are the direct flow derivatives of the step map,
+    ``theta * dY`` and ``theta * dX``, and the correction weight of the
+    final interval vanishes (``theta_c = 0``).
 
     Raises
     ------
@@ -282,24 +287,16 @@ def terminal_weights(step: StepRecord, s: JumpSampler) -> TerminalWeights:
     surv = survival(s, fc.delta)
     if np.any(np.asarray(surv) <= 0):
         raise DomainError("survival probability of the final interval is zero")
-    r2 = one_minus_rho_sq(fc)
-    sq = np.sqrt(r2)
-    sig_s, sig_y = fc.sigma_S_i, fc.sigma_Y_i
-    s1s, s1y, rho1 = fc.sigma1_S_i, fc.sigma1_Y_i, fc.rho1_i
-    z1, z2 = step.z1, step.z2
+    _, _, i11, i21, _, _, dx, dy, d2_dy = _gaussian_terms(step)
 
-    theta_last = 1.0 / surv
-    i11 = z1 / sig_s - fc.rho_i * z2 / (sig_s * sq)
-    i21 = z2 / (sig_y * sq)
-    w = fc.rho_i * z1 + sq * z2
-    g = sq * z1 - fc.rho_i * z2
-    theta_ey = theta_last * (fc.m1_i + s1y * w + sig_y * rho1 / sq * g)
-    theta_ex = theta_last * (-0.5 * fc.a1_S_i + s1s * z1)
-    return TerminalWeights(
-        theta_last=theta_last,
-        theta_eY_last=theta_ey,
-        theta_eX_last=theta_ex,
-        I1_theta_last=theta_last * i11,
-        I2_theta_eY_last=theta_ey * i21 - theta_last * (s1y / sig_y - rho1 * fc.rho_i / r2),
-        I1_theta_eX_last=theta_ex * i11 - theta_last * s1s / sig_s,
+    theta = 1.0 / surv
+    theta_ey = theta * dy
+    theta_ex = theta * dx
+    return FoldWeights(
+        theta=theta, theta_eY=theta_ey, theta_eX=theta_ex, theta_c=0.0,
+        I1_theta=theta * i11,
+        I2_theta_eY=theta_ey * i21 - theta * d2_dy,
+        # (theta * sigma1_S_i) / sigma_S_i: theta * (sigma1_S_i / sigma_S_i)
+        # rounds differently and moves pinned means
+        I1_theta_eX=theta_ex * i11 - theta * fc.sigma1_S_i / fc.sigma_S_i,
     )

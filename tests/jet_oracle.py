@@ -358,15 +358,15 @@ def oracle_step_weights(om: OracleModel, step, sampler) -> dict:
 def oracle_terminal_weights(om: OracleModel, step, sampler) -> dict:
     """Final-interval weights via the jet route."""
     s = StepJets(om, step)
-    theta_last = 1.0 / survival(sampler, s.delta)
-    theta_ey = theta_last * s.dY
-    theta_ex = theta_last * s.dX
+    theta = 1.0 / survival(sampler, s.delta)
+    theta_ey = theta * s.dY
+    theta_ex = theta * s.dX
     return {
-        "theta": theta_last,
+        "theta": theta,
         "theta_eY": theta_ey.value,
         "theta_eX": theta_ex.value,
         "theta_c": 0.0,
-        "I1_theta": (theta_last * s.I1_1).value,
+        "I1_theta": (theta * s.I1_1).value,
         "I2_theta_eY": s.i2(theta_ey).value,
         "I1_theta_eX": s.i1(theta_ex).value,
     }
@@ -383,21 +383,15 @@ def oracle_path_values(om: OracleModel, steps, sampler) -> list:
     return out
 
 
+def _fold_values(w) -> dict:
+    """The fold fields of a production ``FoldWeights`` (or ``StepWeights``)."""
+    return {key: getattr(w, key) for key in _KEYS}
+
+
 def production_path_values(steps, sampler) -> list:
     """Per-step weight dictionaries via the production closed forms."""
-    out = []
-    for st in steps[:-1]:
-        sw = step_weights(st, sampler)
-        out.append({"theta": sw.theta, "theta_eY": sw.theta_eY,
-                    "theta_eX": sw.theta_eX, "theta_c": sw.theta_c,
-                    "I1_theta": sw.I1_theta, "I2_theta_eY": sw.I2_theta_eY,
-                    "I1_theta_eX": sw.I1_theta_eX})
-    tw = terminal_weights(steps[-1], sampler)
-    out.append({"theta": tw.theta_last, "theta_eY": tw.theta_eY_last,
-                "theta_eX": tw.theta_eX_last, "theta_c": 0.0,
-                "I1_theta": tw.I1_theta_last,
-                "I2_theta_eY": tw.I2_theta_eY_last,
-                "I1_theta_eX": tw.I1_theta_eX_last})
+    out = [_fold_values(step_weights(st, sampler)) for st in steps[:-1]]
+    out.append(_fold_values(terminal_weights(steps[-1], sampler)))
     return out
 
 

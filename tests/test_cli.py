@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import uvol
 from uvol.cli import (_CONFIG_KEYS, _CSV_FIELDS, ConfigError, TableSpec,
                       load_config, run, table_spec)
-from uvol import estimators
+from uvol import cli, estimators
 from uvol.estimators import estimate_price
 
 
@@ -234,6 +234,27 @@ def test_load_config_defaults(tmp_path):
 def test_load_config_accepts_s0(tmp_path):
     cfg = load_config(write_config(tmp_path, {"model": "bs", "s0": 2.0}))
     assert cfg.s0 == pytest.approx(2.0, rel=1e-15)
+
+
+def test_s0_reaches_the_run_exactly(tmp_path, monkeypatch):
+    # s0 is stored as given, not passed through log and exp
+    seen = []
+    monkeypatch.setitem(cli._ESTIMATORS, "price",
+                        lambda cfg: seen.append(cfg.s0) or estimate_price(cfg))
+    out = tmp_path / "rows.csv"
+    path = write_config(tmp_path, {"model": "bs", "s0": 1.1, "paths": 20})
+    assert run(["price", "--model", "bs", "--s0", "3", "--paths", "20",
+                "--csv", str(out)]) == 0
+    assert run(["price", "--config", path, "--csv", str(out)]) == 0
+    assert seen == [3.0, 1.1]
+    # 17 significant digits round-trip doubles exactly
+    assert [float(row["s0"]) for row in read_rows(out)] == [3.0, 1.1]
+    assert load_config(path).s0 == 1.1
+
+
+def test_x0_is_exponentiated_once(tmp_path):
+    path = write_config(tmp_path, {"model": "bs", "x0": 0.4})
+    assert load_config(path).s0 == math.exp(0.4)
 
 
 def test_load_config_raises_config_error(tmp_path):

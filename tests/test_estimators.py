@@ -147,6 +147,16 @@ def test_aggregate_skips_empty_partials_and_keeps_extras():
     assert res.elapsed == 1.25
 
 
+def test_aggregate_extras_are_named_keywords():
+    res = aggregate([(3.0, 9.0, 1)])
+    assert math.isnan(res.n_jumps_mean) and res.elapsed == 0.0
+    assert all(math.isnan(z) for z in res.control_z)
+    with pytest.raises(TypeError):
+        aggregate([(3.0, 9.0, 1)], elapsed_s=1.25)  # misspelt, not dropped
+    with pytest.raises(TypeError):
+        aggregate([(3.0, 9.0, 1)], 0.5)  # the extras are keyword-only
+
+
 def test_aggregate_rejects_no_samples():
     with pytest.raises(ValueError, match="no samples"):
         aggregate([])

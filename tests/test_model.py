@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from uvol.model import (BuiltinModelKind, Model, ParameterError, make_builtin,
-                        validate_model)
+from uvol.flow import FrozenCoeffs, frozen_coeffs
+from uvol.model import (BuiltinModelKind, CoeffJet, Model, ParameterError,
+                        make_builtin, validate_model)
 
 from helpers import builtin, synthetic_model
 
@@ -96,6 +97,27 @@ def test_default_kappa_black_scholes():
     m = builtin("BlackScholes")
     # 1.05 * max(sigma_S^2, sigma_Y^2, 1/sigma_S^2, 1/sigma_Y^2, 1) = 1.05/0.04
     assert m.kappa == pytest.approx(1.05 / 0.04, rel=1e-12)
+
+
+def test_black_scholes_is_the_flat_affine_model():
+    bs = make_builtin(BuiltinModelKind(tag="BlackScholes", sigma_s=0.1))
+    flat = make_builtin(BuiltinModelKind(tag="SteinSteinAffine", sigma1=0.0,
+                                         sigma2=0.1))
+    assert bs.sigma_S_affine == flat.sigma_S_affine == (0.0, 0.1)
+    y = np.linspace(-3.0, 3.0, 13)
+    fields = [k for k, v in vars(CoeffJet).items() if hasattr(v, "fn")]
+    assert len(fields) == 20
+    jb, jf = bs.jet(y), flat.jet(y)
+    for name in fields:
+        assert np.array_equal(getattr(jb, name), getattr(jf, name)), name
+    delta = np.linspace(0.05, 0.6, y.size)
+    fb, ff = frozen_coeffs(bs, y, delta), frozen_coeffs(flat, y, delta)
+    for name in FrozenCoeffs.__dataclass_fields__:
+        assert np.array_equal(getattr(fb, name), getattr(ff, name)), name
+    # each keeps its own default kappa: Black-Scholes also bounds sigma_S^2
+    # from below, 1.05 / 0.1^2; the affine rule only sees 1.05 / sigma_Y^2
+    assert bs.kappa == pytest.approx(1.05 / 0.01, rel=1e-12)
+    assert flat.kappa == pytest.approx(1.05 / 0.04, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind, message", [

@@ -19,7 +19,7 @@ from uvol.estimators import Payoff, RunConfig
 from uvol.flow import frozen_coeffs
 from uvol.renewal import JumpSampler, density
 from uvol.rng import normal_pair
-from uvol.weights import step_weights, terminal_weights
+from uvol.weights import FoldWeights, step_weights, terminal_weights
 
 from helpers import (builtin, chain_steps, engine_weights, fixed_grid,
                      fixed_normals, gh_step_expectation, make_step,
@@ -129,13 +129,22 @@ def test_terminal_weights_pins():
     step = make_step(BS, 0.4, 0.2, 0.5, 0.0, 0.0)
     tw_e = terminal_weights(step, EXPO)
     tw_b = terminal_weights(step, BETA)
-    assert tw_e.theta_last == pytest.approx(1.2840254166877414, rel=1e-14)
-    assert tw_b.theta_last == pytest.approx(1.402868057474796, rel=1e-14)
-    # BS: dY = m1 (no stochastic tilt), so theta_eY_last = theta_last * m1
-    assert tw_e.theta_eY_last == pytest.approx(
-        float(tw_e.theta_last * step.fc.m1_i), rel=1e-13)
-    assert tw_e.theta_eX_last == 0.0
-    assert tw_e.I1_theta_last == 0.0  # I1_1 = 0 at zero noise
+    assert tw_e.theta == pytest.approx(1.2840254166877414, rel=1e-14)
+    assert tw_b.theta == pytest.approx(1.402868057474796, rel=1e-14)
+    # BS: dY = m1 (no stochastic tilt), so theta_eY = theta * m1
+    assert tw_e.theta_eY == pytest.approx(
+        float(tw_e.theta * step.fc.m1_i), rel=1e-13)
+    assert tw_e.theta_eX == 0.0
+    assert tw_e.I1_theta == 0.0  # I1_1 = 0 at zero noise
+
+
+def test_both_kernels_return_fold_weights():
+    step = make_step(STEIN, 0.4, 0.2, 0.3, 0.7, -0.4)
+    sw, tw = step_weights(step, EXPO), terminal_weights(step, EXPO)
+    assert isinstance(sw, FoldWeights)
+    assert type(tw) is FoldWeights  # no interior parts on the final interval
+    assert tw.theta_c == 0.0
+    assert sw.theta_c != 0.0
 
 
 def test_single_interval_path_pins():
@@ -143,7 +152,7 @@ def test_single_interval_path_pins():
         engine_config(BS, EXPO), fixed_grid([(0.0, 0.5)]),
         fixed_normals((1.0,), (0.0,)))
     assert price_w[0] == pytest.approx(1.2840254166877414, rel=1e-14)
-    # delta weight = delta * theta_last * I1_1
+    # delta weight = delta * theta * I1_1
     assert delta_w[0] == pytest.approx(3.631772317423137, rel=1e-13)
     # BS: y0 cannot move the price and every vega term vanishes pathwise
     assert vega_w[0] == 0.0
@@ -238,7 +247,7 @@ def _flow_derivatives(step):
     dprev_i11 = -(fc.sigma1_S_i / fc.sigma_S_i) * sw.I1_1 \
         - fc.rho1_i / r2 * (fc.sigma_Y_i / fc.sigma_S_i) * sw.I2_1
     dprev_i21 = -(fc.sigma1_Y_i / fc.sigma_Y_i - fc.rho1_i * fc.rho_i / r2) * sw.I2_1
-    return (tw.theta_eX_last / tw.theta_last, tw.theta_eY_last / tw.theta_last,
+    return (tw.theta_eX / tw.theta, tw.theta_eY / tw.theta,
             dprev_i11, dprev_i21)
 
 
@@ -312,7 +321,7 @@ def test_terminal_transfer_is_flow_derivative():
         return 0.5 * np.sin(x) * np.exp(0.5 * yv)
 
     eps = 1e-4
-    # theta_last is state-independent, so it scales both sides equally and
+    # the final theta is state-independent, so it scales both sides equally and
     # the identity reduces to the plain flow-derivative transport of h.
     lhs = (gh_step_expectation(model, x_prev, y + eps, delta,
                                lambda st: h_fn(st.x_next, st.y_next))
@@ -321,7 +330,7 @@ def test_terminal_transfer_is_flow_derivative():
 
     def rhs_fn(st):
         tw = terminal_weights(st, EXPO)
-        dx, dy = tw.theta_eX_last / tw.theta_last, tw.theta_eY_last / tw.theta_last
+        dx, dy = tw.theta_eX / tw.theta, tw.theta_eY / tw.theta
         return dhy(st.x_next, st.y_next) * dy + dhx(st.x_next, st.y_next) * dx
 
     rhs = gh_step_expectation(model, x_prev, y, delta, rhs_fn)
@@ -362,10 +371,9 @@ def test_terminal_weights_match_jet_oracle():
         tw = terminal_weights(step, BETA)
         ov = oracle_terminal_weights(om, step, BETA)
         got = {
-            "theta": tw.theta_last, "theta_eY": tw.theta_eY_last,
-            "theta_eX": tw.theta_eX_last, "I1_theta": tw.I1_theta_last,
-            "I2_theta_eY": tw.I2_theta_eY_last,
-            "I1_theta_eX": tw.I1_theta_eX_last,
+            "theta": tw.theta, "theta_eY": tw.theta_eY,
+            "theta_eX": tw.theta_eX, "I1_theta": tw.I1_theta,
+            "I2_theta_eY": tw.I2_theta_eY, "I1_theta_eX": tw.I1_theta_eX,
         }
         for key, val in got.items():
             assert rel_err(float(val), ov[key]) <= 1e-11, key
