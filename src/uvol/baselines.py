@@ -44,8 +44,13 @@ class EulerConfig:
             raise ParameterError("n_steps and n_paths must be >= 1")
 
 
-def _euler_paths(model: Model, s0: float, y0: float, T: float,
-                 cfg: EulerConfig, rng) -> tuple:
+def euler_terminal(model: Model, s0: float, y0: float, T: float,
+                   cfg: EulerConfig, rng):
+    """Terminal ``(S_T, Y_T)`` arrays of the Euler scheme.
+
+    Works in spot coordinates; negative spots are possible for coarse
+    steps and are recorded (logged), never clamped.
+    """
     dt = T / cfg.n_steps
     sq_dt = math.sqrt(dt)
     rho = model.rho
@@ -61,17 +66,7 @@ def _euler_paths(model: Model, s0: float, y0: float, T: float,
         s = s + model.r * s * dt + model.sigma_S(y) * s * dw
         y = y + model.b_Y(y) * dt + model.sigma_Y(y) * db
         ever_neg |= s < 0
-    return s, y, int(ever_neg.sum())
-
-
-def euler_terminal(model: Model, s0: float, y0: float, T: float,
-                   cfg: EulerConfig, rng):
-    """Terminal ``(S_T, Y_T)`` arrays of the Euler scheme.
-
-    Works in spot coordinates; negative spots are possible for coarse
-    steps and are recorded (logged), never clamped.
-    """
-    s, y, neg = _euler_paths(model, s0, y0, T, cfg, rng)
+    neg = int(ever_neg.sum())
     if neg:
         log.warning("Euler scheme: %d of %d paths went negative", neg, cfg.n_paths)
     return s, y
@@ -82,9 +77,7 @@ def euler_price(model: Model, payoff: Payoff, s0: float, y0: float, T: float,
     """Discounted Euler price with its statistical error."""
     start = time.perf_counter()
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    s, _, neg = _euler_paths(model, s0, y0, T, cfg, rng)
-    if neg:
-        log.warning("Euler scheme: %d of %d paths went negative", neg, cfg.n_paths)
+    s, _ = euler_terminal(model, s0, y0, T, cfg, rng)
     vals = payoff.value_spot(s) * math.exp(-model.r * T)
     return aggregate([(float(vals.sum()), float(np.dot(vals, vals)), vals.size)],
                      elapsed=time.perf_counter() - start)
@@ -116,7 +109,7 @@ def fd_greek(model: Model, payoff: Payoff, s0: float, y0: float, T: float,
     vals = []
     for s_init, y_init in (base, bump):
         rng = np.random.Generator(np.random.Philox(cfg.seed))
-        s, _, _ = _euler_paths(model, s_init, y_init, T, cfg, rng)
+        s, _ = euler_terminal(model, s_init, y_init, T, cfg, rng)
         vals.append(payoff.value_spot(s) * disc)
     diff = (vals[1] - vals[0]) / eps
     return aggregate([(float(diff.sum()), float(np.dot(diff, diff)), diff.size)],

@@ -31,7 +31,7 @@ import numpy as np
 
 from .baselines import EulerConfig, bs_delta, bs_price, euler_price, fd_greek
 from .chain import DegenerateCovariance
-from .estimators import (NonFinitePathError, Payoff, RunConfig,
+from .estimators import (EstimateResult, NonFinitePathError, Payoff, RunConfig,
                          estimate_delta, estimate_price, estimate_vega)
 from .flow import NonFiniteError, QuadratureError
 from .model import (BuiltinModelKind, Model, ParameterError, make_builtin,
@@ -77,6 +77,9 @@ _INT_KEYS = ("paths", "seed", "threads")
 _FLOAT_KEYS = tuple(f.name for f in _MODEL_FIELDS) + (
     "strike", "rate", "alpha", "tau_bar", "x0", "y0", "T", "s0")
 
+_SAMPLERS = ("exponential", "beta")
+_BASELINES = {"price": "euler", "delta": "euler_fd", "vega": "euler_fd"}
+
 _CSV_FIELDS = [
     "table_id", "quantity", "method", "model", "payoff", "strike",
     "sigma_s", "sigma1", "sigma2", "sampler", "s0", "y0", "T", "r",
@@ -85,8 +88,9 @@ _CSV_FIELDS = [
 ]
 
 
-def _g17(x) -> str:
-    return format(float(x), ".17g")
+def _float_text(x) -> str:
+    """The shortest text that parses back to the same double."""
+    return repr(float(x))
 
 
 def _read_config_file(path: str) -> dict:
@@ -151,7 +155,7 @@ def _merge_settings(file_cfg: dict, flag_cfg: dict) -> dict:
         raise ConfigError(f"unknown model {merged['model']!r} "
                           f"(expected bs, stein or cosine)")
     merged["model"] = _MODEL_ALIASES[key]
-    if merged["sampler"] not in ("beta", "exponential"):
+    if merged["sampler"] not in _SAMPLERS:
         raise ConfigError(f"unknown sampler {merged['sampler']!r}")
     if merged["payoff"] not in ("call", "digital"):
         raise ConfigError(f"unknown payoff {merged['payoff']!r}")
@@ -172,9 +176,9 @@ def _model(settings: dict) -> Model:
 def _sampler(settings: dict) -> JumpSampler:
     try:
         if settings["sampler"] == "beta":
-            return JumpSampler.beta_one_minus_alpha(float(settings["alpha"]),
-                                                    float(settings["tau_bar"]))
-        return JumpSampler.exponential(float(settings["rate"]))
+            return JumpSampler.beta_one_minus_alpha(settings["alpha"],
+                                                    settings["tau_bar"])
+        return JumpSampler.exponential(settings["rate"])
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -182,15 +186,15 @@ def _sampler(settings: dict) -> JumpSampler:
 def _run_config(settings: dict) -> RunConfig:
     return RunConfig(
         model=_model(settings),
-        payoff=Payoff(kind=settings["payoff"], strike=float(settings["strike"])),
+        payoff=Payoff(kind=settings["payoff"], strike=settings["strike"]),
         sampler=_sampler(settings),
-        s0=float(settings["s0"]),
-        y0=float(settings["y0"]),
-        T=float(settings["T"]),
-        n_paths=int(settings["paths"]),
-        seed=int(settings["seed"]),
+        s0=settings["s0"],
+        y0=settings["y0"],
+        T=settings["T"],
+        n_paths=settings["paths"],
+        seed=settings["seed"],
         discount=settings["discount"],
-        threads=int(settings["threads"]),
+        threads=settings["threads"],
     )
 
 
@@ -203,11 +207,15 @@ def load_config(path: str) -> RunConfig:
     return _run_config(_merge_settings(_read_config_file(path), {}))
 
 
-def _add_common_options(p: argparse.ArgumentParser):
+def _add_model_options(p: argparse.ArgumentParser):
     g = p.add_argument_group("model")
     g.add_argument("--model", choices=["bs", "stein", "cosine"])
     for f in _MODEL_FIELDS:
         g.add_argument("--" + f.name.replace("_", "-"), type=float, dest=f.name)
+    p.add_argument("--config", help="JSON config file (flags override it)")
+
+
+def _add_contract_options(p: argparse.ArgumentParser):
     g = p.add_argument_group("contract")
     g.add_argument("--payoff", choices=["call", "digital"])
     g.add_argument("--strike", type=float)
@@ -215,26 +223,27 @@ def _add_common_options(p: argparse.ArgumentParser):
     g.add_argument("--x0", type=float, help="initial log-spot (alternative to --s0)")
     g.add_argument("--y0", type=float)
     g.add_argument("-T", "--maturity", type=float, dest="T")
+    g.add_argument("--no-discount", dest="discount", action="store_false",
+                   default=None)
     g = p.add_argument_group("sampling")
     g.add_argument("--sampler", choices=["beta", "exponential"])
     g.add_argument("--rate", type=float, help="exponential gap rate")
     g.add_argument("--alpha", type=float, help="beta gap exponent")
     g.add_argument("--tau-bar", type=float, dest="tau_bar", help="beta gap cap")
+
+
+def _add_run_options(p: argparse.ArgumentParser):
+    """The run and baseline options; returns the baseline group."""
+    g = p.add_argument_group("run")
     g.add_argument("--paths", type=int)
     g.add_argument("--seed", type=int)
     g.add_argument("--threads", type=int)
-    g.add_argument("--no-discount", dest="discount", action="store_false",
-                   default=None)
-    p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--csv", help="append result rows to this CSV file")
-
-
-def _add_euler_options(p: argparse.ArgumentParser):
+    g.add_argument("--csv", help="append result rows to this CSV file")
     g = p.add_argument_group("baseline comparison")
-    g.add_argument("--compare-euler", action="store_true")
     g.add_argument("--euler-steps", type=int, default=200)
     g.add_argument("--euler-paths", type=int, default=160000)
     g.add_argument("--fd-eps", type=float, default=1e-2)
+    return g
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,22 +256,17 @@ def build_parser() -> argparse.ArgumentParser:
                       ("delta", "spot Greek d/ds0"),
                       ("vega", "variance Greek d/dy0")):
         p = sub.add_parser(name, help=f"estimate the {txt}")
-        _add_common_options(p)
-        _add_euler_options(p)
+        _add_model_options(p)
+        _add_contract_options(p)
+        _add_run_options(p).add_argument("--compare-euler", action="store_true")
     p = sub.add_parser("table", help="reproduce a numbered reference table")
     p.add_argument("--id", type=int, required=True, choices=range(1, 13),
                    metavar="{1..12}")
     p.add_argument("--model", choices=["stein", "cosine"],
                    help="digital tables (10-12) only; default stein")
-    p.add_argument("--paths", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--euler-steps", type=int, default=200)
-    p.add_argument("--euler-paths", type=int, default=160000)
-    p.add_argument("--fd-eps", type=float, default=1e-2)
-    p.add_argument("--csv", help="append result rows to this CSV file")
+    _add_run_options(p)
     p = sub.add_parser("validate", help="advisory model health report")
-    _add_common_options(p)
+    _add_model_options(p)
     p.add_argument("--grid-min", type=float, default=-5.0)
     p.add_argument("--grid-max", type=float, default=5.0)
     p.add_argument("--grid-points", type=int, default=201)
@@ -270,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _flags_dict(args: argparse.Namespace) -> dict:
-    keys = _CONFIG_KEYS
-    return {k: v for k, v in vars(args).items() if k in keys}
+    return {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
 
 
 def _csv_is_new(path: str) -> bool:
@@ -297,8 +300,8 @@ def _csv_append(path: str, rows: list):
             w.writerow(row)
 
 
-def _g17_or_blank(x) -> str:
-    return "" if math.isnan(x) else _g17(x)
+def _float_text_or_blank(x) -> str:
+    return "" if math.isnan(x) else _float_text(x)
 
 
 def _result_row(quantity, method, settings, res, table_id="") -> dict:
@@ -308,32 +311,26 @@ def _result_row(quantity, method, settings, res, table_id="") -> dict:
         "method": method,
         "model": settings["model"],
         "payoff": settings["payoff"],
-        "strike": _g17(settings["strike"]),
-        "sigma_s": _g17(settings["sigma_s"]),
-        "sigma1": _g17(settings["sigma1"]),
-        "sigma2": _g17(settings["sigma2"]),
+        "strike": _float_text(settings["strike"]),
+        "sigma_s": _float_text(settings["sigma_s"]),
+        "sigma1": _float_text(settings["sigma1"]),
+        "sigma2": _float_text(settings["sigma2"]),
         "sampler": settings["sampler"],
-        "s0": _g17(settings["s0"]),
-        "y0": _g17(settings["y0"]),
-        "T": _g17(settings["T"]),
-        "r": _g17(settings["r"]),
+        "s0": _float_text(settings["s0"]),
+        "y0": _float_text(settings["y0"]),
+        "T": _float_text(settings["T"]),
+        "r": _float_text(settings["r"]),
         "n_paths": res.n_paths,
         "seed": settings["seed"],
-        "mean": _g17(res.mean),
-        "ci_lo": _g17(res.ci95[0]),
-        "ci_hi": _g17(res.ci95[1]),
-        "std_error": _g17(res.std_error),
-        "n_jumps_mean": _g17_or_blank(res.n_jumps_mean),
-        "seconds": _g17(res.elapsed),
-        "control_z1": _g17_or_blank(res.control_z[0]),
-        "control_z2": _g17_or_blank(res.control_z[1]),
+        "mean": _float_text(res.mean),
+        "ci_lo": _float_text(res.ci95[0]),
+        "ci_hi": _float_text(res.ci95[1]),
+        "std_error": _float_text(res.std_error),
+        "n_jumps_mean": _float_text_or_blank(res.n_jumps_mean),
+        "seconds": _float_text(res.elapsed),
+        "control_z1": _float_text_or_blank(res.control_z[0]),
+        "control_z2": _float_text_or_blank(res.control_z[1]),
     }
-
-
-def _exact_result(value: float):
-    from .estimators import EstimateResult
-    return EstimateResult(mean=value, std_error=0.0, ci95=(value, value),
-                          n_paths=0, n_jumps_mean=float("nan"), elapsed=0.0)
 
 
 def _print_result(quantity: str, method: str, res):
@@ -348,37 +345,59 @@ def _print_result(quantity: str, method: str, res):
 
 _ESTIMATORS = {"price": estimate_price, "delta": estimate_delta, "vega": estimate_vega}
 
+# constant sigma_S: the price does not depend on y0, so the exact Vega is 0
+_CLOSED_FORMS = {"price": bs_price, "delta": bs_delta, "vega": lambda *_: 0.0}
 
-def _euler_config(quantity: str, seed: int, args) -> EulerConfig:
-    """The baseline's settings, checked before any estimate runs."""
+
+def _baseline_config(quantity: str, methods: tuple, seed: int,
+                     args) -> Optional[EulerConfig]:
+    """Refuse a CSV with other columns and bad baseline options before any
+    simulation; the baseline's settings when ``methods`` holds it."""
+    if args.csv:
+        _csv_is_new(args.csv)
+    if _BASELINES[quantity] not in methods:
+        return None
     if quantity != "price" and not args.fd_eps > 0:
         raise ConfigError(f"--fd-eps must be positive, got {args.fd_eps}")
     return EulerConfig(n_steps=args.euler_steps, n_paths=args.euler_paths, seed=seed)
 
 
-def _euler_comparison(quantity: str, cfg: RunConfig, ecfg: EulerConfig,
-                      fd_eps: float) -> tuple:
-    if quantity == "price":
-        return "euler", euler_price(cfg.model, cfg.payoff, cfg.s0, cfg.y0, cfg.T, ecfg)
-    res = fd_greek(cfg.model, cfg.payoff, cfg.s0, cfg.y0, cfg.T, quantity, fd_eps, ecfg)
-    return "euler_fd", res
+def _result(quantity: str, method: str, settings: dict, ecfg: Optional[EulerConfig],
+            fd_eps: float, table_id="") -> tuple:
+    """The result of one method and its CSV row: the Black-Scholes closed
+    form, the Euler baseline, or the estimator under the sampler ``method``
+    names."""
+    if method in _SAMPLERS:
+        settings = dict(settings, sampler=method)
+    if method == "closed":
+        value = _CLOSED_FORMS[quantity](settings["s0"], settings["strike"],
+                                        settings["r"], settings["T"],
+                                        settings["sigma_s"])
+        res = EstimateResult(mean=value, std_error=0.0, ci95=(value, value),
+                             n_paths=0, n_jumps_mean=math.nan, elapsed=0.0)
+    else:
+        cfg = _run_config(settings)
+        if method == "euler":
+            res = euler_price(cfg.model, cfg.payoff, cfg.s0, cfg.y0, cfg.T, ecfg)
+        elif method == "euler_fd":
+            res = fd_greek(cfg.model, cfg.payoff, cfg.s0, cfg.y0, cfg.T,
+                           quantity, fd_eps, ecfg)
+        else:
+            res = _ESTIMATORS[quantity](cfg)
+    return res, _result_row(quantity, method, settings, res, table_id)
 
 
 def _cmd_estimate(quantity: str, args: argparse.Namespace) -> int:
     file_cfg = _read_config_file(args.config) if args.config else {}
     settings = _merge_settings(file_cfg, _flags_dict(args))
-    cfg = _run_config(settings)
-    if args.csv:
-        _csv_is_new(args.csv)
-    if args.compare_euler:
-        ecfg = _euler_config(quantity, cfg.seed, args)
-    res = _ESTIMATORS[quantity](cfg)
-    _print_result(quantity, settings["sampler"], res)
-    rows = [_result_row(quantity, settings["sampler"], settings, res)]
-    if args.compare_euler:
-        method, eres = _euler_comparison(quantity, cfg, ecfg, args.fd_eps)
-        _print_result(quantity, method, eres)
-        rows.append(_result_row(quantity, method, settings, eres))
+    methods = (settings["sampler"],) + (
+        (_BASELINES[quantity],) if args.compare_euler else ())
+    ecfg = _baseline_config(quantity, methods, settings["seed"], args)
+    rows = []
+    for method in methods:
+        res, row = _result(quantity, method, settings, ecfg, args.fd_eps)
+        _print_result(quantity, method, res)
+        rows.append(row)
     if args.csv:
         _csv_append(args.csv, rows)
     return 0
@@ -407,71 +426,42 @@ def table_spec(table_id: int, model_override: Optional[str] = None) -> TableSpec
     if not 1 <= table_id <= 12:
         raise ConfigError(f"table id must be in 1..12, got {table_id}")
     quantity = ("price", "delta", "vega")[(table_id - 1) % 3]
+    if model_override and table_id <= 9:
+        raise ConfigError("--model only applies to tables 10-12")
     pairs = ((0.1, 0.15), (0.2, 0.25), (0.3, 0.4), (0.4, 0.5))
+    methods = (_BASELINES[quantity],) + _SAMPLERS
     if table_id <= 3:
-        if model_override:
-            raise ConfigError("--model only applies to tables 10-12")
         sweep = tuple({"sigma_s": v} for v in (0.25, 0.3, 0.4, 0.6))
-        methods = {"price": ("closed", "euler", "exponential", "beta"),
-                   "delta": ("closed", "euler_fd", "exponential", "beta"),
-                   "vega": ("closed", "exponential", "beta")}[quantity]
+        methods = ("closed",) + (_SAMPLERS if quantity == "vega" else methods)
         return TableSpec(table_id, "BlackScholes", quantity, "call", sweep, methods)
     if table_id <= 9:
-        if model_override:
-            raise ConfigError("--model only applies to tables 10-12")
         model = "SteinSteinAffine" if table_id <= 6 else "PeriodicCosine"
         sweep = tuple({"sigma1": a, "sigma2": b} for a, b in pairs)
-        methods = ("euler", "exponential", "beta") if quantity == "price" \
-            else ("euler_fd", "exponential", "beta")
         return TableSpec(table_id, model, quantity, "call", sweep, methods)
     model = _MODEL_ALIASES[(model_override or "stein").lower()]
     if model == "BlackScholes":
         raise ConfigError("digital tables cover the stein and cosine models")
     sweep = tuple({"sigma1": a, "sigma2": b} for a, b in ((0.0, 0.3),) + pairs)
-    methods = ("euler", "exponential", "beta") if quantity == "price" \
-        else ("euler_fd", "exponential", "beta")
     return TableSpec(table_id, model, quantity, "digital", sweep, methods)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     spec = table_spec(args.id, args.model)
-    threads = args.threads if args.threads is not None else _env_threads()
-    if args.csv:
-        _csv_is_new(args.csv)
-    if {"euler", "euler_fd"} & set(spec.methods):
-        ecfg = _euler_config(spec.quantity, args.seed, args)
+    run_flags = dict(_flags_dict(args), model=spec.model, payoff=spec.payoff)
+    points = [_merge_settings(run_flags, point) for point in spec.sweep]
+    ecfg = _baseline_config(spec.quantity, spec.methods, points[0]["seed"], args)
     rows = []
     print(f"table {spec.table_id}: {spec.model} {spec.payoff} {spec.quantity}  "
-          f"(paths={args.paths}, seed={args.seed})")
-    for point in spec.sweep:
-        settings = dict(_DEFAULTS)
-        settings.update(point)
-        settings.update(model=spec.model, payoff=spec.payoff,
-                        paths=args.paths, seed=args.seed, threads=threads)
+          f"(paths={points[0]['paths']}, seed={points[0]['seed']})")
+    for point, settings in zip(spec.sweep, points):
         label = " ".join(f"{k}={v:g}" for k, v in point.items())
         cells = []
         for method in spec.methods:
-            if method == "closed":
-                s0 = settings["s0"]
-                if spec.quantity == "price":
-                    val = bs_price(s0, settings["strike"], settings["r"],
-                                   settings["T"], settings["sigma_s"])
-                elif spec.quantity == "delta":
-                    val = bs_delta(s0, settings["strike"], settings["r"],
-                                   settings["T"], settings["sigma_s"])
-                else:
-                    val = 0.0  # constant sigma_S: price does not depend on y0
-                res = _exact_result(val)
-            elif method in ("euler", "euler_fd"):
-                _, res = _euler_comparison(spec.quantity, _run_config(settings),
-                                           ecfg, args.fd_eps)
-            else:
-                settings["sampler"] = method
-                res = _ESTIMATORS[spec.quantity](_run_config(settings))
+            res, row = _result(spec.quantity, method, settings, ecfg, args.fd_eps,
+                               table_id=spec.table_id)
             cells.append(f"{method} {res.mean:.6f} "
                          f"[{res.ci95[0]:.6f}, {res.ci95[1]:.6f}]")
-            rows.append(_result_row(spec.quantity, method, settings, res,
-                                    table_id=spec.table_id))
+            rows.append(row)
         print(f"  {label:<24s} | " + " | ".join(cells))
     if args.csv:
         _csv_append(args.csv, rows)

@@ -454,6 +454,8 @@ def validate_model(m: Model, grid) -> ValidationReport:
         _fd_rel_err(m.b_Y, m.b1_Y, y, h),
         _fd_rel_err(m.b1_Y, m.b2_Y, y, h),
         _fd_rel_err(m.sigma_Y, m.sigma1_Y, y, h),
+        _fd_rel_err(m.sigma1_Y, m.sigma2_Y, y, h),
+        _fd_rel_err(m.sigma2_Y, m.sigma3_Y, y, h),
     )
     d_ok = err <= 1e-5
     if not d_ok:

@@ -105,6 +105,18 @@ def test_fd_greek_rejects_bad_arguments():
         fd_greek(BS, Payoff.call(K), S0, Y0, T, "delta", 0.0, cfg)
 
 
+@pytest.mark.parametrize("which", ["price", "delta"])
+def test_baselines_warn_on_negative_spots(caplog, which):
+    wild = make_builtin(BuiltinModelKind(tag="BlackScholes", sigma_s=3.0))
+    cfg = EulerConfig(n_steps=2, n_paths=2000, seed=0)
+    with caplog.at_level(logging.WARNING, logger="uvol.baselines"):
+        if which == "price":
+            euler_price(wild, Payoff.call(K), S0, Y0, T, cfg)
+        else:
+            fd_greek(wild, Payoff.call(K), S0, Y0, T, which, 1e-2, cfg)
+    assert any("went negative" in rec.message for rec in caplog.records)
+
+
 def test_fd_delta_matches_closed_form():
     cfg = EulerConfig(n_steps=200, n_paths=40000, seed=2)
     fd = fd_greek(BS, Payoff.call(K), S0, Y0, T, "delta", 1e-4, cfg)

@@ -252,6 +252,14 @@ def test_s0_reaches_the_run_exactly(tmp_path, monkeypatch):
     assert load_config(path).s0 == 1.1
 
 
+def test_csv_floats_read_as_given(tmp_path):
+    out = tmp_path / "rows.csv"
+    assert run(["price", "--model", "bs", "--s0", "1.1", "--paths", "20",
+                "--csv", str(out)]) == 0
+    (row,) = read_rows(out)
+    assert row["s0"] == "1.1"
+
+
 def test_x0_is_exponentiated_once(tmp_path):
     path = write_config(tmp_path, {"model": "bs", "x0": 0.4})
     assert load_config(path).s0 == math.exp(0.4)
@@ -463,6 +471,36 @@ def test_table_vega_csv(tmp_path, capsys):
     assert all(int(r["n_paths"]) == 300 for r in mc)
 
 
+def test_table_cell_equals_the_estimate_command(tmp_path):
+    table, single = tmp_path / "table.csv", tmp_path / "single.csv"
+    assert run(["table", "--id", "4", "--paths", "400", "--seed", "5",
+                "--euler-paths", "100", "--euler-steps", "2",
+                "--csv", str(table)]) == 0
+    assert run(["price", "--model", "stein", "--sigma1", "0.1", "--sigma2", "0.15",
+                "--sampler", "beta", "--paths", "400", "--seed", "5",
+                "--csv", str(single)]) == 0
+    (cell,) = [r for r in read_rows(table) if r["method"] == "beta"
+               and (float(r["sigma1"]), float(r["sigma2"])) == (0.1, 0.15)]
+    (row,) = read_rows(single)
+    for key in ("mean", "std_error", "ci_lo", "ci_hi", "sampler"):
+        assert cell[key] == row[key]
+
+
+def test_table_baseline_cell_equals_the_compare_euler_row(tmp_path):
+    table, single = tmp_path / "table.csv", tmp_path / "single.csv"
+    euler = ["--paths", "100", "--seed", "2", "--euler-paths", "500",
+             "--euler-steps", "5"]
+    assert run(["table", "--id", "2", "--csv", str(table)] + euler) == 0
+    assert run(["delta", "--model", "bs", "--sigma-s", "0.25", "--compare-euler",
+                "--csv", str(single)] + euler) == 0
+    (cell,) = [r for r in read_rows(table) if r["method"] == "euler_fd"
+               and float(r["sigma_s"]) == 0.25]
+    row = read_rows(single)[1]
+    assert row["method"] == "euler_fd"
+    for key in ("mean", "std_error", "ci_lo", "ci_hi", "n_paths", "sampler"):
+        assert cell[key] == row[key]
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -482,6 +520,16 @@ def test_validate_reports_bound_violations(capsys):
     out = capsys.readouterr().out
     assert "VIOLATED" in out
     assert out.strip().endswith("advisory warnings above")
+
+
+@pytest.mark.parametrize("flag", [["--csv", "v.csv"], ["--paths", "5"],
+                                  ["--rate", "0"], ["--no-discount"]])
+def test_validate_rejects_flags_it_does_not_read(tmp_path, monkeypatch, capsys, flag):
+    monkeypatch.chdir(tmp_path)
+    assert run(["validate", "--model", "bs"] + flag) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])

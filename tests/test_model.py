@@ -1,5 +1,6 @@
 """Model construction, the coefficient jet, and validation reports."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -183,6 +184,15 @@ def test_validate_flags_wrong_derivative_handle():
     rep = validate_model(broken, np.linspace(-1, 1, 21))
     assert not rep.derivatives_ok
     assert rep.deriv_max_rel_err > 1e-3
+    assert not rep.ok
+
+
+@pytest.mark.parametrize("handle", ["sigma2_Y", "sigma3_Y"])
+def test_validate_flags_wrong_higher_sigma_Y_handle(handle):
+    # the step weights read both through a2_Y, a3_Y and sigma2_SY
+    broken = dataclasses.replace(synthetic_model(), **{handle: lambda y: 5.0 + 0.0 * y})
+    rep = validate_model(broken, np.linspace(-1, 1, 21))
+    assert not rep.derivatives_ok
     assert not rep.ok
 
 
