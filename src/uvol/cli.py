@@ -362,28 +362,33 @@ def _baseline_config(quantity: str, methods: tuple, seed: int,
     return EulerConfig(n_steps=args.euler_steps, n_paths=args.euler_paths, seed=seed)
 
 
-def _result(quantity: str, method: str, settings: dict, ecfg: Optional[EulerConfig],
-            fd_eps: float, table_id="") -> tuple:
-    """The result of one method and its CSV row: the Black-Scholes closed
-    form, the Euler baseline, or the estimator under the sampler ``method``
-    names."""
+def _job(method: str, settings: dict) -> tuple:
+    """The settings one method runs with and its checked :class:`RunConfig`
+    (``None`` for the closed form); the estimator takes the sampler
+    ``method`` names."""
     if method in _SAMPLERS:
         settings = dict(settings, sampler=method)
+    return settings, None if method == "closed" else _run_config(settings)
+
+
+def _result(quantity: str, method: str, job: tuple, ecfg: Optional[EulerConfig],
+            fd_eps: float, table_id="") -> tuple:
+    """The result of one method on its :func:`_job` and its CSV row: the
+    Black-Scholes closed form, the Euler baseline, or the estimator."""
+    settings, cfg = job
     if method == "closed":
         value = _CLOSED_FORMS[quantity](settings["s0"], settings["strike"],
                                         settings["r"], settings["T"],
                                         settings["sigma_s"])
         res = EstimateResult(mean=value, std_error=0.0, ci95=(value, value),
                              n_paths=0, n_jumps_mean=math.nan, elapsed=0.0)
+    elif method == "euler":
+        res = euler_price(cfg.model, cfg.payoff, cfg.s0, cfg.y0, cfg.T, ecfg)
+    elif method == "euler_fd":
+        res = fd_greek(cfg.model, cfg.payoff, cfg.s0, cfg.y0, cfg.T,
+                       quantity, fd_eps, ecfg)
     else:
-        cfg = _run_config(settings)
-        if method == "euler":
-            res = euler_price(cfg.model, cfg.payoff, cfg.s0, cfg.y0, cfg.T, ecfg)
-        elif method == "euler_fd":
-            res = fd_greek(cfg.model, cfg.payoff, cfg.s0, cfg.y0, cfg.T,
-                           quantity, fd_eps, ecfg)
-        else:
-            res = _ESTIMATORS[quantity](cfg)
+        res = _ESTIMATORS[quantity](cfg)
     return res, _result_row(quantity, method, settings, res, table_id)
 
 
@@ -395,7 +400,7 @@ def _cmd_estimate(quantity: str, args: argparse.Namespace) -> int:
     ecfg = _baseline_config(quantity, methods, settings["seed"], args)
     rows = []
     for method in methods:
-        res, row = _result(quantity, method, settings, ecfg, args.fd_eps)
+        res, row = _result(quantity, method, _job(method, settings), ecfg, args.fd_eps)
         _print_result(quantity, method, res)
         rows.append(row)
     if args.csv:
@@ -450,14 +455,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
     run_flags = dict(_flags_dict(args), model=spec.model, payoff=spec.payoff)
     points = [_merge_settings(run_flags, point) for point in spec.sweep]
     ecfg = _baseline_config(spec.quantity, spec.methods, points[0]["seed"], args)
+    # every cell's config is checked before the header is printed
+    jobs = [[_job(method, settings) for method in spec.methods] for settings in points]
     rows = []
     print(f"table {spec.table_id}: {spec.model} {spec.payoff} {spec.quantity}  "
           f"(paths={points[0]['paths']}, seed={points[0]['seed']})")
-    for point, settings in zip(spec.sweep, points):
+    for point, point_jobs in zip(spec.sweep, jobs):
         label = " ".join(f"{k}={v:g}" for k, v in point.items())
         cells = []
-        for method in spec.methods:
-            res, row = _result(spec.quantity, method, settings, ecfg, args.fd_eps,
+        for method, job in zip(spec.methods, point_jobs):
+            res, row = _result(spec.quantity, method, job, ecfg, args.fd_eps,
                                table_id=spec.table_id)
             cells.append(f"{method} {res.mean:.6f} "
                          f"[{res.ci95[0]:.6f}, {res.ci95[1]:.6f}]")

@@ -29,6 +29,13 @@ ones, and :func:`_fold` folds the :class:`uvol.weights.FoldWeights` each
 returns into the prefix recurrences of the price, Delta and Vega weights.
 The grid sampler and the chain take their random numbers from sources
 passed in, so a test can run the engine on fixed grids and draws.
+
+The chunk is the unit of threading, of the jump-count sort and of the
+reduction; the block of :data:`_BLOCK` rows is the unit of kernel work.
+:func:`_path_weights` walks each step's active paths block by block, so a
+kernel's temporaries are block-sized however large the chunk.
+Every kernel is elementwise per path, so the block size moves no bit; the
+chunk size sets the order of the sums and so moves the last bits of means.
 """
 
 from __future__ import annotations
@@ -61,6 +68,11 @@ __all__ = [
 ]
 
 _MAX_SAMPLING_ROUNDS = 10000
+# Rows per block of the step loop (at least 2; see _blocks).  A step makes
+# about 300 temporaries, 128 KiB each at this size: a default chunk's traced
+# peak falls from about 117 MB to 41 MB.  Smaller blocks pay more per-block
+# Python time, and at two threads more GIL handoffs; larger ones a higher peak.
+_BLOCK = 1 << 14
 # Horizons beyond this many expected jumps per path are rejected: the gap
 # matrix grows with the jump count, and the weight variance with it.
 _MAX_EXPECTED_JUMPS = 1000
@@ -151,9 +163,11 @@ class RunConfig:
     threads : int
         Worker threads for chunk processing; results do not depend on it.
     chunk_size : int
-        Paths per vectorized chunk.  The paths do not depend on it, but the
-        order of the floating-point sums does, so means at two chunk sizes
-        can differ in the last few bits.
+        Paths per chunk, the unit of threading, sorting and reduction.  The
+        paths do not depend on it, but the order of the floating-point sums
+        does, so means at two chunk sizes can differ in the last few bits.
+        The step kernels run on fixed blocks of rows within a chunk; the
+        block size moves no bit.
     """
 
     model: Model
@@ -272,6 +286,20 @@ def _fold(state, delta, w):
     ey_pref[...] = ey_pref * w.theta_eY
 
 
+def _blocks(n: int):
+    """Row ranges ``[lo, hi)`` that cover ``[0, n)`` in :data:`_BLOCK` rows.
+
+    A last block of one row joins the one before it: the frozen-coefficient
+    quadrature sums one point's nodes pairwise (see
+    :func:`uvol.flow._flow_integrals`), so a lone row would round
+    differently from the same row in a larger block.
+    """
+    edges = list(range(0, n, _BLOCK)) + [n]
+    if len(edges) > 2 and n - edges[-2] == 1:
+        del edges[-2]
+    return zip(edges, edges[1:])
+
+
 def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
                   n_jumps: np.ndarray, last_gap: np.ndarray, normals: Callable):
     """Run the chain on given grids and fold its weights, path by path.
@@ -287,9 +315,11 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
     ``k`` the active paths are a prefix ``[:n_act[k]]`` whose interior steps
     ``[:n_act[k + 1]]`` come first and whose final intervals form the tail.
     Every layer then works on contiguous slices, and only the paths that
-    need them get interior weights.  Draws stay keyed by path id, and the
-    results are put back in the order of ``ids``, so they do not depend on
-    the sort.
+    need them get interior weights.  Each step walks its prefix in blocks
+    of :data:`_BLOCK` rows (:func:`_blocks`), so the kernels' temporaries
+    are block-sized; every kernel is elementwise per path, so the block
+    size moves no bit.  Draws stay keyed by path id, and the results are
+    put back in the order of ``ids``, so they do not depend on the sort.
     """
     n = n_jumps.size
     mdl, smp = cfg.model, cfg.sampler
@@ -305,29 +335,26 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
     x = np.full(n, cfg.x0)
     y = np.full(n, cfg.y0)
     state = (np.ones(n), np.ones(n), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n))
-    # Each slice's weights stay referenced until the next step's replace
-    # them.  Freed sooner, glibc trims the heap and the next step faults the
-    # pages back in: 5-8% fewer paths/s on a 2-vCPU Linux machine.
-    held = [None, None]
 
     for k in range(n_steps):
         n_k, n_int = int(n_act[k]), int(n_act[k + 1])
         # the clamp only bites at the last step, which has no interior paths
-        col = gaps[order[:n_int], min(k, gaps.shape[1] - 1)]
-        delta_k = np.concatenate((col, last_gap[order[n_int:n_k]]))
-        z1, z2 = normals(k, ids[:n_k])
-        fc = frozen_coeffs(mdl, y[:n_k], delta_k)
-        x_next, y_next = chain_step(mdl, x[:n_k], y[:n_k], fc, z1, z2)
-        rec = StepRecord(index=k, x_prev=x[:n_k], y_prev=y[:n_k],
-                         x_next=x_next, y_next=y_next, z1=z1, z2=z2,
-                         fc=fc, model=mdl)
-        for i, (weigh, lo, hi) in enumerate(((step_weights, 0, n_int),
-                                             (terminal_weights, n_int, n_k))):
-            if lo < hi:
-                held[i] = weigh(_rows(rec, lo, hi), smp)
-                _fold([a[lo:hi] for a in state], delta_k[lo:hi], held[i])
-        x[:n_k] = x_next
-        y[:n_k] = y_next
+        col = min(k, gaps.shape[1] - 1)
+        for lo, hi in _blocks(n_k):
+            mid = min(max(n_int, lo), hi)  # interior rows [lo, mid), final [mid, hi)
+            delta = np.concatenate((gaps[order[lo:mid], col], last_gap[order[mid:hi]]))
+            z1, z2 = normals(k, ids[lo:hi])
+            xb, yb = x[lo:hi], y[lo:hi]
+            fc = frozen_coeffs(mdl, yb, delta)
+            x_next, y_next = chain_step(mdl, xb, yb, fc, z1, z2)
+            rec = StepRecord(index=k, x_prev=xb, y_prev=yb, x_next=x_next,
+                             y_next=y_next, z1=z1, z2=z2, fc=fc, model=mdl)
+            for weigh, a, b in ((step_weights, lo, mid), (terminal_weights, mid, hi)):
+                if a < b:
+                    _fold([v[a:b] for v in state], delta[a - lo:b - lo],
+                          weigh(_rows(rec, a - lo, b - lo), smp))
+            xb[...] = x_next
+            yb[...] = y_next
 
     unsort = np.empty_like(order)
     unsort[order] = np.arange(n)

@@ -10,8 +10,11 @@ and so rounds differently from ``np.dot``.
 The cases cover the three builtins for price, Delta and Vega, multi-chunk
 runs on two threads, a non-OU model (RK4 flow nodes, full quadrature), and
 runs of three paths per chunk, where steps with a single active path take
-numpy's pairwise summation over the quadrature nodes.  Frozen coefficients
-are pinned directly for one and for several points.
+numpy's pairwise summation over the quadrature nodes.  Each estimate is
+also run with the step loop cut into blocks of 7 rows, which splits every
+step and puts the interior/final boundary inside blocks: the block size
+must not move a bit either.  Frozen coefficients are pinned directly for
+one and for several points.
 """
 
 import math
@@ -20,6 +23,7 @@ import numpy as np
 import pytest
 
 from helpers import builtin, plain_estimator, synthetic_model
+from uvol import estimators
 from uvol.estimators import Payoff, RunConfig
 from uvol.flow import frozen_coeffs
 from uvol.renewal import JumpSampler
@@ -65,8 +69,16 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("name, quantity", sorted(PINNED))
-def test_estimate_is_bit_identical_to_pinned_value(name, quantity):
+# the default block keeps each case's plain id
+CASES = [pytest.param(name, quantity, block,
+                      id=f"{name}-{quantity}" + (f"-block{block}" if block else ""))
+         for name, quantity in sorted(PINNED) for block in (None, 7)]
+
+
+@pytest.mark.parametrize("name, quantity, block", CASES)
+def test_estimate_is_bit_identical_to_pinned_value(monkeypatch, name, quantity, block):
+    if block:
+        monkeypatch.setattr(estimators, "_BLOCK", block)
     mean_hex, std_error = PINNED[name, quantity]
     res = ESTIMATORS[quantity](CONFIGS[name])
     assert res.mean.hex() == mean_hex

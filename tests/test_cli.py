@@ -449,6 +449,18 @@ def test_table_cli_rejects_override_for_call_tables(capsys):
     assert "10-12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("table_id", ["3", "4"])
+def test_table_refuses_a_bad_config_before_its_header(capsys, monkeypatch, table_id):
+    def no_simulation(*args):
+        raise AssertionError("the refusal must come before any simulation")
+
+    monkeypatch.setattr(estimators, "_chunk_partials", no_simulation)
+    assert run(["table", "--id", table_id, "--paths", "0", "--euler-paths", "100",
+                "--euler-steps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "n_paths must be >= 1" in captured.err and captured.out == ""
+
+
 def test_table_vega_csv(tmp_path, capsys):
     out = tmp_path / "table3.csv"
     code = run(["table", "--id", "3", "--paths", "300", "--seed", "0",
