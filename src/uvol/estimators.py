@@ -68,10 +68,10 @@ __all__ = [
 ]
 
 _MAX_SAMPLING_ROUNDS = 10000
-# Rows per block of the step loop (at least 2; see _blocks).  A step makes
-# about 300 temporaries, 128 KiB each at this size: a default chunk's traced
-# peak falls from about 117 MB to 41 MB.  Smaller blocks pay more per-block
-# Python time, and at two threads more GIL handoffs; larger ones a higher peak.
+# Rows per block of the step loop.  A step makes about 300 temporaries,
+# 128 KiB each at this size: a default chunk's traced peak falls from about
+# 117 MB to 41 MB.  Smaller blocks pay more per-block Python time, and at two
+# threads more GIL handoffs; larger ones a higher peak.
 _BLOCK = 1 << 14
 # Horizons beyond this many expected jumps per path are rejected: the gap
 # matrix grows with the jump count, and the weight variance with it.
@@ -209,8 +209,9 @@ def _sample_gap_columns(uniforms: Callable, sampler: JumpSampler, T: float,
     """Vectorized renewal-grid sampling for ``n`` paths.
 
     ``uniforms(ia, j)`` returns the gap uniforms of the paths ``ia`` (indices
-    into the ``n`` paths) at their per-path draw counters ``j``.  A draw
-    that would give a zero-length or tied interval, or land exactly on
+    into the ``n`` paths) at their per-path draw counters ``j``.  Every
+    alive path draws once per round, so its counter is the round index.  A
+    draw that would give a zero-length or tied interval, or land exactly on
     ``T``, is discarded; the counter still advances, so the next round
     redraws it.  Returns ``(gaps, n_jumps, last_gap)``: ``gaps[p, k]`` is
     the k-th interior interval of path ``p`` (NaN beyond its jump count);
@@ -219,15 +220,13 @@ def _sample_gap_columns(uniforms: Callable, sampler: JumpSampler, T: float,
     """
     slot = np.zeros(n, dtype=np.int64)
     cum = np.zeros(n)
-    gap_idx = np.zeros(n, dtype=np.uint64)
     alive = np.ones(n, dtype=bool)
     rows, slots, vals = [], [], []  # each round's jumps, scattered at the end
-    for _ in range(_MAX_SAMPLING_ROUNDS):
+    for r in range(_MAX_SAMPLING_ROUNDS):
         ia = np.flatnonzero(alive)
         if ia.size == 0:
             break
-        u = uniforms(ia, gap_idx[ia])
-        gap_idx[ia] += np.uint64(1)
+        u = uniforms(ia, np.full(ia.size, r, dtype=np.uint64))
         g = quantile(sampler, u)
         nxt = cum[ia] + g
         ok = (g > 0) & (nxt != cum[ia]) & (nxt != T)
@@ -286,20 +285,6 @@ def _fold(state, delta, w):
     ey_pref[...] = ey_pref * w.theta_eY
 
 
-def _blocks(n: int):
-    """Row ranges ``[lo, hi)`` that cover ``[0, n)`` in :data:`_BLOCK` rows.
-
-    A last block of one row joins the one before it: the frozen-coefficient
-    quadrature sums one point's nodes pairwise (see
-    :func:`uvol.flow._flow_integrals`), so a lone row would round
-    differently from the same row in a larger block.
-    """
-    edges = list(range(0, n, _BLOCK)) + [n]
-    if len(edges) > 2 and n - edges[-2] == 1:
-        del edges[-2]
-    return zip(edges, edges[1:])
-
-
 def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
                   n_jumps: np.ndarray, last_gap: np.ndarray, normals: Callable):
     """Run the chain on given grids and fold its weights, path by path.
@@ -316,10 +301,10 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
     ``[:n_act[k + 1]]`` come first and whose final intervals form the tail.
     Every layer then works on contiguous slices, and only the paths that
     need them get interior weights.  Each step walks its prefix in blocks
-    of :data:`_BLOCK` rows (:func:`_blocks`), so the kernels' temporaries
-    are block-sized; every kernel is elementwise per path, so the block
-    size moves no bit.  Draws stay keyed by path id, and the results are
-    put back in the order of ``ids``, so they do not depend on the sort.
+    of :data:`_BLOCK` rows, so the kernels' temporaries are block-sized;
+    every kernel is elementwise per path, so the block size moves no bit.
+    Draws stay keyed by path id, and the results are put back in the order
+    of ``ids``, so they do not depend on the sort.
     """
     n = n_jumps.size
     mdl, smp = cfg.model, cfg.sampler
@@ -340,7 +325,8 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
         n_k, n_int = int(n_act[k]), int(n_act[k + 1])
         # the clamp only bites at the last step, which has no interior paths
         col = min(k, gaps.shape[1] - 1)
-        for lo, hi in _blocks(n_k):
+        for lo in range(0, n_k, _BLOCK):
+            hi = min(lo + _BLOCK, n_k)
             mid = min(max(n_int, lo), hi)  # interior rows [lo, mid), final [mid, hi)
             delta = np.concatenate((gaps[order[lo:mid], col], last_gap[order[mid:hi]]))
             z1, z2 = normals(k, ids[lo:hi])

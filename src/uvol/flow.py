@@ -11,7 +11,9 @@ flow ``dm_s/ds = b_Y(m_s)``, ``m_0 = y``.  Freezing an interval of length
 their square roots, the effective correlation ``rho_i`` and the
 y-derivatives of all of the above, which the correction weights consume.
 The flow map and every integral are differentiated through the variational
-equation ``dJ_s/ds = b_Y'(m_s) J_s``.
+equation ``dJ_s/ds = b_Y'(m_s) J_s``.  Integrals without a closed form are
+taken by a :data:`NODES`-node Gauss-Legendre rule along the flow, exact for
+polynomials of degree ``2 * NODES - 1`` in ``s``.
 
 All entry points accept scalars or numpy arrays for ``y`` and ``delta``,
 convert them to arrays and broadcast elementwise.
@@ -19,7 +21,9 @@ convert them to arrays and broadcast elementwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -37,7 +41,8 @@ __all__ = [
 ]
 
 RK4_DIVISOR = 16  # flow steps per interval: step size delta/16
-PANELS = 8  # Simpson 3/8 panels of the frozen-coefficient quadrature
+NODES = 8  # Gauss-Legendre nodes of the frozen-coefficient quadrature
+PANELS = 8  # default Simpson 3/8 panels of simpson38
 
 
 class NonFiniteError(ArithmeticError):
@@ -185,6 +190,15 @@ def simpson38(g: Callable, t: float, panels: int = PANELS) -> float:
     return float(t * np.dot(w, vals))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre_scheme(nodes: int):
+    """Node fractions in (0, 1) and weights (for unit length) of the rule."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    frac, w = (x + 1.0) / 2.0, w / 2.0
+    frac.flags.writeable = w.flags.writeable = False
+    return frac, w
+
+
 def _flow_nodes(model: Model, y, delta, frac):
     """Flow value and tangent at each fraction ``frac`` of ``delta``, in order."""
     if model.ou_params is not None:
@@ -196,27 +210,25 @@ def _flow_nodes(model: Model, y, delta, frac):
         return
     m = y + 0.0 * delta
     jac = 1.0 + 0.0 * m
-    yield m, jac
-    for k in range(1, len(frac)):
-        # two RK4 substeps per node gap keeps the step well under delta/16
-        h = (frac[k] - frac[k - 1]) * delta / 2.0
-        m, jac = _rk4_pair(model, m, jac, h, 2)
+    prev = 0.0
+    for f in frac:
+        # RK4 substeps of at most delta/48 from one node to the next
+        n_sub = math.ceil(48 * (f - prev))
+        m, jac = _rk4_pair(model, m, jac, (f - prev) * delta / n_sub, n_sub)
+        prev = f
         yield m, jac
 
 
 def _flow_integrals(model: Model, y, delta, integrands):
-    """Simpson 3/8 integrals over ``[0, delta]`` of functions of the flow.
+    """Gauss-Legendre integrals over ``[0, delta]`` of functions of the flow.
 
     Each integrand maps ``(jet, tangent)`` at a node, the model's
     :class:`~uvol.model.CoeffJet` at the flow value and the flow's
-    y-derivative there, to its value.  The nodes are walked one at a time
-    and every integrand is added into an n-length running sum, so each
-    coefficient is evaluated once per node and no (nodes x points) array is
-    formed.  Adding node after node rounds exactly as
-    ``np.sum(w[:, None] * values, axis=0)`` over stacked values does for
-    two or more points; for a single point numpy sums the node vector
-    pairwise, so there the weighted terms are kept and summed that way.
-    Either way the result is bit-identical to the stacked evaluation.
+    y-derivative there, to its value.  The :data:`NODES` nodes are walked
+    one at a time and every integrand is added into an n-length running
+    sum, so each coefficient is evaluated once per node and no
+    (nodes x points) array is formed.  Every operation is elementwise, so a
+    point's integrals do not depend on how many points share the call.
 
     Raises
     ------
@@ -225,22 +237,17 @@ def _flow_integrals(model: Model, y, delta, integrands):
         positive and sum to one, so a running sum is finite exactly when
         every value added into it is.
     """
-    frac, w = _simpson38_scheme(PANELS)
-    single = np.broadcast(y, delta).size == 1
-    sums, kept = None, []
+    frac, w = _gauss_legendre_scheme(NODES)
+    sums = None
     for wk, (m, jac) in zip(w, _flow_nodes(model, y, delta, frac)):
         jet = model.jet(m)
         terms = [wk * g(jet, jac) for g in integrands]
-        if single:
-            kept.append(terms)
-        elif sums is None:
+        if sums is None:
             # arrays of our own, even where a callable returned a scalar
             sums = [np.asarray(t) for t in terms]
         else:
             for s, t in zip(sums, terms):
                 np.add(s, t, out=s)
-    if single:
-        sums = [np.sum(col, axis=0) for col in zip(*kept)]
     _check_finite(QuadratureError, "frozen-coefficient integrand", *sums)
     return [delta * s for s in sums]
 
@@ -251,8 +258,8 @@ def frozen_coeffs(model: Model, y, delta) -> FrozenCoeffs:
     The integrals take the model's closed forms where it declares them:
     ``sigma_Y_const`` for the ``sigma_Y`` integrals, and ``sigma_S_affine``
     with both ``sigma_Y_const`` and ``ou_params`` for the ``sigma_S`` ones.
-    Everything else goes through a Simpson 3/8 rule of :data:`PANELS`
-    panels along the flow, so a model rebuilt without these declarations
+    Everything else goes through a Gauss-Legendre rule of :data:`NODES`
+    nodes along the flow, so a model rebuilt without these declarations
     takes the quadrature route.
 
     Parameters

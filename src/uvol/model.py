@@ -24,7 +24,7 @@ Three builtin families are provided through :func:`make_builtin`:
 ``PeriodicCosine``
     ``sigma_S(y) = sigma1*cos(y) + sigma2`` with ``sigma2 - sigma1 > 0`` so
     the volatility stays positive; frozen coefficients go through the
-    Simpson rule.
+    Gauss-Legendre rule.
 
 All builtins use the mean-reverting drift ``b_Y(y) = lambda_Y*(mu - y)`` and
 a constant ``sigma_Y``.

@@ -22,7 +22,7 @@ def builtin(tag, **overrides):
 
 def quadrature_only(model):
     """``model`` without its closed-form declarations, so the frozen
-    coefficients take the Simpson route."""
+    coefficients take the quadrature route."""
     return dataclasses.replace(model, sigma_S_affine=None, sigma_Y_const=None)
 
 

@@ -1,16 +1,17 @@
 """Pinned estimates: engine refactors must not move a mean by a single bit.
 
-The values below were recorded with the engine as it stood before the
-coefficient jet, the node-by-node Simpson quadrature and the jump-sorted
-path slices went in, and each of those changes claims to leave every mean
-bit-identical.  Means are compared through ``float.hex``; standard errors
+The bs and stein values were recorded with the engine as it stood before
+the coefficient jet and the jump-sorted path slices went in, and each of
+those changes claims to leave every mean bit-identical.  The quadrature-route
+values (cosine, cosine-3, synthetic and the frozen coefficients) were
+re-recorded when the 8-node Gauss-Legendre rule replaced the Simpson rule.  Means are compared through ``float.hex``; standard errors
 to a relative 1e-13, because the sum of squares is reduced without BLAS
 and so rounds differently from ``np.dot``.
 
 The cases cover the three builtins for price, Delta and Vega, multi-chunk
 runs on two threads, a non-OU model (RK4 flow nodes, full quadrature), and
-runs of three paths per chunk, where steps with a single active path take
-numpy's pairwise summation over the quadrature nodes.  Each estimate is
+runs of three paths per chunk, where many steps have a single active path.
+Each estimate is
 also run with the step loop cut into blocks of 7 rows, which splits every
 step and puts the interior/final boundary inside blocks: the block size
 must not move a bit either.  Frozen coefficients are pinned directly for
@@ -61,11 +62,11 @@ PINNED = {
     ("stein", "price"): ("0x1.3d00fbdcf5d77p-4", 0.0058919988063397275),
     ("stein", "delta"): ("0x1.14591a87e6958p-1", 0.05903253798155799),
     ("stein", "vega"): ("0x1.72a0fe2149decp-5", 0.04371831100242349),
-    ("cosine", "price"): ("0x1.ec6bc66cdb7cap-2", 0.016764923153694454),
-    ("cosine", "delta"): ("0x1.75017baf59f1dp+0", 0.09441226801174374),
-    ("cosine", "vega"): ("0x1.59706469aef58p-8", 0.15652595808263423),
-    ("cosine-3", "vega"): ("0x1.3e6e6bc37acd1p-6", 0.10526340329586661),
-    ("synthetic", "vega"): ("-0x1.ded2b283ef12ap-4", 0.10136809454885258),
+    ("cosine", "price"): ("0x1.ec6bc66cdb78bp-2", 0.016764923153694624),
+    ("cosine", "delta"): ("0x1.75017baf56a5cp+0", 0.09441226801156581),
+    ("cosine", "vega"): ("0x1.5970646c49848p-8", 0.15652595808297542),
+    ("cosine-3", "vega"): ("0x1.3e6e6bc203430p-6", 0.10526340329696945),
+    ("synthetic", "vega"): ("-0x1.ded2b28309d02p-4", 0.10136809454911958),
 }
 
 
@@ -95,36 +96,36 @@ POINTS = {
 # (model, points): {field: [value.hex() per point]}
 PINNED_FC = {
     ("cosine", "one"): {
-        "a_S_i": ['0x1.2b64240ba3513p-6'],
-        "a1_S_i": ['-0x1.c3fedc91d85b8p-9'],
-        "sigma_SY_i": ['0x1.e53b9369ed235p-7'],
-        "sigma1_SY_i": ['-0x1.6e4771c311c21p-10'],
+        "a_S_i": ['0x1.2b64240ba3602p-6'],
+        "a1_S_i": ['-0x1.c3fedc9218811p-9'],
+        "sigma_SY_i": ['0x1.e53b9369ed305p-7'],
+        "sigma1_SY_i": ['-0x1.6e4771c346144p-10'],
         "a_Y_i": ['0x1.89374bc6a7efbp-7'],
         "a1_Y_i": ['0x0.0p+0'],
     },
     ("cosine", "three"): {
-        "a_S_i": ['0x1.2b64240ba3514p-6', '0x1.81334509c3ba0p-9', '0x1.19b86eaf4f29ep-5'],
-        "a1_S_i": ['-0x1.c3fedc91d85b7p-9', '0x1.ded2b9d2d9b24p-11', '-0x1.6df2f08601ed9p-6'],
-        "sigma_SY_i": ['0x1.e53b9369ed235p-7', '0x1.3dc5298d11408p-9', '0x1.0fa20613f5650p-5'],
-        "sigma1_SY_i": ['-0x1.6e4771c311c21p-10', '0x1.8b02a913e8e38p-12', '-0x1.62f591a855bacp-7'],
+        "a_S_i": ['0x1.2b64240ba3602p-6', '0x1.81334509c3bffp-9', '0x1.19b86ea970cebp-5'],
+        "a1_S_i": ['-0x1.c3fedc9218811p-9', '0x1.ded2b9d2da242p-11', '-0x1.6df2f0da1ec8ap-6'],
+        "sigma_SY_i": ['0x1.e53b9369ed305p-7', '0x1.3dc5298d11459p-9', '0x1.0fa206155eea7p-5'],
+        "sigma1_SY_i": ['-0x1.6e4771c346144p-10', '0x1.8b02a913e8babp-12', '-0x1.62f591c7a87c2p-7'],
         "a_Y_i": ['0x1.89374bc6a7efbp-7', '0x1.0624dd2f1a9fdp-9', '0x1.0624dd2f1a9fdp-5'],
         "a1_Y_i": ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
     },
     ("synthetic", "one"): {
-        "a_S_i": ['0x1.778ec649150bep-6'],
-        "a1_S_i": ['0x1.e4da72d1e7980p-7'],
-        "sigma_SY_i": ['0x1.21ad6593a7b83p-6'],
-        "sigma1_SY_i": ['0x1.3436feeab619fp-7'],
-        "a_Y_i": ['0x1.bedf2eaab4882p-7'],
-        "a1_Y_i": ['0x1.7600c46c7867dp-8'],
+        "a_S_i": ['0x1.778ec6491736ep-6'],
+        "a1_S_i": ['0x1.e4da72d219251p-7'],
+        "sigma_SY_i": ['0x1.21ad6593a98a8p-6'],
+        "sigma1_SY_i": ['0x1.3436feeacd7fep-7'],
+        "a_Y_i": ['0x1.bedf2eaab7175p-7'],
+        "a1_Y_i": ['0x1.7600c46c8e6d4p-8'],
     },
     ("synthetic", "three"): {
-        "a_S_i": ['0x1.778ec649150bep-6', '0x1.26bef133f7286p-9', '0x1.6ae02d0377e65p-4'],
-        "a1_S_i": ['0x1.e4da72d1e7980p-7', '0x1.fc797c7fe8da7p-10', '0x1.7f7801f6bfbc4p-6'],
-        "sigma_SY_i": ['0x1.21ad6593a7b83p-6', '0x1.f73879ced249cp-10', '0x1.073766c5a0213p-4'],
-        "sigma1_SY_i": ['0x1.3436feeab619fp-7', '0x1.58268134e88fcp-10', '0x1.d5dd6aff4d65dp-7'],
-        "a_Y_i": ['0x1.bedf2eaab4882p-7', '0x1.ad935f6a16327p-10', '0x1.7ddbe624240ddp-5'],
-        "a1_Y_i": ['0x1.7600c46c7867dp-8', '0x1.b2104429dcb25p-11', '0x1.16216a03ed87ap-7'],
+        "a_S_i": ['0x1.778ec6491736ep-6', '0x1.26bef133f7187p-9', '0x1.6ae02d0defe6ap-4'],
+        "a1_S_i": ['0x1.e4da72d219251p-7', '0x1.fc797c7fe8e9dp-10', '0x1.7f7802c0cc761p-6'],
+        "sigma_SY_i": ['0x1.21ad6593a98a8p-6', '0x1.f73879ced232ap-10', '0x1.073766cbf2510p-4'],
+        "sigma1_SY_i": ['0x1.3436feeacd7fep-7', '0x1.58268134e8ad3p-10', '0x1.d5dd6bf07d5e0p-7'],
+        "a_Y_i": ['0x1.bedf2eaab7175p-7', '0x1.ad935f6a16235p-10', '0x1.7ddbe62b8c6d4p-5'],
+        "a1_Y_i": ['0x1.7600c46c8e6d4p-8', '0x1.b2104429dce57p-11', '0x1.16216a901722fp-7'],
     },
 }
 
@@ -139,7 +140,7 @@ def test_frozen_coeffs_are_bit_identical_to_pinned_values(model_name, points):
 
 @pytest.mark.parametrize("model", [builtin("PeriodicCosine"), synthetic_model()])
 def test_scalar_frozen_coeffs_match_one_point_array(model):
-    """A scalar and a one-point array both sum the nodes pairwise."""
+    """A scalar and a one-point array sum the nodes alike."""
     one = frozen_coeffs(model, np.array([0.25]), np.array([0.3]))
     scalar = frozen_coeffs(model, 0.25, 0.3)
     for field in FC_FIELDS:

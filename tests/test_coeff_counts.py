@@ -2,7 +2,7 @@
 
 The model's callables are wrapped so that every call records its field
 name, its argument and the argument's size.  The counts pin down the work
-the coefficient jet saves: one evaluation per Simpson node in the
+the coefficient jet saves: one evaluation per Gauss node in the
 quadrature, one per endpoint array in the step weights, and weights only
 for the paths a step needs them for.
 """
@@ -46,14 +46,14 @@ def counting(model):
     (quadrature_only(builtin("SteinSteinAffine")), "quadrature"),
     (synthetic_model(), "auto"),
 ])
-@pytest.mark.parametrize("panels", [1, 8])
-def test_quadrature_evaluates_sigma_S_once_per_node(monkeypatch, model, route, panels):
-    monkeypatch.setattr(FLOW, "PANELS", panels)
+@pytest.mark.parametrize("nodes", [1, 8])
+def test_quadrature_evaluates_sigma_S_once_per_node(monkeypatch, model, route, nodes):
+    monkeypatch.setattr(FLOW, "NODES", nodes)
     mdl, log = counting(model)
     y = np.array([0.1, 0.25, 0.4, -0.3, 0.9])
     frozen_coeffs(mdl, y, np.full(5, 0.3))
     calls = Counter(name for name, _, _ in log)
-    assert calls["sigma_S"] == calls["sigma1_S"] == 3 * panels + 1
+    assert calls["sigma_S"] == calls["sigma1_S"] == nodes
     assert all(size == y.size for name, _, size in log if name.startswith("sigma"))
 
 

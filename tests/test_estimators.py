@@ -12,6 +12,7 @@ from helpers import (builtin, chain_steps, engine_weights, fixed_grid,
 from jet_oracle import (product_delta, product_price, product_vega,
                         production_path_values)
 from uvol import estimators
+from uvol.baselines import EulerConfig, euler_price
 from uvol.estimators import (
     EstimateResult,
     NonFinitePathError,
@@ -280,9 +281,8 @@ def test_results_insensitive_to_chunk_size():
 @pytest.mark.parametrize("block", [2, 3])
 @pytest.mark.parametrize("tag", ["PeriodicCosine", "synthetic"])
 def test_block_size_moves_no_bit_of_any_path(monkeypatch, tag, block):
-    # Quadrature models: a block of one row would sum its Simpson nodes
-    # pairwise, so a step whose prefix leaves a lone row must not run it alone.
-    # 101 paths leave one at both block sizes.
+    # Quadrature models: 101 paths leave a lone row at both block sizes, and
+    # it must round as it does inside a larger block.
     model = synthetic_model() if tag == "synthetic" else builtin(tag)
     cfg = base_config(model=model, sampler=JumpSampler.exponential(2.0),
                       n_paths=101, seed=11)
@@ -297,6 +297,20 @@ def test_block_size_moves_no_bit_of_any_path(monkeypatch, tag, block):
     monkeypatch.setattr(estimators, "_BLOCK", block)
     for a, b in zip(whole, weights()):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("steps", [50, 100])
+def test_rk4_route_call_price_agrees_with_euler(steps):
+    # No builtin runs the RK4 flow: the synthetic model's drift is not OU,
+    # so every frozen coefficient walks the RK4 nodes of the quadrature.
+    model = synthetic_model()
+    est = estimate_price(base_config(
+        model=model, sampler=JumpSampler.beta_one_minus_alpha(0.5, 1.0),
+        n_paths=200_000, seed=1))
+    euler = euler_price(model, Payoff.call(1.5), S0, Y0, T,
+                        EulerConfig(n_steps=steps, n_paths=200_000, seed=2))
+    assert abs(est.mean - euler.mean) <= 3.0 * math.hypot(est.std_error,
+                                                          euler.std_error)
 
 
 def test_one_chunk_working_set_is_block_sized():

@@ -1,10 +1,13 @@
-"""Drift flow, Simpson quadrature, and interval-frozen coefficients."""
+"""Drift flow, quadrature rules, and interval-frozen coefficients."""
 
+import dataclasses
+import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from uvol.flow import (FrozenCoeffs, NonFiniteError, QuadratureError, flow,
                        flow_tangent, frozen_coeffs, simpson38)
@@ -15,6 +18,7 @@ from helpers import builtin, quadrature_only, synthetic_model
 BS = builtin("BlackScholes")
 STEIN = builtin("SteinSteinAffine")
 COSINE = builtin("PeriodicCosine")
+FLOW = importlib.import_module("uvol.flow")  # `uvol.flow` is the re-exported function
 
 
 # ---------------------------------------------------------------- flow ---
@@ -97,6 +101,48 @@ def test_simpson38_rejects_bad_arguments():
         simpson38(np.cos, 1.0, panels=0)
 
 
+# ---------------------------------------------- frozen-coefficient rule ---
+
+def test_engine_rule_is_exact_to_degree_15():
+    """Under a unit drift the flow from 0 is ``m_s = s``, so the engine's rule
+    integrates ``s**k`` over ``[0, delta]``; 8 Gauss nodes are exact to 15."""
+    unit = dataclasses.replace(synthetic_model(), b_Y=lambda y: 1.0 + 0.0 * y,
+                               b1_Y=lambda y: 0.0 * y)
+    degrees = range(2 * FLOW.NODES)
+    assert max(degrees) == 15
+    delta = np.array([0.05, 0.7, 2.0, 5.0])
+    got = FLOW._flow_integrals(
+        unit, np.zeros(delta.size), delta,
+        [lambda c, j, k=k: c.y ** k for k in degrees])
+    for k, value in zip(degrees, got):
+        exact = delta ** (k + 1) / (k + 1)
+        assert np.max(np.abs(value - exact) / exact) <= 1e-14, k
+
+
+@pytest.mark.parametrize("delta, bound", [(0.25, 1e-9), (2.0, 1e-9), (5.0, 1e-6)])
+@pytest.mark.parametrize("y", [-1.5, 0.2, 2.0])
+def test_frozen_cosine_rule_accuracy(y, delta, bound):
+    """The cosine integrals against adaptive quadrature, relative to
+    ``delta`` times each integrand's largest size."""
+    s1, s2, lam, mu, sy = 0.1, 0.15, 0.5, 0.3, 0.2
+    fc = frozen_coeffs(COSINE, y, delta)
+    m_s = lambda s: mu + (y - mu) * math.exp(-lam * s)
+    sig = lambda s: s1 * math.cos(m_s(s)) + s2
+    sig1 = lambda s: -s1 * math.sin(m_s(s)) * math.exp(-lam * s)
+    cases = {
+        "a_S_i": (lambda s: sig(s) ** 2, (s1 + s2) ** 2),
+        "a1_S_i": (lambda s: 2.0 * sig(s) * sig1(s), 2.0 * (s1 + s2) * s1),
+        "sigma_SY_i": (lambda s: sig(s) * sy, (s1 + s2) * sy),
+        "sigma1_SY_i": (lambda s: sig1(s) * sy, s1 * sy),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        for name, (g, scale) in cases.items():
+            ref = quad(g, 0.0, delta, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+            err = abs(float(getattr(fc, name)) - ref) / (delta * scale)
+            assert err <= bound, (name, err)
+
+
 # ------------------------------------------------------- frozen_coeffs ---
 
 def test_frozen_black_scholes_values():
@@ -127,7 +173,7 @@ def test_frozen_zero_mean_reversion_limit():
 
 
 def test_frozen_affine_closed_vs_quadrature():
-    """The affine/OU closed forms against the generic Simpson route."""
+    """The affine/OU closed forms against the generic quadrature route."""
     for y, delta in [(0.2, 0.25), (0.05, 0.5), (0.4, 0.1)]:
         closed = frozen_coeffs(STEIN, y, delta)
         numeric = frozen_coeffs(quadrature_only(STEIN), y, delta)
