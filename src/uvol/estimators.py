@@ -6,6 +6,15 @@ chunks; each chunk produces a ``(sum, sum_sq, count)`` partial that is
 reduced in chunk order, which makes the reported mean bit-identical for
 any thread count.
 
+Each path's final interval, from its last jump to ``T``, is not sampled:
+given the path up to its last jump, the folded weights are quadratic in
+that interval's Gaussian pair, so the contribution and every control are
+replaced by their conditional means in closed form
+(:func:`uvol.weights.conditional_rows`).  By the tower property these have
+the same means as the sampled values, so the estimate stays unbiased.  The
+sampled final interval stays reachable as the tests' reference estimator
+(``_run(..., control=False)``).
+
 The same weights are unbiased for every payoff, so the price, Delta and
 Vega weights ``W``, ``D``, ``V`` applied to ``h = 1`` and ``h = exp(x)``
 have known means, and so, when the model declares an Ornstein-Uhlenbeck
@@ -15,18 +24,21 @@ regression on this one set of six or twelve controls, cross-fitted over two
 folds of paths (even and odd global index): the coefficients fitted on one
 fold correct the other, so they never see the samples they correct and the
 estimate stays exactly unbiased.  Where a fold's control covariance is
-singular, the plain mean of the contributions is returned.  Each chunk
-simulates its paths fold by fold, so each fold's rows are contiguous, and
-returns the per-fold centred moments of the contribution and the controls,
-which :func:`_merge_moments` combines in chunk order.
+singular, the plain mean of the conditional contributions is returned.
+Each chunk simulates its paths fold by fold, so each fold's rows are
+contiguous, and returns the per-fold centred moments of the contribution
+and the controls, which :func:`_merge_moments` combines in chunk order.
 
 This module holds the only route from a seed to a weight.  For each chunk,
 :func:`_sample_gap_columns` draws the renewal grids, and
 :func:`_path_weights` runs the chain on them.  It calls
 :func:`uvol.weights.step_weights` on the array-valued records of a step's
-interior intervals and :func:`uvol.weights.terminal_weights` on its final
-ones, and :func:`_fold` folds the :class:`uvol.weights.FoldWeights` each
-returns into the prefix recurrences of the price, Delta and Vega weights.
+interior intervals, and :func:`_fold` folds the
+:class:`uvol.weights.FoldWeights` it returns into the prefix recurrences of
+the price, Delta and Vega weights.  The final intervals go to
+:func:`uvol.weights.conditional_rows`, or, on the sampled route, to
+:func:`uvol.weights.terminal_weights` and the same fold.  Every layer is
+called through a module attribute, so a tracer can wrap it.
 The grid sampler and the chain take their random numbers from sources
 passed in, so a test can run the engine on fixed grids and draws.
 
@@ -48,13 +60,14 @@ from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import rng as _rng
 from .chain import StepRecord, chain_step
 from .flow import FrozenCoeffs, frozen_coeffs
 from .model import Model, ParameterError
 from .renewal import JumpSampler, mean_gap, quantile
-from .weights import step_weights, terminal_weights
+from .weights import conditional_rows, step_weights, terminal_weights
 
 __all__ = [
     "NonFinitePathError",
@@ -81,6 +94,7 @@ _MAX_EXPECTED_JUMPS = 1000
 _SINGULAR = 1e-12
 _KINDS = ("price", "delta", "vega")
 _FC_FIELDS = tuple(FrozenCoeffs.__dataclass_fields__)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class NonFinitePathError(ArithmeticError):
@@ -120,6 +134,29 @@ class Payoff:
             return np.maximum(s - self.strike, 0.0)
         return 1.0 * (s >= self.strike)
 
+    def gauss_moments(self, mu, s):
+        """Moments of the payoff and of the forward ``exp(x)`` at ``x = mu + s Z``.
+
+        Returns ``((M0, M1, M2), (F0, F1, F2))`` with ``M_k = E[h(x) Z**k]``
+        and ``F_k = E[exp(x) Z**k]`` for a standard normal ``Z``, elementwise
+        in ``mu`` and ``s > 0``.  With ``d = (log(strike) - mu) / s``, the
+        digital's are the truncated moments of ``Z`` on ``[d, inf)``; the
+        call's follow from Stein's lemma, ``E[h(x) Z] = s E[h'(x)]``, with
+        ``F = exp(mu + s**2 / 2)``: ``M1 = s F N(s - d)`` and
+        ``M2 = M0 + s (M1 + strike * phi(d))``.
+        """
+        d = (math.log(self.strike) - mu) / s
+        tail = ndtr(-d)
+        pdf = np.exp(-0.5 * d * d) * _INV_SQRT_2PI
+        fwd = np.exp(mu + 0.5 * s * s)
+        fwd_moments = (fwd, fwd * s, fwd + fwd * (s * s))
+        if self.kind == "digital":
+            return (tail, pdf, tail + d * pdf), fwd_moments
+        itm = fwd * ndtr(s - d)
+        m0 = itm - self.strike * tail
+        m1 = s * itm
+        return (m0, m1, m0 + s * (m1 + self.strike * pdf)), fwd_moments
+
 
 @dataclass(frozen=True)
 class EstimateResult:
@@ -128,8 +165,10 @@ class EstimateResult:
     ``ci95`` is ``mean -+ 1.96 * std_error``.  ``control_z`` holds the
     z-scores of the sample means of the quantity's own weight ``w`` and of
     ``exp(x_T) * w`` against their known means (NaN where there is no spread
-    to measure): an unbiased run keeps them near N(0, 1), and a large one
-    says the weights, and so the CI, cannot be trusted.  The estimate
+    to measure); in the default estimator these are the conditional means
+    given each path up to its last jump, which share the known means.  An
+    unbiased run keeps them near N(0, 1), and a large one says the weights,
+    and so the CI, cannot be trusted.  The estimate
     regresses on more controls than these two (see the module docstring);
     ``control_z`` reports this pair only.
     """
@@ -286,15 +325,23 @@ def _fold(state, delta, w):
 
 
 def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
-                  n_jumps: np.ndarray, last_gap: np.ndarray, normals: Callable):
+                  n_jumps: np.ndarray, last_gap: np.ndarray, normals: Callable,
+                  kind: str | None = None):
     """Run the chain on given grids and fold its weights, path by path.
 
     ``(gaps, n_jumps, last_gap)`` are the grids of the paths ``ids``, as
     :func:`_sample_gap_columns` returns them, and ``normals(k, ids)``
     returns the Gaussian pair ``(z1, z2)`` of interval ``k`` for the paths
-    ``ids``.  Returns the terminal log-spot, the undiscounted price, Delta
-    and Vega weights (see :func:`_fold`) and the terminal variance factor,
-    in the order of ``ids``.
+    ``ids``.  Without ``kind``, every interval is sampled, and the return is
+    the terminal log-spot, the undiscounted price, Delta and Vega weights
+    (see :func:`_fold`) and the terminal variance factor, in the order of
+    ``ids``.  With ``kind``, each path's final interval is integrated out
+    instead (:func:`uvol.weights.conditional_rows`): it draws no normals and
+    takes no chain step, and the return is the ``(1 + controls, n)`` matrix
+    of conditional rows, the undiscounted ``kind`` contribution first and
+    then the controls of :func:`_control_means`, in the order of ``ids``.
+    The paths without a jump all end their one interval at the initial
+    state, so their rows are computed once and shared.
 
     The paths are stably sorted by jump count, most jumps first, so at step
     ``k`` the active paths are a prefix ``[:n_act[k]]`` whose interior steps
@@ -320,9 +367,12 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
     x = np.full(n, cfg.x0)
     y = np.full(n, cfg.y0)
     state = (np.ones(n), np.ones(n), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n))
+    sampled = kind is None
 
     for k in range(n_steps):
         n_k, n_int = int(n_act[k]), int(n_act[k + 1])
+        if not sampled:
+            n_k = n_int  # the final intervals are integrated out below
         # the clamp only bites at the last step, which has no interior paths
         col = min(k, gaps.shape[1] - 1)
         for lo in range(0, n_k, _BLOCK):
@@ -341,6 +391,27 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
                           weigh(_rows(rec, a - lo, b - lo), smp))
             xb[...] = x_next
             yb[...] = y_next
+
+    if not sampled:
+        # x, y and the state now hold every path's start of its final interval
+        rows = np.empty((1 + _control_means(cfg).size, n))
+        q = _KINDS.index(kind)
+
+        def final_rows(lo, hi, paths):
+            vals = conditional_rows(
+                mdl, x[lo:hi], frozen_coeffs(mdl, y[lo:hi], last_gap[order[lo:hi]]), smp,
+                [v[lo:hi] for v in state], cfg.payoff, q, len(rows) > 7)
+            for row, v in zip(rows, vals):
+                row[paths] = v  # row by row: a 2-D scatter is twice as slow
+
+        n_jumped = int(n_act[1])
+        for lo in range(0, n_jumped, _BLOCK):
+            hi = min(lo + _BLOCK, n_jumped)
+            final_rows(lo, hi, order[lo:hi])
+        if n_jumped < n:
+            # the jump-free paths all start their one interval at (x0, y0)
+            final_rows(n - 1, n, order[n_jumped:])
+        return rows
 
     unsort = np.empty_like(order)
     unsort[order] = np.arange(n)
@@ -399,17 +470,20 @@ def _fold_moments(v: np.ndarray, n0: int):
     return tuple(out)
 
 
-def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str):
+def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str,
+                    conditional: bool = True):
     """Simulate paths [lo, hi) and return the chunk's partial statistics.
 
     Returns ``(sum, sum_sq, count, jumps, folds)``: the sums of the
     discounted contributions and of their squares (in path order), the
     path count, the total jump count, and the two folds' moments
     (:func:`_fold_moments`) of the contribution and the controls, each
-    centred at its known mean (:func:`_control_means`).  The paths are
-    simulated fold by fold, even global indices first.  Every random number
-    comes from the counter-based streams of :mod:`uvol.rng`, addressed by
-    ``(cfg.seed, path index)``, so the order changes no path.
+    centred at its known mean (:func:`_control_means`).  The contribution
+    and the controls are the conditional rows of :func:`_path_weights`, or,
+    without ``conditional``, their values on the sampled final interval.
+    The paths are simulated fold by fold, even global indices first.  Every
+    random number comes from the counter-based streams of :mod:`uvol.rng`,
+    addressed by ``(cfg.seed, path index)``, so the order changes no path.
     """
     n = hi - lo
     first = lo % 2  # chunk position of the first even path
@@ -419,13 +493,23 @@ def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str):
     grid = _sample_gap_columns(
         lambda ia, j: _rng.uniform_pair(cfg.seed, ids[ia], _rng.GAP_STREAM, j)[0],
         cfg.sampler, cfg.T, n)
-    x, *weights, y = _path_weights(
-        cfg, ids, *grid, lambda k, p: _rng.normal_pair(cfg.seed, p, k))
-    spot = np.exp(x)
+    normals = lambda k, p: _rng.normal_pair(cfg.seed, p, k)  # noqa: E731
     means = _control_means(cfg)
-    rows = np.empty((1 + means.size, n))
+    if conditional:
+        rows = _path_weights(cfg, ids, *grid, normals, kind)
+    else:
+        x, *weights, y = _path_weights(cfg, ids, *grid, normals)
+        spot = np.exp(x)
+        rows = np.empty((1 + means.size, n))
+        np.multiply(cfg.payoff.value_spot(spot), weights[_KINDS.index(kind)], out=rows[0])
+        with np.errstate(invalid="ignore"):  # non-finite controls only void the fit
+            for j, w in enumerate(weights):
+                rows[1 + 2 * j] = w
+                np.multiply(spot, w, out=rows[2 + 2 * j])
+                if means.size > 6:
+                    np.multiply(y, w, out=rows[7 + j])
+                    np.multiply(y, rows[7 + j], out=rows[10 + j])
     contrib = rows[0]
-    np.multiply(cfg.payoff.value_spot(spot), weights[_KINDS.index(kind)], out=contrib)
     if kind == "delta":
         contrib /= cfg.s0 * cfg.T
     elif kind == "vega":
@@ -442,19 +526,14 @@ def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str):
         raise NonFinitePathError(
             f"{int(bad.sum())} non-finite {kind} contribution(s) in chunk "
             f"[{lo}, {hi}); first bad path index {first_bad}")
-    with np.errstate(invalid="ignore"):  # non-finite controls only void the fit
-        for j, w in enumerate(weights):
-            rows[1 + 2 * j] = w
-            np.multiply(spot, w, out=rows[2 + 2 * j])
-            if means.size > 6:
-                np.multiply(y, w, out=rows[7 + j])
-                np.multiply(y, rows[7 + j], out=rows[10 + j])
+    # moments and squares that overflow only void the fit; _run checks the result
+    with np.errstate(over="ignore", invalid="ignore"):
         folds = _fold_moments(rows, n0)
+        # einsum keeps the sum of squares off BLAS, whose idle threads would spin
+        sum_sq = float(np.einsum("i,i->", flat, flat))
     for _, mean, _ in folds:
         mean[1:] -= means
-    # einsum keeps the sum of squares off BLAS, whose idle threads would spin
-    return (float(flat.sum()), float(np.einsum("i,i->", flat, flat)), n,
-            float(grid[1].sum()), folds)
+    return float(flat.sum()), sum_sq, n, float(grid[1].sum()), folds
 
 
 def aggregate(partials: Sequence, *, n_jumps_mean: float = math.nan,
@@ -546,30 +625,42 @@ def _control_z(m, kind: str):
 
 
 def _run(cfg: RunConfig, kind: str, *, control: bool = True) -> EstimateResult:
-    """Estimate ``kind`` with the cross-fitted controls, or with the plain
-    mean of the contributions when they cannot be fitted or when
-    ``control`` is off (the tests' reference estimator)."""
+    """Estimate ``kind`` by the cross-fitted regression of the conditional
+    rows on their controls, or by the plain mean of the conditional
+    contributions where the controls cannot be fitted.  With ``control``
+    off, the tests' reference estimator: the plain mean of the
+    contributions on sampled final intervals.
+
+    Raises
+    ------
+    NonFinitePathError
+        If a contribution, or the estimate or its standard error, is not
+        finite.
+    """
     start = time.perf_counter()
     bounds = [(lo, min(lo + cfg.chunk_size, cfg.n_paths))
               for lo in range(0, cfg.n_paths, cfg.chunk_size)]
     if cfg.threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             partials = list(pool.map(
-                lambda b: _chunk_partials(cfg, b[0], b[1], kind), bounds))
+                lambda b: _chunk_partials(cfg, b[0], b[1], kind, control), bounds))
     else:
-        partials = [_chunk_partials(cfg, lo, hi, kind) for lo, hi in bounds]
+        partials = [_chunk_partials(cfg, lo, hi, kind, control) for lo, hi in bounds]
     jumps = sum(p[3] for p in partials)
-    folds = [reduce(_merge_moments, (p[4][f] for p in partials)) for f in (0, 1)]
-    betas = [_fit(m) for m in folds] if control else [None]
-    if all(b is not None for b in betas):
-        # each fold is corrected with the coefficients fitted on the other
-        partials = [_residual(folds[0], betas[1]), _residual(folds[1], betas[0])]
-    return aggregate(
-        partials,
-        n_jumps_mean=jumps / cfg.n_paths,
-        elapsed=time.perf_counter() - start,
-        control_z=_control_z(_merge_moments(*folds), kind),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments void the fit
+        folds = [reduce(_merge_moments, (p[4][f] for p in partials)) for f in (0, 1)]
+        betas = [_fit(m) for m in folds] if control else [None]
+        if all(b is not None for b in betas):
+            # each fold is corrected with the coefficients fitted on the other
+            partials = [_residual(folds[0], betas[1]), _residual(folds[1], betas[0])]
+        control_z = _control_z(_merge_moments(*folds), kind)
+    res = aggregate(partials, n_jumps_mean=jumps / cfg.n_paths,
+                    elapsed=time.perf_counter() - start, control_z=control_z)
+    if not (math.isfinite(res.mean) and math.isfinite(res.std_error)):
+        raise NonFinitePathError(
+            f"the {kind} estimate is {res.mean!r} with standard error "
+            f"{res.std_error!r}: the contributions are too large to square")
+    return res
 
 
 def estimate_price(cfg: RunConfig) -> EstimateResult:

@@ -36,6 +36,11 @@ Both functions accept scalar or array-valued records, so the same code
 weights a single step and a vectorized batch.  Both return the factors of
 a :class:`FoldWeights`, which the engine in :mod:`uvol.estimators` folds
 into path weights the same way for interior and final intervals.
+
+:func:`conditional_rows` integrates the final interval's Gaussian pair out
+instead: given the path up to ``zeta_{N_T}``, the folded weights are
+quadratic in ``(z1, z2)``, so the payoff and control rows have closed-form
+conditional means.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ __all__ = [
     "StepWeights",
     "step_weights",
     "terminal_weights",
+    "conditional_rows",
 ]
 
 
@@ -300,3 +306,78 @@ def terminal_weights(step: StepRecord, s: JumpSampler) -> FoldWeights:
         # rounds differently and moves pinned means
         I1_theta_eX=theta_ex * i11 - theta * fc.sigma1_S_i / fc.sigma_S_i,
     )
+
+
+def conditional_rows(model, x_prev, fc, s: JumpSampler, state, payoff, weight: int,
+                     y_moments: bool) -> list:
+    """The final interval's rows with its Gaussian pair integrated out.
+
+    ``x_prev`` and ``fc`` are the log-spot and frozen coefficients at the
+    start of the final interval ``[zeta_{N_T}, T]`` and ``state`` the
+    six prefix sums ``(price_pref, ey_pref, delta_acc, corr, spill,
+    vega_acc)`` before it (see :func:`uvol.estimators._fold`).  Returns the
+    conditional means, given that past, of what the sampled interval would
+    give after :func:`terminal_weights` and the fold:
+
+    - row 0: ``payoff(x_T)`` times the weight ``weight`` (0, 1, 2 for the
+      price, Delta and Vega weights ``W``, ``D``, ``V``);
+    - rows 1-6: ``(W, S_T W, D, S_T D, V, S_T V)``;
+    - rows 7-12, with ``y_moments``: ``y_T (W, D, V)`` and
+      ``y_T**2 (W, D, V)``.
+
+    With ``x_T = mu + sigma_S_i z1``, integrating ``z2`` out leaves each
+    weight a quadratic ``r0 + r1 z1 + r2 z1**2``: with ``theta`` the
+    survival reweighting, ``W = theta price_pref``; ``D`` has
+    ``r0 = theta delta_acc`` and ``r1 = theta delta price_pref / sigma_S_i``;
+    ``V`` has ``r2 = theta delta ey sigma1_S_i / sigma_S_i``,
+    ``r1 = theta delta (spill - ey a1_S_i / 2) / sigma_S_i`` and
+    ``r0 + r2 = theta (vega_acc + delta corr)``.  The ``I2`` term of ``V``
+    integrates to 0, because ``E[dY I2_1 | z1] = D2 dY``.  A payoff row is
+    then ``r . M`` with ``M_k = E[h(mu + sigma_S_i Z) Z**k]``
+    (``payoff.gauss_moments``).  For the ``y_T`` rows, with
+    ``y_T = m_i + sigma_Y_i u``, only ``V`` correlates with ``u``:
+    ``sigma_Y_i E[u V] = theta delta ey m1_i``, and
+    ``E[(u**2 - 1) V] = 2 theta delta ey sigma1_Y_i / sigma_Y_i``, which
+    is 0 because these rows exist only for a constant ``sigma_Y``; and
+    ``E[u D] = E[(u**2 - 1) D] = 0``.
+
+    Raises
+    ------
+    DomainError
+        If the survival probability of the final gap is zero.
+    """
+    delta = fc.delta
+    surv = survival(s, delta)
+    if np.any(surv <= 0):
+        raise DomainError("survival probability of the final interval is zero")
+    price_pref, ey_pref, delta_acc, corr, spill, vega_acc = state
+    sig = fc.sigma_S_i
+    m, fwd = payoff.gauss_moments(x_prev + (model.r * delta - 0.5 * fc.a_S_i), sig)
+    theta = 1.0 / surv
+    td = theta * delta
+    tey = td * ey_pref
+    w0 = theta * price_pref
+    d0 = theta * delta_acc
+    d1 = td * price_pref / sig
+    v2 = tey * fc.sigma1_S_i / sig
+    v1 = (td * spill - tey * (0.5 * fc.a1_S_i)) / sig
+    mean_v = theta * (vega_acc + delta * corr)
+    r = ((w0,), (d0, d1), (mean_v - v2, v1, v2))
+    rows = [_dot(r[weight], m)]
+    for rj, mean in zip(r, (w0, d0, mean_v)):
+        rows += [mean, _dot(rj, fwd)]
+    if y_moments:
+        my = fc.m_i
+        y2 = my * my + fc.a_Y_i
+        lin = tey * fc.m1_i
+        rows += [my * w0, my * d0, my * mean_v + lin,
+                 y2 * w0, y2 * d0, y2 * mean_v + 2.0 * my * lin]
+    return rows
+
+
+def _dot(coeffs, moments):
+    """``sum_k coeffs[k] * moments[k]`` over the given coefficients."""
+    acc = coeffs[0] * moments[0]
+    for c, mk in zip(coeffs[1:], moments[1:]):
+        acc += c * mk
+    return acc

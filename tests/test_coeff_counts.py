@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 import uvol.estimators as est
-from helpers import builtin, make_step, quadrature_only, synthetic_model
-from uvol.estimators import Payoff, RunConfig, estimate_vega
+from helpers import (builtin, make_step, plain_estimator, quadrature_only,
+                     synthetic_model)
+from uvol.estimators import Payoff, RunConfig
 from uvol.flow import frozen_coeffs
 from uvol.renewal import JumpSampler
 from uvol.weights import step_weights
@@ -74,9 +75,10 @@ def test_step_weights_evaluate_each_callable_once_per_endpoint():
 
 
 def test_each_active_path_is_weighted_exactly_once_per_step(monkeypatch):
-    """Interior steps get ``step_weights``, final ones ``terminal_weights``;
-    together they cover the paths ``chain_step`` advanced, each once.  Paths
-    are told apart by their Gaussian draw ``z1``."""
+    """On the sampled route, interior steps get ``step_weights``, final ones
+    ``terminal_weights``; together they cover the paths ``chain_step``
+    advanced, each once.  Paths are told apart by their Gaussian draw
+    ``z1``."""
     advanced, weighted = [], {}
     real_chain_step = est.chain_step
 
@@ -96,7 +98,7 @@ def test_each_active_path_is_weighted_exactly_once_per_step(monkeypatch):
     cfg = RunConfig(model=builtin("PeriodicCosine"), payoff=Payoff.call(1.5),
                     sampler=JumpSampler.exponential(4.0), s0=math.exp(0.4),
                     y0=0.2, T=0.5, n_paths=400, seed=2)
-    estimate_vega(cfg)
+    plain_estimator("vega")(cfg)
 
     assert len(advanced) >= 3
     assert sorted(weighted) == list(range(len(advanced)))

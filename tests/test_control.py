@@ -16,7 +16,8 @@ from helpers import (builtin, philox_grid, plain_estimator, quadrature_only,
 from uvol.baselines import bs_delta, bs_price
 from uvol.estimators import (Payoff, RunConfig, _chunk_partials, _control_means,
                              _fit, _fold_moments, _merge_moments, _path_weights,
-                             estimate_delta, estimate_price, estimate_vega)
+                             aggregate, estimate_delta, estimate_price,
+                             estimate_vega)
 from uvol.renewal import JumpSampler
 from uvol.rng import normal_pair
 
@@ -34,23 +35,36 @@ def config(tag="SteinSteinAffine", **overrides):
     return RunConfig(**kwargs)
 
 
-def control_columns(cfg, x, weights, y):
-    """Every control, centred at its known mean, computed from the OU
-    closed forms: the six weight controls, then, for an OU variance factor,
-    y_T and y_T**2 times each weight."""
+def known_means(cfg):
+    """Every control's known mean, from the OU closed forms: the six weight
+    controls, then, for an OU variance factor, y_T and y_T**2 times each
+    weight."""
     r, T, s0 = cfg.model.r, cfg.T, cfg.s0
     forward = s0 * math.exp(r * T)
-    spot = np.exp(x)
-    w, d, v = weights
-    cols = [w - 1.0, spot * w - forward, d, spot * d - T * forward, v, spot * v]
+    means = [1.0, forward, 0.0, T * forward, 0.0, 0.0]
     if cfg.model.ou_params is not None and cfg.model.sigma_Y_const is not None:
         lam, mu = cfg.model.ou_params
         decay = math.exp(-lam * T)
         m = mu + (cfg.y0 - mu) * decay
         var = cfg.model.sigma_Y_const ** 2 * (1.0 - decay * decay) / (2.0 * lam)
-        cols += [y * w - m, y * d, y * v - T * decay,
-                 y * (y * w) - (m * m + var), y * (y * d), y * (y * v) - 2.0 * T * m * decay]
-    return np.column_stack(cols)
+        means += [m, 0.0, T * decay, m * m + var, 0.0, 2.0 * T * m * decay]
+    return np.array(means)
+
+
+def conditional_contributions(cfg, kind, ids):
+    """The discounted conditional contributions of ``kind`` on the paths
+    ``ids`` and their conditional control rows, centred at the known means,
+    one column per control."""
+    grid = philox_grid(cfg.sampler, cfg.T, cfg.seed, ids)
+    rows = _path_weights(cfg, ids, *grid, lambda k, p: normal_pair(cfg.seed, p, k),
+                         kind)
+    r, T, s0 = cfg.model.r, cfg.T, cfg.s0
+    y = rows[0]
+    if kind == "delta":
+        y = y / (s0 * T)
+    elif kind == "vega":
+        y = y / T
+    return y * math.exp(-r * T), rows[1:].T - known_means(cfg)
 
 
 def fold_moments(lo, *columns):
@@ -64,18 +78,10 @@ def fold_moments(lo, *columns):
 
 def numpy_cross_fit(cfg, kind):
     """Mean, standard error and ``control_z`` of the cross-fitted estimator,
-    computed directly from the engine's per-path weights with numpy least
-    squares."""
-    ids = np.arange(cfg.n_paths, dtype=np.uint64)
-    grid = philox_grid(cfg.sampler, cfg.T, cfg.seed, ids)
-    x, *weights, y_T = _path_weights(
-        cfg, ids, *grid, lambda k, p: normal_pair(cfg.seed, p, k))
-    r, T, s0 = cfg.model.r, cfg.T, cfg.s0
-    h = cfg.payoff.value_spot(np.exp(x)) * math.exp(-r * T)
-    scale = {"price": 1.0, "delta": 1.0 / (s0 * T), "vega": 1.0 / T}[kind]
+    computed directly from the engine's per-path conditional rows with numpy
+    least squares."""
+    y, c = conditional_contributions(cfg, kind, np.arange(cfg.n_paths, dtype=np.uint64))
     q = ("price", "delta", "vega").index(kind)
-    y = h * weights[q] * scale
-    c = control_columns(cfg, x, weights, y_T)
     fold = np.arange(cfg.n_paths) % 2
     betas = []
     for f in (0, 1):
@@ -113,10 +119,12 @@ def test_thread_counts_give_bit_identical_results(kind):
 @pytest.mark.parametrize("n_paths", [1, 2, 3])
 @pytest.mark.parametrize("kind", sorted(ESTIMATORS))
 def test_tiny_runs_fall_back_to_the_plain_estimator(kind, n_paths):
-    # a fold of fewer than 3 paths has a singular control covariance
+    # a fold of fewer than 3 paths has a singular control covariance, and the
+    # estimate falls back to the plain mean of the conditional contributions
     cfg = config(n_paths=n_paths)
     ctl = ESTIMATORS[kind](cfg)
-    plain = PLAIN[kind](cfg)
+    y, _ = conditional_contributions(cfg, kind, np.arange(n_paths, dtype=np.uint64))
+    plain = aggregate([(float(y.sum()), float(np.einsum("i,i->", y, y)), n_paths)])
     assert ctl.mean == plain.mean
     assert ctl.std_error == plain.std_error
     assert ctl.n_paths == n_paths

@@ -360,6 +360,10 @@ class _PoisonPayoff:
     def value_spot(self, s):
         return np.full_like(np.asarray(s, dtype=float), np.nan)
 
+    def gauss_moments(self, mu, s):
+        nan = np.full_like(np.asarray(mu, dtype=float), np.nan)
+        return (nan, nan, nan), (nan, nan, nan)
+
 
 def test_non_finite_contributions_abort():
     cfg = base_config(payoff=_PoisonPayoff(), n_paths=32, seed=0)
