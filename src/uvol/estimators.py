@@ -135,27 +135,24 @@ class Payoff:
         return 1.0 * (s >= self.strike)
 
     def gauss_moments(self, mu, s):
-        """Moments of the payoff and of the forward ``exp(x)`` at ``x = mu + s Z``.
+        """Moments of the payoff at ``x = mu + s Z``.
 
-        Returns ``((M0, M1, M2), (F0, F1, F2))`` with ``M_k = E[h(x) Z**k]``
-        and ``F_k = E[exp(x) Z**k]`` for a standard normal ``Z``, elementwise
-        in ``mu`` and ``s > 0``.  With ``d = (log(strike) - mu) / s``, the
-        digital's are the truncated moments of ``Z`` on ``[d, inf)``; the
-        call's follow from Stein's lemma, ``E[h(x) Z] = s E[h'(x)]``, with
-        ``F = exp(mu + s**2 / 2)``: ``M1 = s F N(s - d)`` and
-        ``M2 = M0 + s (M1 + strike * phi(d))``.
+        Returns ``(M0, M1, M2)`` with ``M_k = E[h(x) Z**k]`` for a standard
+        normal ``Z``, elementwise in ``mu`` and ``s > 0``.  With
+        ``d = (log(strike) - mu) / s``, the digital's are the truncated
+        moments of ``Z`` on ``[d, inf)``; the call's follow from Stein's
+        lemma, ``E[h(x) Z] = s E[h'(x)]``, with ``F = exp(mu + s**2 / 2)``:
+        ``M1 = s F N(s - d)`` and ``M2 = M0 + s (M1 + strike * phi(d))``.
         """
         d = (math.log(self.strike) - mu) / s
         tail = ndtr(-d)
         pdf = np.exp(-0.5 * d * d) * _INV_SQRT_2PI
-        fwd = np.exp(mu + 0.5 * s * s)
-        fwd_moments = (fwd, fwd * s, fwd + fwd * (s * s))
         if self.kind == "digital":
-            return (tail, pdf, tail + d * pdf), fwd_moments
-        itm = fwd * ndtr(s - d)
+            return tail, pdf, tail + d * pdf
+        itm = np.exp(mu + 0.5 * s * s) * ndtr(s - d)
         m0 = itm - self.strike * tail
         m1 = s * itm
-        return (m0, m1, m0 + s * (m1 + self.strike * pdf)), fwd_moments
+        return m0, m1, m0 + s * (m1 + self.strike * pdf)
 
 
 @dataclass(frozen=True)
@@ -340,8 +337,6 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
     takes no chain step, and the return is the ``(1 + controls, n)`` matrix
     of conditional rows, the undiscounted ``kind`` contribution first and
     then the controls of :func:`_control_means`, in the order of ``ids``.
-    The paths without a jump all end their one interval at the initial
-    state, so their rows are computed once and shared.
 
     The paths are stably sorted by jump count, most jumps first, so at step
     ``k`` the active paths are a prefix ``[:n_act[k]]`` whose interior steps
@@ -397,20 +392,14 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
         rows = np.empty((1 + _control_means(cfg).size, n))
         q = _KINDS.index(kind)
 
-        def final_rows(lo, hi, paths):
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            paths = order[lo:hi]
             vals = conditional_rows(
-                mdl, x[lo:hi], frozen_coeffs(mdl, y[lo:hi], last_gap[order[lo:hi]]), smp,
+                mdl, x[lo:hi], frozen_coeffs(mdl, y[lo:hi], last_gap[paths]), smp,
                 [v[lo:hi] for v in state], cfg.payoff, q, len(rows) > 7)
             for row, v in zip(rows, vals):
                 row[paths] = v  # row by row: a 2-D scatter is twice as slow
-
-        n_jumped = int(n_act[1])
-        for lo in range(0, n_jumped, _BLOCK):
-            hi = min(lo + _BLOCK, n_jumped)
-            final_rows(lo, hi, order[lo:hi])
-        if n_jumped < n:
-            # the jump-free paths all start their one interval at (x0, y0)
-            final_rows(n - 1, n, order[n_jumped:])
         return rows
 
     unsort = np.empty_like(order)

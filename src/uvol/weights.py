@@ -58,6 +58,7 @@ __all__ = [
     "step_weights",
     "terminal_weights",
     "conditional_rows",
+    "forward_moments",
 ]
 
 
@@ -334,8 +335,10 @@ def conditional_rows(model, x_prev, fc, s: JumpSampler, state, payoff, weight: i
     ``r0 + r2 = theta (vega_acc + delta corr)``.  The ``I2`` term of ``V``
     integrates to 0, because ``E[dY I2_1 | z1] = D2 dY``.  A payoff row is
     then ``r . M`` with ``M_k = E[h(mu + sigma_S_i Z) Z**k]``
-    (``payoff.gauss_moments``).  For the ``y_T`` rows, with
-    ``y_T = m_i + sigma_Y_i u``, only ``V`` correlates with ``u``:
+    (``payoff.gauss_moments``), and an ``S_T`` row is ``r . F`` with
+    ``F_k = E[exp(mu + sigma_S_i Z) Z**k]`` (:func:`forward_moments`).
+    For the ``y_T`` rows, with ``y_T = m_i + sigma_Y_i u``, only ``V``
+    correlates with ``u``:
     ``sigma_Y_i E[u V] = theta delta ey m1_i``, and
     ``E[(u**2 - 1) V] = 2 theta delta ey sigma1_Y_i / sigma_Y_i``, which
     is 0 because these rows exist only for a constant ``sigma_Y``; and
@@ -352,7 +355,9 @@ def conditional_rows(model, x_prev, fc, s: JumpSampler, state, payoff, weight: i
         raise DomainError("survival probability of the final interval is zero")
     price_pref, ey_pref, delta_acc, corr, spill, vega_acc = state
     sig = fc.sigma_S_i
-    m, fwd = payoff.gauss_moments(x_prev + (model.r * delta - 0.5 * fc.a_S_i), sig)
+    mu = x_prev + (model.r * delta - 0.5 * fc.a_S_i)
+    m = payoff.gauss_moments(mu, sig)
+    fwd = forward_moments(mu, sig)
     theta = 1.0 / surv
     td = theta * delta
     tey = td * ey_pref
@@ -373,6 +378,14 @@ def conditional_rows(model, x_prev, fc, s: JumpSampler, state, payoff, weight: i
         rows += [my * w0, my * d0, my * mean_v + lin,
                  y2 * w0, y2 * d0, y2 * mean_v + 2.0 * my * lin]
     return rows
+
+
+def forward_moments(mu, s):
+    """``(F0, F1, F2)`` with ``F_k = E[exp(mu + s Z) Z**k]`` for a standard
+    normal ``Z``: ``F0 = exp(mu + s**2 / 2)``, ``F1 = s F0`` and
+    ``F2 = (1 + s**2) F0``, elementwise."""
+    fwd = np.exp(mu + 0.5 * s * s)
+    return fwd, fwd * s, fwd + fwd * (s * s)
 
 
 def _dot(coeffs, moments):

@@ -362,7 +362,7 @@ class _PoisonPayoff:
 
     def gauss_moments(self, mu, s):
         nan = np.full_like(np.asarray(mu, dtype=float), np.nan)
-        return (nan, nan, nan), (nan, nan, nan)
+        return nan, nan, nan
 
 
 def test_non_finite_contributions_abort():

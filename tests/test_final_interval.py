@@ -3,8 +3,8 @@
 # the path up to its last jump.  These tests check the closed-form Gaussian
 # moments against quadrature, the conditional rows against many sampled
 # final intervals, the pooled estimates against closed forms and stored
-# references, and the engine's mechanics: no normals and one shared point
-# for the paths without a jump.
+# references, and the engine's mechanics: no normals for the final interval
+# and one frozen-coefficient point for each interval.
 
 import dataclasses
 import json
@@ -24,7 +24,7 @@ from uvol.estimators import (NonFinitePathError, Payoff, RunConfig, _chunk_parti
                              _fold, _path_weights, estimate_delta, estimate_price,
                              estimate_vega)
 from uvol.renewal import JumpSampler
-from uvol.weights import terminal_weights
+from uvol.weights import forward_moments, terminal_weights
 
 ESTIMATORS = {"price": estimate_price, "delta": estimate_delta, "vega": estimate_vega}
 KINDS = ("price", "delta", "vega")
@@ -65,7 +65,8 @@ def test_gauss_moments_match_quadrature(kind, d, s):
     mu = math.log(K) - s * d
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        moments, forward = payoff.gauss_moments(np.array([mu]), np.array([s]))
+        moments = payoff.gauss_moments(np.array([mu]), np.array([s]))
+        forward = forward_moments(np.array([mu]), np.array([s]))
     h = (lambda x: math.exp(x) - K) if kind == "call" else (lambda x: 1.0)
     expected = quad_moments(h, mu, s, d)
     expected_forward = quad_moments(math.exp, mu, s, -40.0)  # the e^x tilt
@@ -218,7 +219,9 @@ def test_normals_are_drawn_for_interior_intervals_only(monkeypatch, conditional)
     assert sum(drawn) == jumps + (0 if conditional else n)
 
 
-def test_jump_free_paths_share_one_frozen_coefficient_point(monkeypatch):
+def test_each_interval_takes_one_frozen_coefficient_point(monkeypatch):
+    # the final intervals are integrated out, but each still has its own
+    # frozen coefficients, the jump-free paths' included
     points = []
     real = estimators.frozen_coeffs
 
@@ -230,10 +233,8 @@ def test_jump_free_paths_share_one_frozen_coefficient_point(monkeypatch):
     cfg = cosine_config(n_paths=3001)
     _, _, n, jumps, _ = _chunk_partials(cfg, 0, cfg.n_paths, "price")
     n_jumps = philox_grid(cfg.sampler, cfg.T, cfg.seed, np.arange(n, dtype=np.uint64))[1]
-    n_free = int(np.sum(n_jumps == 0))
-    assert 0 < n_free < n
-    # every interval of a path with a jump, and one point for the rest
-    assert sum(points) == (n - n_free) + int(jumps) + 1
+    assert 0 < int(np.sum(n_jumps == 0)) < n
+    assert sum(points) == n + int(jumps)
 
 
 @pytest.mark.parametrize("kind", KINDS)
