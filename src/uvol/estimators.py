@@ -392,14 +392,20 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
         rows = np.empty((1 + _control_means(cfg).size, n))
         q = _KINDS.index(kind)
 
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
+        # The chunk's rows are live through this pass, next to a block's
+        # frozen coefficients and the closed form's temporaries (about 60
+        # doubles a row), so quarter blocks keep the chunk's peak memory at
+        # the step loop's.
+        block = max(1, _BLOCK // 4)
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
             paths = order[lo:hi]
             vals = conditional_rows(
                 mdl, x[lo:hi], frozen_coeffs(mdl, y[lo:hi], last_gap[paths]), smp,
                 [v[lo:hi] for v in state], cfg.payoff, q, len(rows) > 7)
             for row, v in zip(rows, vals):
                 row[paths] = v  # row by row: a 2-D scatter is twice as slow
+            del vals  # before the next block's are computed
         return rows
 
     unsort = np.empty_like(order)
