@@ -31,20 +31,21 @@ and the controls, which :func:`_merge_moments` combines in chunk order.
 
 This module holds the only route from a seed to a weight.  For each chunk,
 :func:`_sample_gap_columns` draws the renewal grids, and
-:func:`_path_weights` runs the chain on them.  It calls
-:func:`uvol.weights.step_weights` on the array-valued records of a step's
-interior intervals, and :func:`_fold` folds the
-:class:`uvol.weights.FoldWeights` it returns into the prefix recurrences of
-the price, Delta and Vega weights.  The final intervals go to
-:func:`uvol.weights.conditional_rows`, or, on the sampled route, to
-:func:`uvol.weights.terminal_weights` and the same fold.  Every layer is
-called through a module attribute, so a tracer can wrap it.
+:func:`_path_weights` runs the chain on them.  One block walk advances the
+paths over an interval and folds the :class:`uvol.weights.FoldWeights` of
+its array-valued step records into the prefix recurrences of the price,
+Delta and Vega weights (:func:`_fold`).  It runs every interior interval
+with :func:`uvol.weights.step_weights`, and, on the sampled route only,
+every final interval with :func:`uvol.weights.terminal_weights`; by
+default the final intervals go to :func:`uvol.weights.conditional_rows`
+instead.  Every layer is called through a module attribute, so a tracer
+can wrap it.
 The grid sampler and the chain take their random numbers from sources
 passed in, so a test can run the engine on fixed grids and draws.
 
 The chunk is the unit of threading, of the jump-count sort and of the
 reduction; the block of :data:`_BLOCK` rows is the unit of kernel work.
-:func:`_path_weights` walks each step's active paths block by block, so a
+:func:`_path_weights` walks each interval's paths block by block, so a
 kernel's temporaries are block-sized however large the chunk.
 Every kernel is elementwise per path, so the block size moves no bit; the
 chunk size sets the order of the sums and so moves the last bits of means.
@@ -64,7 +65,7 @@ from scipy.special import ndtr
 
 from . import rng as _rng
 from .chain import StepRecord, chain_step
-from .flow import FrozenCoeffs, frozen_coeffs
+from .flow import frozen_coeffs
 from .model import Model, ParameterError
 from .renewal import JumpSampler, mean_gap, quantile
 from .weights import conditional_rows, step_weights, terminal_weights
@@ -93,7 +94,6 @@ _MAX_EXPECTED_JUMPS = 1000
 # of its correlation matrix is below this fraction of the largest.
 _SINGULAR = 1e-12
 _KINDS = ("price", "delta", "vega")
-_FC_FIELDS = tuple(FrozenCoeffs.__dataclass_fields__)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -283,16 +283,6 @@ def _sample_gap_columns(uniforms: Callable, sampler: JumpSampler, T: float,
     return gaps, slot, T - cum
 
 
-def _rows(rec: StepRecord, lo: int, hi: int) -> StepRecord:
-    """Rows ``[lo, hi)`` of a batched step record, as views."""
-    fc = rec.fc
-    return StepRecord(
-        index=rec.index, x_prev=rec.x_prev[lo:hi], y_prev=rec.y_prev[lo:hi],
-        x_next=rec.x_next[lo:hi], y_next=rec.y_next[lo:hi],
-        z1=rec.z1[lo:hi], z2=rec.z2[lo:hi], model=rec.model,
-        fc=FrozenCoeffs(**{f: getattr(fc, f)[lo:hi] for f in _FC_FIELDS}))
-
-
 def _fold(state, delta, w):
     """Fold one slice's weights ``w`` into the prefix recurrences, in place.
 
@@ -338,15 +328,18 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
     of conditional rows, the undiscounted ``kind`` contribution first and
     then the controls of :func:`_control_means`, in the order of ``ids``.
 
-    The paths are stably sorted by jump count, most jumps first, so at step
-    ``k`` the active paths are a prefix ``[:n_act[k]]`` whose interior steps
-    ``[:n_act[k + 1]]`` come first and whose final intervals form the tail.
-    Every layer then works on contiguous slices, and only the paths that
-    need them get interior weights.  Each step walks its prefix in blocks
-    of :data:`_BLOCK` rows, so the kernels' temporaries are block-sized;
-    every kernel is elementwise per path, so the block size moves no bit.
-    Draws stay keyed by path id, and the results are put back in the order
-    of ``ids``, so they do not depend on the sort.
+    The paths are stably sorted by jump count, most jumps first, so the
+    paths whose interval ``k`` is interior are the prefix ``[:n_act[k + 1]]``
+    and those whose final interval is interval ``k`` are the rows
+    ``[n_act[k + 1], n_act[k])``.  Every layer then works on contiguous
+    slices, and only the paths that need them get interior weights.  One
+    block walk serves both: it runs the interior intervals ``k`` in order,
+    then, on the sampled route, the final intervals of each jump count,
+    each in blocks of :data:`_BLOCK` rows, so the kernels' temporaries are
+    block-sized.  Every kernel is elementwise per path, so neither the block
+    size nor the grouping of rows moves a bit.  Draws stay keyed by path
+    id, and the results are put back in the order of ``ids``, so they do
+    not depend on the sort.
     """
     n = n_jumps.size
     mdl, smp = cfg.model, cfg.sampler
@@ -355,39 +348,33 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
     # sampler adds at most one jump per round, in _MAX_SAMPLING_ROUNDS < 2**16.
     order = np.argsort((top - n_jumps).astype(np.uint16), kind="stable")
     ids = ids[order]
-    n_steps = top + 1
     # n_act[k] = number of paths with at least k jumps, i.e. active at step k
-    n_act = np.append(np.cumsum(np.bincount(n_jumps, minlength=n_steps)[::-1])[::-1], 0)
+    n_act = np.append(np.cumsum(np.bincount(n_jumps, minlength=top + 1)[::-1])[::-1], 0)
 
     x = np.full(n, cfg.x0)
     y = np.full(n, cfg.y0)
     state = (np.ones(n), np.ones(n), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n))
-    sampled = kind is None
 
-    for k in range(n_steps):
-        n_k, n_int = int(n_act[k]), int(n_act[k + 1])
-        if not sampled:
-            n_k = n_int  # the final intervals are integrated out below
-        # the clamp only bites at the last step, which has no interior paths
-        col = min(k, gaps.shape[1] - 1)
-        for lo in range(0, n_k, _BLOCK):
-            hi = min(lo + _BLOCK, n_k)
-            mid = min(max(n_int, lo), hi)  # interior rows [lo, mid), final [mid, hi)
-            delta = np.concatenate((gaps[order[lo:mid], col], last_gap[order[mid:hi]]))
-            z1, z2 = normals(k, ids[lo:hi])
-            xb, yb = x[lo:hi], y[lo:hi]
+    def walk(k, lo, hi, gap, weigh):
+        """Advance rows ``[lo, hi)`` over their interval ``k`` of length
+        ``gap`` (indexed by chunk position) and fold ``weigh``'s weights."""
+        for a in range(lo, hi, _BLOCK):
+            b = min(a + _BLOCK, hi)
+            delta = gap[order[a:b]]
+            z1, z2 = normals(k, ids[a:b])
+            xb, yb = x[a:b], y[a:b]
             fc = frozen_coeffs(mdl, yb, delta)
             x_next, y_next = chain_step(mdl, xb, yb, fc, z1, z2)
             rec = StepRecord(index=k, x_prev=xb, y_prev=yb, x_next=x_next,
                              y_next=y_next, z1=z1, z2=z2, fc=fc, model=mdl)
-            for weigh, a, b in ((step_weights, lo, mid), (terminal_weights, mid, hi)):
-                if a < b:
-                    _fold([v[a:b] for v in state], delta[a - lo:b - lo],
-                          weigh(_rows(rec, a - lo, b - lo), smp))
+            _fold([v[a:b] for v in state], delta, weigh(rec, smp))
             xb[...] = x_next
             yb[...] = y_next
 
-    if not sampled:
+    for k in range(top):
+        walk(k, 0, int(n_act[k + 1]), gaps[:, k], step_weights)
+
+    if kind is not None:
         # x, y and the state now hold every path's start of its final interval
         rows = np.empty((1 + _control_means(cfg).size, n))
         q = _KINDS.index(kind)
@@ -408,6 +395,9 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
             del vals  # before the next block's are computed
         return rows
 
+    # sampled: the final interval of the paths with k jumps is their interval k
+    for k in range(top + 1):
+        walk(k, int(n_act[k + 1]), int(n_act[k]), last_gap, terminal_weights)
     unsort = np.empty_like(order)
     unsort[order] = np.arange(n)
     price_pref, _, delta_acc, _, _, vega_acc = state

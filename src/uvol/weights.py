@@ -103,6 +103,13 @@ def _f_inv(s: JumpSampler, delta):
     return 1.0 / f
 
 
+def _survival_inv(s: JumpSampler, delta):
+    surv = survival(s, delta)
+    if np.any(np.asarray(surv) <= 0):
+        raise DomainError("survival probability of the final interval is zero")
+    return 1.0 / surv
+
+
 def _gaussian_terms(step: StepRecord):
     """``(1 - rho_i**2, its root, I1_1, I2_1, w, g, dX, dY, D2 dY)`` of a step:
     the score kernels, the rotated draws and the flow derivatives, which
@@ -291,12 +298,8 @@ def terminal_weights(step: StepRecord, s: JumpSampler) -> FoldWeights:
         If the survival probability of the final gap is zero.
     """
     fc = step.fc
-    surv = survival(s, fc.delta)
-    if np.any(np.asarray(surv) <= 0):
-        raise DomainError("survival probability of the final interval is zero")
+    theta = _survival_inv(s, fc.delta)
     _, _, i11, i21, _, _, dx, dy, d2_dy = _gaussian_terms(step)
-
-    theta = 1.0 / surv
     theta_ey = theta * dy
     theta_ex = theta * dx
     return FoldWeights(
@@ -350,15 +353,12 @@ def conditional_rows(model, x_prev, fc, s: JumpSampler, state, payoff, weight: i
         If the survival probability of the final gap is zero.
     """
     delta = fc.delta
-    surv = survival(s, delta)
-    if np.any(surv <= 0):
-        raise DomainError("survival probability of the final interval is zero")
+    theta = _survival_inv(s, delta)
     price_pref, ey_pref, delta_acc, corr, spill, vega_acc = state
     sig = fc.sigma_S_i
     mu = x_prev + (model.r * delta - 0.5 * fc.a_S_i)
     m = payoff.gauss_moments(mu, sig)
     fwd = forward_moments(mu, sig)
-    theta = 1.0 / surv
     td = theta * delta
     tey = td * ey_pref
     w0 = theta * price_pref

@@ -12,10 +12,15 @@ The cases cover the three builtins for price, Delta and Vega, multi-chunk
 runs on two threads, a non-OU model (RK4 flow nodes, full quadrature), and
 runs of three paths per chunk, where many steps have a single active path.
 Each estimate is
-also run with the step loop cut into blocks of 7 rows, which splits every
-step and puts the interior/final boundary inside blocks: the block size
-must not move a bit either.  Frozen coefficients are pinned directly for
-one and for several points.
+also run with blocks of 7 rows, which splits every interval's run of paths
+and, on the default route, cuts the closed-form final pass into single
+rows: the block size must not move a bit either.  Frozen coefficients are
+pinned directly for one and for several points.
+
+The pins above are on the sampled route.  The default route, with the final
+interval integrated out and the controls, is pinned separately: each
+chunk's sum of conditional contributions to the bit, and the estimate's
+mean to a relative 1e-12.
 """
 
 import math
@@ -84,6 +89,64 @@ def test_estimate_is_bit_identical_to_pinned_value(monkeypatch, name, quantity, 
     res = ESTIMATORS[quantity](CONFIGS[name])
     assert res.mean.hex() == mean_hex
     assert res.std_error == pytest.approx(std_error, rel=1e-13, abs=0.0)
+
+
+# The default estimator, recorded before the sampled final interval and the
+# interior steps shared one block walk.  (config, quantity): (the hex of each
+# chunk's sum of conditional contributions, the estimate's mean).  No LAPACK
+# call touches the sums; the mean goes through the cross-fit's np.linalg
+# solve, whose rounding may vary by machine, so it is pinned to 1e-12.
+DEFAULT_PINNED = {
+    ("bs", "price"): (["0x1.517ab487e6107p+8"], 0.11160756790715305),
+    ("bs", "delta"): (["0x1.ad7b92564c6d0p+10"], 0.5632063043454084),
+    ("bs", "vega"): (["-0x1.801d5cb016790p+2"], -0.0015409288430437082),
+    ("stein", "price"): (["0x1.e464a837bb2f4p+7"], 0.07899493349392821),
+    ("stein", "delta"): (["0x1.a97202a4c6210p+10"], 0.547380708601278),
+    ("stein", "vega"): (["0x1.558bfa21a77c0p+7"], 0.04490858410382127),
+    ("cosine", "price"): (["0x1.4426752759d82p+8", "0x1.4c3f0f4356f96p+8",
+                           "0x1.638d56fa86888p+8", "0x1.2af53a6bfb3adp+8",
+                           "0x1.9e2a5dc97bc07p+6"], 0.4804649128560337),
+    ("cosine", "delta"): (["0x1.ffe09fbdcc5a4p+9", "0x1.0c49582b09176p+10",
+                           "0x1.13b6b2f683e96p+10", "0x1.d0cddfd5eda69p+9",
+                           "0x1.ffd81b1994337p+7"], 1.5240273961700521),
+    ("cosine", "vega"): (["-0x1.3f5d92e98d246p+5", "-0x1.65641d7bd90dep+6",
+                          "0x1.7ba97a966b0aep+6", "-0x1.c51eb6d7260d5p+6",
+                          "0x1.40115a22e5490p+6"], -0.04272554844223356),
+    ("synthetic", "price"): (["0x1.aa70d399ae365p+5", "0x1.06b1f89d5519ep+6",
+                              "0x1.25498aabd7051p+4"], 0.12217875880014556),
+    ("synthetic", "delta"): (["0x1.eaebd477e12b6p+7", "0x1.34f21ac0e6e7fp+8",
+                              "0x1.4119fc3b3d1a4p+6"], 0.5566032884725151),
+    ("synthetic", "vega"): (["-0x1.c44233b2ef85cp+4", "0x1.03a2bd93252a0p+4",
+                             "-0x1.957bc14fc8080p-5"], 0.008233167297729382),
+}
+
+DEFAULT_CASES = [pytest.param(name, quantity, block,
+                              id=f"{name}-{quantity}" + (f"-block{block}" if block else ""))
+                 for name, quantity in sorted(DEFAULT_PINNED) for block in (None, 7)]
+
+
+@pytest.mark.parametrize("name, quantity, block", DEFAULT_CASES)
+def test_default_estimate_matches_pinned_value(monkeypatch, name, quantity, block):
+    """The estimator users run: each chunk's conditional sum to the bit, and
+    the controlled mean.  The chunk sums are read off the estimate's own
+    ``_chunk_partials`` calls, so the paths are simulated once."""
+    if block:
+        monkeypatch.setattr(estimators, "_BLOCK", block)
+    sums = {}
+    real = estimators._chunk_partials
+
+    def chunk_partials(cfg, lo, hi, kind, conditional=True):
+        out = real(cfg, lo, hi, kind, conditional)
+        sums[lo] = out[0]
+        return out
+
+    monkeypatch.setattr(estimators, "_chunk_partials", chunk_partials)
+    sums_hex, mean = DEFAULT_PINNED[name, quantity]
+    cfg = CONFIGS[name]
+    res = getattr(estimators, f"estimate_{quantity}")(cfg)
+    assert [sums[lo].hex() for lo in sorted(sums)] == sums_hex
+    assert len(sums) == math.ceil(cfg.n_paths / cfg.chunk_size)
+    assert res.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
 
 
 FC_FIELDS = ("a_S_i", "a1_S_i", "sigma_SY_i", "sigma1_SY_i", "a_Y_i", "a1_Y_i")

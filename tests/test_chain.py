@@ -77,11 +77,14 @@ def _engine_run(sampler, seed, n_paths=64):
 def test_simulate_chain_structure():
     cfg, (gaps, n_jumps, last_gap), requests, (x, *_) = _engine_run(
         JumpSampler.exponential(2.0), seed=3)
-    assert n_jumps.max() >= 2
-    # one step per grid interval; step k draws for the paths still active
-    assert [k for k, _ in requests] == list(range(int(n_jumps.max()) + 1))
-    for k, p in requests:
-        assert sorted(p) == list(np.flatnonzero(n_jumps >= k))
+    top = int(n_jumps.max())
+    assert top >= 2
+    # interval k draws once for each path with at least k jumps, however the
+    # engine groups its requests
+    assert {k for k, _ in requests} == set(range(top + 1))
+    for k in range(top + 1):
+        drawn = np.concatenate([p for j, p in requests if j == k])
+        assert sorted(drawn) == list(np.flatnonzero(n_jumps >= k))
     # each path follows its own grid, with draws addressed by interval
     for p in range(x.size):
         deltas = list(gaps[p, :n_jumps[p]]) + [last_gap[p]]

@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 import uvol.estimators as est
-from helpers import (builtin, make_step, plain_estimator, quadrature_only,
-                     synthetic_model)
+from helpers import (builtin, engine_weights, make_step, philox_grid,
+                     quadrature_only, synthetic_model)
 from uvol.estimators import Payoff, RunConfig
 from uvol.flow import frozen_coeffs
 from uvol.renewal import JumpSampler
+from uvol.rng import normal_pair
 from uvol.weights import step_weights
 
 FLOW = sys.modules[frozen_coeffs.__module__]  # `uvol.flow` is the re-exported function
@@ -75,36 +76,37 @@ def test_step_weights_evaluate_each_callable_once_per_endpoint():
 
 
 def test_each_active_path_is_weighted_exactly_once_per_step(monkeypatch):
-    """On the sampled route, interior steps get ``step_weights``, final ones
-    ``terminal_weights``; together they cover the paths ``chain_step``
-    advanced, each once.  Paths are told apart by their Gaussian draw
-    ``z1``."""
-    advanced, weighted = [], {}
-    real_chain_step = est.chain_step
-
-    def chain_step(mdl, x, y, fc, z1, z2):
-        advanced.append(np.array(z1))
-        return real_chain_step(mdl, x, y, fc, z1, z2)
-
-    def spy(kind, fn):
-        def wrapped(rec, smp):
-            weighted.setdefault(rec.index, []).append((kind, np.array(rec.z1)))
-            return fn(rec, smp)
-        return wrapped
-
-    monkeypatch.setattr(est, "chain_step", chain_step)
-    monkeypatch.setattr(est, "step_weights", spy("interior", est.step_weights))
-    monkeypatch.setattr(est, "terminal_weights", spy("final", est.terminal_weights))
+    """On the sampled route, interval k of a path is weighted once: by
+    ``step_weights`` when k < n_jumps, by ``terminal_weights`` when
+    k == n_jumps.  Paths are told apart by their Gaussian draw ``z1``."""
     cfg = RunConfig(model=builtin("PeriodicCosine"), payoff=Payoff.call(1.5),
                     sampler=JumpSampler.exponential(4.0), s0=math.exp(0.4),
                     y0=0.2, T=0.5, n_paths=400, seed=2)
-    plain_estimator("vega")(cfg)
+    ids = np.arange(cfg.n_paths, dtype=np.uint64)
+    grid = philox_grid(cfg.sampler, cfg.T, cfg.seed, ids)
+    owner, weighted = {}, []
 
-    assert len(advanced) >= 3
-    assert sorted(weighted) == list(range(len(advanced)))
-    for k, z1 in enumerate(advanced):
-        seen = np.concatenate([z for _, z in weighted[k]])
-        assert np.array_equal(np.sort(seen), np.sort(z1))
-    # step 0 has both kinds, the last step only final intervals
-    assert {kind for kind, _ in weighted[0]} == {"interior", "final"}
-    assert {kind for kind, _ in weighted[len(advanced) - 1]} == {"final"}
+    def normals(k, p):
+        z1, z2 = normal_pair(cfg.seed, p, k)
+        owner.update((z, (int(q), k)) for z, q in zip(z1.tolist(), p))
+        return z1, z2
+
+    def spy(kind, fn):
+        def wrapped(rec, smp):
+            for z in rec.z1.tolist():
+                path, k = owner[z]
+                assert k == rec.index
+                weighted.append((path, k, kind))
+            return fn(rec, smp)
+        return wrapped
+
+    monkeypatch.setattr(est, "step_weights", spy("interior", est.step_weights))
+    monkeypatch.setattr(est, "terminal_weights", spy("final", est.terminal_weights))
+    engine_weights(cfg, grid, normals, ids=ids)
+
+    n_jumps = grid[1]
+    assert n_jumps.max() >= 2
+    assert len(owner) == int((n_jumps + 1).sum())  # every draw tells its path
+    expected = [(p, k, "interior") for p in range(cfg.n_paths) for k in range(n_jumps[p])]
+    expected += [(p, int(n_jumps[p]), "final") for p in range(cfg.n_paths)]
+    assert sorted(weighted) == sorted(expected)

@@ -17,9 +17,10 @@ import pytest
 from uvol.chain import one_minus_rho_sq
 from uvol.estimators import Payoff, RunConfig
 from uvol.flow import frozen_coeffs
-from uvol.renewal import JumpSampler, density
+from uvol.renewal import DomainError, JumpSampler, density
 from uvol.rng import normal_pair
-from uvol.weights import FoldWeights, step_weights, terminal_weights
+from uvol.weights import (FoldWeights, conditional_rows, step_weights,
+                          terminal_weights)
 
 from helpers import (builtin, chain_steps, engine_weights, fixed_grid,
                      fixed_normals, gh_step_expectation, make_step,
@@ -136,6 +137,22 @@ def test_terminal_weights_pins():
         float(tw_e.theta * step.fc.m1_i), rel=1e-13)
     assert tw_e.theta_eX == 0.0
     assert tw_e.I1_theta == 0.0  # I1_1 = 0 at zero noise
+
+
+def test_final_interval_with_zero_survival_is_rejected():
+    """A Beta gap of exactly ``tau_bar`` has survival 0, so the survival
+    reweighting ``1 / (1 - F)`` does not exist: both the sampled and the
+    integrated-out final interval refuse it, even for one row in a batch."""
+    sampler = JumpSampler.beta_one_minus_alpha(0.5, 0.4)
+    delta = np.array([0.1, 0.4])
+    step = make_step(STEIN, np.full(2, 0.4), np.full(2, 0.2), delta,
+                     np.array([0.3, -0.2]), np.array([0.5, 1.1]))
+    state = [np.ones(2), np.ones(2), np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2)]
+    with pytest.raises(DomainError, match="survival"):
+        terminal_weights(step, sampler)
+    with pytest.raises(DomainError, match="survival"):
+        conditional_rows(STEIN, step.x_prev, step.fc, sampler, state,
+                         Payoff.call(1.5), 0, True)
 
 
 def test_both_kernels_return_fold_weights():
