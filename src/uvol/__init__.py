@@ -12,7 +12,7 @@ from .estimators import (EstimateResult, NonFinitePathError, Payoff, RunConfig,
                          aggregate, estimate_delta, estimate_price,
                          estimate_vega)
 from .flow import (FrozenCoeffs, NonFiniteError, QuadratureError, flow,
-                   flow_tangent, frozen_coeffs, simpson38)
+                   flow_tangent, frozen_coeffs)
 from .model import (BuiltinModelKind, Model, ParameterError, ValidationReport,
                     make_builtin, validate_model)
 from .renewal import DomainError, JumpSampler
@@ -39,6 +39,6 @@ __all__ = [
     "aggregate", "bs_delta", "bs_price", "chain_step", "estimate_delta",
     "estimate_price", "estimate_vega", "euler_price", "euler_terminal",
     "fd_greek", "flow", "flow_tangent", "frozen_coeffs", "load_config",
-    "make_builtin", "philox4x32", "proxy_density", "simpson38",
+    "make_builtin", "philox4x32", "proxy_density",
     "step_weights", "terminal_weights", "validate_model", "__version__",
 ]

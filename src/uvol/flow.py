@@ -11,9 +11,12 @@ flow ``dm_s/ds = b_Y(m_s)``, ``m_0 = y``.  Freezing an interval of length
 their square roots, the effective correlation ``rho_i`` and the
 y-derivatives of all of the above, which the correction weights consume.
 The flow map and every integral are differentiated through the variational
-equation ``dJ_s/ds = b_Y'(m_s) J_s``.  Integrals without a closed form are
-taken by a :data:`NODES`-node Gauss-Legendre rule along the flow, exact for
-polynomials of degree ``2 * NODES - 1`` in ``s``.
+equation ``dJ_s/ds = b_Y'(m_s) J_s``.  A drift declared Ornstein-Uhlenbeck
+(``ou_params``) has the flow in closed form; any other drift is walked by
+RK4 in substeps of at most ``delta/48``.  Integrals without a closed form
+are taken by a :data:`NODES`-node Gauss-Legendre rule along that one walk,
+exact for polynomials of degree ``2 * NODES - 1`` in ``s``, and the same
+walk runs on from the last node to ``delta`` for the flow endpoint.
 
 All entry points accept scalars or numpy arrays for ``y`` and ``delta``,
 convert them to arrays and broadcast elementwise.
@@ -24,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -36,13 +38,10 @@ __all__ = [
     "FrozenCoeffs",
     "flow",
     "flow_tangent",
-    "simpson38",
     "frozen_coeffs",
 ]
 
-RK4_DIVISOR = 16  # flow steps per interval: step size delta/16
 NODES = 8  # Gauss-Legendre nodes of the frozen-coefficient quadrature
-PANELS = 8  # default Simpson 3/8 panels of simpson38
 
 
 class NonFiniteError(ArithmeticError):
@@ -90,14 +89,13 @@ def _rk4_pair(model: Model, y, j, h, n_steps: int):
     b, b1 = model.b_Y, model.b1_Y
     m, jac = y, j
     for _ in range(n_steps):
-        k1 = b(m)
-        l1 = b1(m) * jac
-        k2 = b(m + 0.5 * h * k1)
-        l2 = b1(m + 0.5 * h * k1) * (jac + 0.5 * h * l1)
-        k3 = b(m + 0.5 * h * k2)
-        l3 = b1(m + 0.5 * h * k2) * (jac + 0.5 * h * l2)
-        k4 = b(m + h * k3)
-        l4 = b1(m + h * k3) * (jac + h * l3)
+        k1, l1 = b(m), b1(m) * jac
+        u = m + 0.5 * h * k1
+        k2, l2 = b(u), b1(u) * (jac + 0.5 * h * l1)
+        u = m + 0.5 * h * k2
+        k3, l3 = b(u), b1(u) * (jac + 0.5 * h * l2)
+        u = m + h * k3
+        k4, l4 = b(u), b1(u) * (jac + h * l3)
         m = m + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         jac = jac + (h / 6.0) * (l1 + 2 * l2 + 2 * l3 + l4)
     return m, jac
@@ -105,6 +103,11 @@ def _rk4_pair(model: Model, y, j, h, n_steps: int):
 
 def flow_tangent(model: Model, y, delta):
     """Flow endpoint and its derivative with respect to the start point.
+
+    The closed form under ``ou_params``, otherwise 48 RK4 substeps of
+    ``delta/48``.  :func:`frozen_coeffs` takes the same walk but stops at
+    its nodes on the way, so on the RK4 route its ``m_i`` differs from
+    this value by the RK4 error.
 
     Parameters
     ----------
@@ -130,13 +133,7 @@ def flow_tangent(model: Model, y, delta):
     delta = np.asarray(delta, dtype=float)
     if np.any(delta < 0):
         raise ValueError("delta must be nonnegative")
-    if model.ou_params is not None:
-        lam, mu = model.ou_params
-        e = np.exp(-lam * delta)
-        m = mu + (y - mu) * e
-        j = e + 0.0 * y
-    else:
-        m, j = _rk4_pair(model, y, 1.0 + 0.0 * y, delta / RK4_DIVISOR, RK4_DIVISOR)
+    m, j = next(_flow_nodes(model, y, delta, (1.0,)))
     _check_finite(NonFiniteError, "flow", m, j)
     return m, j
 
@@ -144,50 +141,6 @@ def flow_tangent(model: Model, y, delta):
 def flow(model: Model, y, delta):
     """Noiseless variance flow ``m_delta(y)``; see :func:`flow_tangent`."""
     return flow_tangent(model, y, delta)[0]
-
-
-def _simpson38_scheme(panels: int):
-    """Node fractions in [0, 1] and weights (for unit length) of the rule."""
-    if panels < 1:
-        raise ValueError("panels must be >= 1")
-    n = 3 * panels
-    frac = np.arange(n + 1) / n
-    w = np.full(n + 1, 3.0)
-    w[0] = w[-1] = 1.0
-    w[3:n:3] = 2.0
-    w *= 3.0 / (8.0 * n)
-    return frac, w
-
-
-def simpson38(g: Callable, t: float, panels: int = PANELS) -> float:
-    """Composite Simpson 3/8 approximation of ``int_0^t g(s) ds``.
-
-    Exact for cubics on each panel.
-
-    Parameters
-    ----------
-    g : callable
-        Scalar integrand.
-    t : float
-        Upper limit, ``t >= 0``.
-    panels : int
-        Number of 3-node panels, ``>= 1``.
-
-    Returns
-    -------
-    float
-
-    Raises
-    ------
-    NonFiniteError
-        If an integrand evaluation is non-finite.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    frac, w = _simpson38_scheme(panels)
-    vals = np.array([g(t * f) for f in frac], dtype=float)
-    _check_finite(NonFiniteError, "simpson38 integrand", vals)
-    return float(t * np.dot(w, vals))
 
 
 @lru_cache(maxsize=None)
@@ -220,7 +173,8 @@ def _flow_nodes(model: Model, y, delta, frac):
 
 
 def _flow_integrals(model: Model, y, delta, integrands):
-    """Gauss-Legendre integrals over ``[0, delta]`` of functions of the flow.
+    """Flow endpoint, its tangent, and Gauss-Legendre integrals over
+    ``[0, delta]`` of functions of the flow.
 
     Each integrand maps ``(jet, tangent)`` at a node, the model's
     :class:`~uvol.model.CoeffJet` at the flow value and the flow's
@@ -229,17 +183,29 @@ def _flow_integrals(model: Model, y, delta, integrands):
     sum, so each coefficient is evaluated once per node and no
     (nodes x points) array is formed.  Every operation is elementwise, so a
     point's integrals do not depend on how many points share the call.
+    The walk then takes one more leg, from the last node to ``delta``, for
+    the endpoint.
+
+    Returns
+    -------
+    (m, j, integrals)
+        The flow endpoint ``m_delta(y)``, its y-derivative, and the list of
+        integrals in the order of ``integrands``.
 
     Raises
     ------
+    NonFiniteError
+        If the flow endpoint or its tangent is non-finite.
     QuadratureError
         If an integrand is non-finite at some node.  The weights are
         positive and sum to one, so a running sum is finite exactly when
         every value added into it is.
     """
     frac, w = _gauss_legendre_scheme(NODES)
+    walk = _flow_nodes(model, y, delta, (*frac, 1.0))
     sums = None
-    for wk, (m, jac) in zip(w, _flow_nodes(model, y, delta, frac)):
+    for wk in w:
+        m, jac = next(walk)
         jet = model.jet(m)
         terms = [wk * g(jet, jac) for g in integrands]
         if sums is None:
@@ -248,8 +214,10 @@ def _flow_integrals(model: Model, y, delta, integrands):
         else:
             for s, t in zip(sums, terms):
                 np.add(s, t, out=s)
+    m, jac = next(walk)
+    _check_finite(NonFiniteError, "flow", m, jac)
     _check_finite(QuadratureError, "frozen-coefficient integrand", *sums)
-    return [delta * s for s in sums]
+    return m, jac, [delta * s for s in sums]
 
 
 def frozen_coeffs(model: Model, y, delta) -> FrozenCoeffs:
@@ -260,7 +228,8 @@ def frozen_coeffs(model: Model, y, delta) -> FrozenCoeffs:
     with both ``sigma_Y_const`` and ``ou_params`` for the ``sigma_S`` ones.
     Everything else goes through a Gauss-Legendre rule of :data:`NODES`
     nodes along the flow, so a model rebuilt without these declarations
-    takes the quadrature route.
+    takes the quadrature route; there the flow endpoint ``m_i`` and its
+    tangent ``m1_i`` come from the same walk that gives the nodes.
 
     Parameters
     ----------
@@ -278,6 +247,8 @@ def frozen_coeffs(model: Model, y, delta) -> FrozenCoeffs:
     ------
     ValueError
         If ``delta <= 0`` anywhere.
+    NonFiniteError
+        If the flow leaves the finite range.
     QuadratureError
         If an integrand is non-finite or a frozen variance is degenerate.
     """
@@ -286,16 +257,15 @@ def frozen_coeffs(model: Model, y, delta) -> FrozenCoeffs:
     if np.any(delta <= 0):
         raise ValueError("delta must be strictly positive")
 
-    m_i, m1_i = flow_tangent(model, y, delta)
-
     closed_Y = model.sigma_Y_const is not None
     if closed_Y and model.sigma_S_affine is not None and model.ou_params is not None:
+        m_i, m1_i = flow_tangent(model, y, delta)
         lam, mu = model.ou_params
-        if lam > 0:
+        if lam != 0:
             efold = m1_i  # the OU flow's tangent is exp(-lam * delta)
             e1 = (1.0 - efold) / lam
             e2 = (1.0 - efold * efold) / (2.0 * lam)
-        else:
+        else:  # the lam -> 0 limit of both
             e1 = delta
             e2 = delta
         s1, s2 = model.sigma_S_affine
@@ -306,14 +276,16 @@ def frozen_coeffs(model: Model, y, delta) -> FrozenCoeffs:
         I_sS = sbar * delta + s1 * dy * e1
         I1_sS = s1 * e1 + 0.0 * I_aS
     elif closed_Y:
-        I_aS, I1_aS, I_sS, I1_sS = _flow_integrals(model, y, delta, (
+        m_i, m1_i, integrals = _flow_integrals(model, y, delta, (
             lambda c, j: c.a_S, lambda c, j: c.a1_S * j,
             lambda c, j: c.sigma_S, lambda c, j: c.sigma1_S * j))
+        I_aS, I1_aS, I_sS, I1_sS = integrals
     else:
-        I_aS, I1_aS, I_aY, I1_aY, I_SY, I1_SY = _flow_integrals(model, y, delta, (
+        m_i, m1_i, integrals = _flow_integrals(model, y, delta, (
             lambda c, j: c.a_S, lambda c, j: c.a1_S * j,
             lambda c, j: c.a_Y, lambda c, j: c.a1_Y * j,
             lambda c, j: c.sigma_SY, lambda c, j: c.sigma1_SY * j))
+        I_aS, I1_aS, I_aY, I1_aY, I_SY, I1_SY = integrals
     if closed_Y:
         sy = model.sigma_Y_const
         I_aY = sy * sy * delta

@@ -161,3 +161,32 @@ def synthetic_model(rho=0.4, r=0.03):
         rho=rho,
         kappa=50.0,
     )
+
+
+def unit_drift_model():
+    """``synthetic_model`` with drift 1, so the flow from 0 is ``m_s = s``
+    and the frozen-coefficient rule integrates functions of ``s`` itself."""
+    return dataclasses.replace(synthetic_model(), b_Y=lambda y: 1.0 + 0.0 * y,
+                               b1_Y=lambda y: 0.0 * y)
+
+
+def cubic_drift_model():
+    """Superlinear mean reversion ``b_Y = 0.5 (0.3 - y) - 2 (y - 0.3)^3``.
+
+    The Stein-Stein ``sigma_S`` and constant ``sigma_Y`` of the builtin, but
+    no ``ou_params``, so the flow is walked by RK4.  The cube is written as
+    a product, which numpy evaluates far faster than ``** 3``.
+    """
+    def b_Y(y):
+        d = y - 0.3
+        return 0.5 * (0.3 - y) - 2.0 * d * d * d
+
+    def b1_Y(y):
+        d = y - 0.3
+        return -0.5 - 6.0 * d * d
+
+    def b2_Y(y):
+        return -12.0 * (y - 0.3)
+
+    return dataclasses.replace(builtin("SteinSteinAffine"), b_Y=b_Y, b1_Y=b1_Y,
+                               b2_Y=b2_Y, ou_params=None)

@@ -25,6 +25,7 @@ from helpers import (
     rel_err,
     step_from_states,
     synthetic_model,
+    unit_drift_model,
 )
 from jet_oracle import (
     oracle_model_from_kind,
@@ -37,7 +38,7 @@ from jet_oracle import (
 from uvol.baselines import EulerConfig, euler_price
 from uvol.chain import proxy_density
 from uvol.estimators import Payoff, RunConfig
-from uvol.flow import frozen_coeffs, simpson38
+from uvol.flow import _flow_integrals, frozen_coeffs
 from uvol.model import BuiltinModelKind
 from uvol.renewal import JumpSampler
 from uvol.rng import normal_pair
@@ -334,9 +335,11 @@ def test_criterion_09_quadrature_exactness():
     def cubic_integral(t):
         return t ** 4 / 4 - 2.0 * t ** 3 / 3 + 1.5 * t ** 2 - t
 
-    worst_simpson = max(
-        abs(simpson38(cubic, 0.7, panels=p) - cubic_integral(0.7))
-        for p in (1, 2, 8))
+    # the engine's own rule: under a unit drift from 0 the flow is m_s = s
+    delta = np.array([0.35, 0.7, 2.0])
+    _, _, (got,) = _flow_integrals(unit_drift_model(), np.zeros(delta.size), delta,
+                                   [lambda c, j: cubic(c.y)])
+    worst_cubic = float(np.max(np.abs(got - cubic_integral(delta))))
 
     # proxy density mass over a wide Gauss-Legendre box
     gl_x, gl_wx = np.polynomial.legendre.leggauss(120)
@@ -351,9 +354,9 @@ def test_criterion_09_quadrature_exactness():
     dens = proxy_density(fc, 0.4, 0.22, X, Y, 0.03)
     mass = float(np.einsum("i,j,ij->", gl_wx * wx, gl_wx * wy, dens))
     worst_mass = abs(mass - 1.0)
-    ok = worst_simpson <= 1e-12 and worst_mass <= 1e-8
+    ok = worst_cubic <= 1e-12 and worst_mass <= 1e-8
     line = record_criterion(
-        9, ok, f"cubic quadrature err={worst_simpson:.2e} (gate 1e-12); "
+        9, ok, f"cubic quadrature err={worst_cubic:.2e} (gate 1e-12); "
                f"proxy density mass err={worst_mass:.2e} (gate 1e-8)")
     assert ok, line
 

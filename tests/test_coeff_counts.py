@@ -59,6 +59,17 @@ def test_quadrature_evaluates_sigma_S_once_per_node(monkeypatch, model, route, n
     assert all(size == y.size for name, _, size in log if name.startswith("sigma"))
 
 
+def test_flow_walk_supplies_nodes_and_endpoint():
+    """On the RK4 route one walk gives the Gauss nodes and, one leg on, the
+    flow endpoint: 50 substeps of at most delta/48 to the last node and one
+    more to delta, 4 stages each; the sigma callables run once per node."""
+    mdl, log = counting(synthetic_model())
+    frozen_coeffs(mdl, np.array([0.25, -0.4, 1.1]), np.array([0.3, 0.05, 0.8]))
+    assert Counter(name for name, _, _ in log) == {
+        "b_Y": 51 * 4, "b1_Y": 51 * 4,
+        "sigma_S": 8, "sigma1_S": 8, "sigma_Y": 8, "sigma1_Y": 8}
+
+
 def test_step_weights_evaluate_each_callable_once_per_endpoint():
     mdl, log = counting(synthetic_model())
     n = 7

@@ -1,4 +1,4 @@
-"""Drift flow, quadrature rules, and interval-frozen coefficients."""
+"""Drift flow, the quadrature rule, and interval-frozen coefficients."""
 
 import dataclasses
 import importlib
@@ -10,10 +10,11 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 from uvol.flow import (FrozenCoeffs, NonFiniteError, QuadratureError, flow,
-                       flow_tangent, frozen_coeffs, simpson38)
+                       flow_tangent, frozen_coeffs)
 from uvol.model import Model
 
-from helpers import builtin, quadrature_only, synthetic_model
+from helpers import (builtin, cubic_drift_model, quadrature_only, rel_err,
+                     synthetic_model, unit_drift_model)
 
 BS = builtin("BlackScholes")
 STEIN = builtin("SteinSteinAffine")
@@ -70,6 +71,36 @@ def test_flow_tangent_matches_finite_difference():
         assert flow_tangent(m, y, delta)[1] == pytest.approx(num, abs=1e-7)
 
 
+def _fine_flow(model, y, delta, steps=4096):
+    """Flow endpoint and tangent of one point by RK4 in ``steps`` equal steps."""
+    def f(state):
+        m, j = state
+        return np.array([model.b_Y(m), model.b1_Y(m) * j])
+
+    h = delta / steps
+    state = np.array([y, 1.0])
+    for _ in range(steps):
+        k1 = f(state)
+        k2 = f(state + 0.5 * h * k1)
+        k3 = f(state + 0.5 * h * k2)
+        k4 = f(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return state
+
+
+@pytest.mark.parametrize("y, delta", [(3.0, 1.0), (1.5, 0.5)])
+def test_flow_endpoint_matches_fine_reference_under_cubic_drift(y, delta):
+    """Far from the mean the cubic drift is stiff; the endpoint and its
+    tangent, from ``flow_tangent`` and from the walk of ``frozen_coeffs``,
+    must still match a fine RK4 solution."""
+    model = cubic_drift_model()
+    ref_m, ref_j = _fine_flow(model, y, delta)
+    fc = frozen_coeffs(model, y, delta)
+    for m, j in (flow_tangent(model, y, delta), (fc.m_i, fc.m1_i)):
+        assert abs(float(m) - ref_m) <= 1e-4
+        assert abs(float(j) - ref_j) <= 1e-4
+
+
 def test_flow_broadcasts():
     y = np.array([0.1, 0.2, 0.3])
     out = flow(BS, y, 0.5)
@@ -77,42 +108,16 @@ def test_flow_broadcasts():
     assert out[1] == pytest.approx(0.22211992169285952, rel=1e-15)
 
 
-# ------------------------------------------------------------ simpson38 ---
-
-def test_simpson38_exact_on_cubics():
-    g = lambda s: s ** 3 - 2 * s ** 2 + 3 * s - 1.0
-    exact = 0.7 ** 4 / 4 - 2 * 0.7 ** 3 / 3 + 3 * 0.7 ** 2 / 2 - 0.7
-    for panels in (1, 2, 8):
-        assert abs(simpson38(g, 0.7, panels) - exact) <= 1e-12
-
-
-def test_simpson38_sine():
-    assert abs(simpson38(np.cos, 0.5) - math.sin(0.5)) < 5e-9
-
-
-def test_simpson38_exponential():
-    assert simpson38(math.exp, 1.0) == pytest.approx(math.e - 1.0, abs=1e-6)
-
-
-def test_simpson38_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        simpson38(np.cos, -1.0)
-    with pytest.raises(ValueError):
-        simpson38(np.cos, 1.0, panels=0)
-
-
 # ---------------------------------------------- frozen-coefficient rule ---
 
 def test_engine_rule_is_exact_to_degree_15():
     """Under a unit drift the flow from 0 is ``m_s = s``, so the engine's rule
     integrates ``s**k`` over ``[0, delta]``; 8 Gauss nodes are exact to 15."""
-    unit = dataclasses.replace(synthetic_model(), b_Y=lambda y: 1.0 + 0.0 * y,
-                               b1_Y=lambda y: 0.0 * y)
     degrees = range(2 * FLOW.NODES)
     assert max(degrees) == 15
     delta = np.array([0.05, 0.7, 2.0, 5.0])
-    got = FLOW._flow_integrals(
-        unit, np.zeros(delta.size), delta,
+    _, _, got = FLOW._flow_integrals(
+        unit_drift_model(), np.zeros(delta.size), delta,
         [lambda c, j, k=k: c.y ** k for k in degrees])
     for k, value in zip(degrees, got):
         exact = delta ** (k + 1) / (k + 1)
@@ -181,6 +186,23 @@ def test_frozen_affine_closed_vs_quadrature():
             a = float(getattr(closed, name))
             b = float(getattr(numeric, name))
             assert abs(a - b) <= 1e-8 * max(1.0, abs(a)), name
+
+
+@pytest.mark.parametrize("lam", [0.5, -0.3, 0.0])
+def test_frozen_affine_closed_form_holds_for_any_mean_reversion(lam):
+    """The affine/OU closed forms against the quadrature route, for mean
+    reversion of either sign and for none.  ``make_builtin`` refuses
+    ``lambda_y < 0``, so the OU drift is declared on a copy of the builtin.
+    At ``lam = 0`` the exact ``rho1_i`` is 0, hence the floor."""
+    mu = 0.3
+    model = dataclasses.replace(STEIN, b_Y=lambda y: lam * (mu - y),
+                                b1_Y=lambda y: -lam + 0.0 * y, ou_params=(lam, mu))
+    closed = frozen_coeffs(model, 0.5, 1.0)
+    numeric = frozen_coeffs(quadrature_only(model), 0.5, 1.0)
+    for name in FrozenCoeffs.__dataclass_fields__:
+        a = float(getattr(closed, name))
+        b = float(getattr(numeric, name))
+        assert rel_err(a, b, floor=1e-3) <= 1e-12, (name, a, b)
 
 
 def test_frozen_affine_against_scipy_quad():
