@@ -65,7 +65,7 @@ from scipy.special import ndtr
 
 from . import rng as _rng
 from .chain import StepRecord, chain_step
-from .flow import frozen_coeffs
+from .flow import flow_tangent, frozen_coeffs
 from .model import Model, ParameterError
 from .renewal import JumpSampler, mean_gap, quantile
 from .weights import conditional_rows, step_weights, terminal_weights
@@ -245,36 +245,34 @@ def _sample_gap_columns(uniforms: Callable, sampler: JumpSampler, T: float,
     """Vectorized renewal-grid sampling for ``n`` paths.
 
     ``uniforms(ia, j)`` returns the gap uniforms of the paths ``ia`` (indices
-    into the ``n`` paths) at their per-path draw counters ``j``.  Every
-    alive path draws once per round, so its counter is the round index.  A
-    draw that would give a zero-length or tied interval, or land exactly on
-    ``T``, is discarded; the counter still advances, so the next round
-    redraws it.  Returns ``(gaps, n_jumps, last_gap)``: ``gaps[p, k]`` is
-    the k-th interior interval of path ``p`` (NaN beyond its jump count);
-    it has as many columns as the longest grid has interior intervals, and
-    at least one.
+    into the ``n`` paths, in increasing order) at draw counter ``j``, a
+    scalar ``np.uint64``.  Every live path draws once per round, so its
+    counter is the round index.  A draw that would give a zero-length or
+    tied interval, or land exactly on ``T``, is discarded; the counter
+    still advances, so the next round redraws it.  Returns
+    ``(gaps, n_jumps, last_gap)``: ``gaps[p, k]`` is the k-th interior
+    interval of path ``p`` (NaN beyond its jump count); it has as many
+    columns as the longest grid has interior intervals, and at least one.
     """
     slot = np.zeros(n, dtype=np.int64)
     cum = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
+    ia = np.arange(n)  # the live paths, in order
     rows, slots, vals = [], [], []  # each round's jumps, scattered at the end
     for r in range(_MAX_SAMPLING_ROUNDS):
-        ia = np.flatnonzero(alive)
         if ia.size == 0:
             break
-        u = uniforms(ia, np.full(ia.size, r, dtype=np.uint64))
-        g = quantile(sampler, u)
-        nxt = cum[ia] + g
-        ok = (g > 0) & (nxt != cum[ia]) & (nxt != T)
+        g = quantile(sampler, uniforms(ia, np.uint64(r)))
+        now = cum[ia]
+        nxt = now + g
+        ok = (g > 0) & (nxt != now) & (nxt != T)
         inside = ok & (nxt < T)
         jump = ia[inside]
-        if jump.size:
-            rows.append(jump)
-            slots.append(slot[jump])
-            vals.append((nxt - cum[ia])[inside])
-            cum[jump] = nxt[inside]
-            slot[jump] += 1
-        alive[ia[ok & (nxt > T)]] = False
+        rows.append(jump)
+        slots.append(slot[jump])
+        vals.append((nxt - now)[inside])
+        cum[jump] = nxt[inside]
+        slot[jump] += 1
+        ia = ia[~(ok & (nxt > T))]
     else:  # pragma: no cover - would need a broken sampler
         raise RuntimeError("renewal sampling did not terminate")
     gaps = np.full((n, max(1, int(slot.max(initial=0)))), np.nan)
@@ -426,9 +424,8 @@ def _control_means(cfg: RunConfig) -> np.ndarray:
     means = [1.0, forward, 0.0, T * forward, 0.0, 0.0]
     mdl = cfg.model
     if mdl.ou_params is not None and mdl.sigma_Y_const is not None:
-        lam, mu = mdl.ou_params
-        decay = math.exp(-lam * T)
-        m = mu + (cfg.y0 - mu) * decay
+        lam = mdl.ou_params[0]
+        m, decay = (float(v) for v in flow_tangent(mdl, cfg.y0, T))
         v = mdl.sigma_Y_const ** 2 * (-math.expm1(-2.0 * lam * T) / (2.0 * lam)
                                       if lam != 0 else T)
         means += [m, 0.0, T * decay, m * m + v, 0.0, 2.0 * T * m * decay]

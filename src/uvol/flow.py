@@ -18,8 +18,9 @@ are taken by a :data:`NODES`-node Gauss-Legendre rule along that one walk,
 exact for polynomials of degree ``2 * NODES - 1`` in ``s``, and the same
 walk runs on from the last node to ``delta`` for the flow endpoint.
 
-All entry points accept scalars or numpy arrays for ``y`` and ``delta``,
-convert them to arrays and broadcast elementwise.
+All entry points accept scalars or numpy arrays for ``y`` and ``delta``
+and broadcast them against each other once, on entry: every value they
+return has that shape, even where a coefficient is a constant float.
 """
 
 from __future__ import annotations
@@ -129,8 +130,7 @@ def flow_tangent(model: Model, y, delta):
     NonFiniteError
         If the flow leaves the finite range.
     """
-    y = np.asarray(y, dtype=float)
-    delta = np.asarray(delta, dtype=float)
+    y, delta = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(delta, dtype=float))
     if np.any(delta < 0):
         raise ValueError("delta must be nonnegative")
     m, j = next(_flow_nodes(model, y, delta, (1.0,)))
@@ -156,13 +156,12 @@ def _flow_nodes(model: Model, y, delta, frac):
     """Flow value and tangent at each fraction ``frac`` of ``delta``, in order."""
     if model.ou_params is not None:
         lam, mu = model.ou_params
-        dev, zero = y - mu, 0.0 * y
+        dev = y - mu
         for f in frac:
             e = np.exp(-lam * (f * delta))
-            yield mu + dev * e, e + zero
+            yield mu + dev * e, e
         return
-    m = y + 0.0 * delta
-    jac = 1.0 + 0.0 * m
+    m, jac = y, np.ones(y.shape)
     prev = 0.0
     for f in frac:
         # RK4 substeps of at most delta/48 from one node to the next
@@ -209,8 +208,8 @@ def _flow_integrals(model: Model, y, delta, integrands):
         jet = model.jet(m)
         terms = [wk * g(jet, jac) for g in integrands]
         if sums is None:
-            # arrays of our own, even where a callable returned a scalar
-            sums = [np.asarray(t) for t in terms]
+            # arrays of our own, even where a coefficient is a constant float
+            sums = [np.full(y.shape, t) for t in terms]
         else:
             for s, t in zip(sums, terms):
                 np.add(s, t, out=s)
@@ -252,8 +251,7 @@ def frozen_coeffs(model: Model, y, delta) -> FrozenCoeffs:
     QuadratureError
         If an integrand is non-finite or a frozen variance is degenerate.
     """
-    y = np.asarray(y, dtype=float)
-    delta = np.asarray(delta, dtype=float)
+    y, delta = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(delta, dtype=float))
     if np.any(delta <= 0):
         raise ValueError("delta must be strictly positive")
 
@@ -274,7 +272,7 @@ def frozen_coeffs(model: Model, y, delta) -> FrozenCoeffs:
         I_aS = sbar * sbar * delta + s1 * s1 * dy * dy * e2 + 2 * s1 * sbar * dy * e1
         I1_aS = 2 * s1 * s1 * dy * e2 + 2 * s1 * sbar * e1
         I_sS = sbar * delta + s1 * dy * e1
-        I1_sS = s1 * e1 + 0.0 * I_aS
+        I1_sS = s1 * e1
     elif closed_Y:
         m_i, m1_i, integrals = _flow_integrals(model, y, delta, (
             lambda c, j: c.a_S, lambda c, j: c.a1_S * j,

@@ -7,7 +7,6 @@ The engine prices European options under
 
 working on the log-spot X = ln S.  A :class:`Model` bundles the coefficient
 callables together with the derivative handles the weight calculus consumes.
-All callables must accept floats or numpy arrays elementwise.
 :meth:`Model.jet` evaluates them at one point set, each at most once, along
 with the derived variance shorthands (:class:`CoeffJet`).
 
@@ -54,12 +53,15 @@ class ParameterError(ValueError):
 
 
 def _zero(y):
-    return 0.0 * np.asarray(y, dtype=float)
+    return 0.0
 
 
 @dataclass(frozen=True)
 class Model:
     """Coefficient functions and derivative handles of the 2-D dynamics.
+
+    Each callable maps floats or numpy arrays elementwise, and may return a
+    float where a coefficient is constant.
 
     Parameters
     ----------
@@ -189,10 +191,6 @@ class CoeffJet:
         return 2.0 * self.sigma_S * self.sigma1_S
 
     @_Once
-    def a2_S(self):
-        return 2.0 * (self.sigma1_S ** 2 + self.sigma_S * self.sigma2_S)
-
-    @_Once
     def a_Y(self):
         return self.sigma_Y ** 2
 
@@ -306,12 +304,12 @@ def make_builtin(kind: BuiltinModelKind) -> Model:
         return lam * (mu - y)
 
     def b1_Y(y):
-        return -lam + _zero(y)
+        return -lam
 
     b2_Y = _zero
 
     def sigma_Y(y):
-        return sy + _zero(y)
+        return sy
 
     sigma1_Y = _zero
 
@@ -346,7 +344,7 @@ def make_builtin(kind: BuiltinModelKind) -> Model:
             return s1 * y + s2
 
         def sigma1_S(y):
-            return s1 + _zero(y)
+            return s1
 
         sigma2_S = _zero
         affine = (s1, s2)
@@ -408,7 +406,7 @@ class ValidationReport:
 
 def _fd_rel_err(f, df, y, h):
     num = (np.asarray(f(y + h), dtype=float) - np.asarray(f(y - h), dtype=float)) / (2 * h)
-    ana = np.asarray(df(y), dtype=float) + _zero(y)
+    ana = np.asarray(df(y), dtype=float)
     scale = np.maximum(np.abs(ana), 1.0)
     return float(np.max(np.abs(num - ana) / scale))
 
@@ -431,8 +429,8 @@ def validate_model(m: Model, grid) -> ValidationReport:
     """
     y = np.asarray(grid, dtype=float)
     jet = m.jet(y)
-    aS = np.asarray(jet.a_S, dtype=float) + _zero(y)
-    aY = np.asarray(jet.a_Y, dtype=float) + _zero(y)
+    aS = np.asarray(jet.a_S, dtype=float)
+    aY = np.asarray(jet.a_Y, dtype=float)
     lo, hi = 1.0 / m.kappa, m.kappa
     msgs = []
 

@@ -65,7 +65,7 @@ def _counter_words(seed: int, path, stream: int, index):
     k1 = np.uint64(seed >> 32)
     c0 = path & _MASK
     c1 = path >> _SH32
-    c2 = np.uint64(stream) + 0 * index
+    c2 = np.uint64(stream)
     c3 = index & _MASK
     return c0, c1, c2, c3, k0, k1
 
