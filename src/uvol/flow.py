@@ -259,10 +259,10 @@ def frozen_coeffs(model: Model, y, delta) -> FrozenCoeffs:
     if closed_Y and model.sigma_S_affine is not None and model.ou_params is not None:
         m_i, m1_i = flow_tangent(model, y, delta)
         lam, mu = model.ou_params
-        if lam != 0:
-            efold = m1_i  # the OU flow's tangent is exp(-lam * delta)
-            e1 = (1.0 - efold) / lam
-            e2 = (1.0 - efold * efold) / (2.0 * lam)
+        if lam != 0:  # by expm1, which does not cancel where lam * delta is small
+            em1 = np.expm1(-lam * delta)
+            e1 = -em1 / lam
+            e2 = -em1 * (2.0 + em1) / (2.0 * lam)
         else:  # the lam -> 0 limit of both
             e1 = delta
             e2 = delta

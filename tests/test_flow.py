@@ -188,12 +188,12 @@ def test_frozen_affine_closed_vs_quadrature():
             assert abs(a - b) <= 1e-8 * max(1.0, abs(a)), name
 
 
-@pytest.mark.parametrize("lam", [0.5, -0.3, 0.0])
+@pytest.mark.parametrize("lam", [0.5, -0.3, 1e-4, 1e-9, 1e-12, 1e-15, 0.0])
 def test_frozen_affine_closed_form_holds_for_any_mean_reversion(lam):
     """The affine/OU closed forms against the quadrature route, for mean
-    reversion of either sign and for none.  ``make_builtin`` refuses
-    ``lambda_y < 0``, so the OU drift is declared on a copy of the builtin.
-    At ``lam = 0`` the exact ``rho1_i`` is 0, hence the floor."""
+    reversion of either sign, however small, and for none.  ``make_builtin``
+    refuses ``lambda_y < 0``, so the OU drift is declared on a copy of the
+    builtin.  At ``lam = 0`` the exact ``rho1_i`` is 0, hence the floor."""
     mu = 0.3
     model = dataclasses.replace(STEIN, b_Y=lambda y: lam * (mu - y),
                                 b1_Y=lambda y: -lam + 0.0 * y, ou_params=(lam, mu))
