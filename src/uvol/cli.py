@@ -118,16 +118,23 @@ def _env_threads() -> int:
 
 
 def _coerce_numbers(settings: dict):
-    """Convert the numeric keys in place; name the key that does not convert."""
+    """Convert the numeric keys in place; name the key that does not convert.
+
+    A boolean is no number, and an integer key takes no fractional part."""
     for key in _INT_KEYS + _FLOAT_KEYS:
         value = settings.get(key)
         if value is None:
             continue
         try:
-            settings[key] = int(value) if key in _INT_KEYS else float(value)
+            if isinstance(value, bool):
+                raise TypeError
+            number = int(value) if key in _INT_KEYS else float(value)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"config key {key!r} must be a number, "
                               f"got {value!r}") from None
+        if key in _INT_KEYS and isinstance(value, float) and number != value:
+            raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+        settings[key] = number
 
 
 def _merge_settings(file_cfg: dict, flag_cfg: dict) -> dict:
@@ -484,7 +491,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.grid_min) and math.isfinite(args.grid_max)):
         raise ConfigError("--grid-min and --grid-max must be finite, got "
                           f"{args.grid_min} and {args.grid_max}")
-    grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
+    try:
+        grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"--grid-points {args.grid_points} is too many: {exc}") from None
     rep = validate_model(model, grid)
     print(f"model {settings['model']}  kappa={model.kappa:.6g}  "
           f"grid [{args.grid_min:g}, {args.grid_max:g}] x {args.grid_points}")

@@ -385,9 +385,10 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
         for lo in range(0, n, block):
             hi = min(lo + block, n)
             paths = order[lo:hi]
-            vals = conditional_rows(
-                mdl, x[lo:hi], frozen_coeffs(mdl, y[lo:hi], last_gap[paths]), smp,
-                [v[lo:hi] for v in state], cfg.payoff, q, len(rows) > 7)
+            fc = frozen_coeffs(mdl, y[lo:hi], last_gap[paths])
+            with np.errstate(over="ignore", invalid="ignore"):  # rows are checked
+                vals = conditional_rows(mdl, x[lo:hi], fc, smp, [v[lo:hi] for v in state],
+                                        cfg.payoff, q, len(rows) > 7)
             for row, v in zip(rows, vals):
                 row[paths] = v  # row by row: a 2-D scatter is twice as slow
             del vals  # before the next block's are computed
@@ -477,27 +478,32 @@ def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str,
         cfg.sampler, cfg.T, n)
     normals = lambda k, p: _rng.normal_pair(cfg.seed, p, k)  # noqa: E731
     means = _control_means(cfg)
-    if conditional:
-        rows = _path_weights(cfg, ids, *grid, normals, kind)
-    else:
-        x, *weights, y = _path_weights(cfg, ids, *grid, normals)
-        spot = np.exp(x)
-        rows = np.empty((1 + means.size, n))
-        np.multiply(cfg.payoff.value_spot(spot), weights[_KINDS.index(kind)], out=rows[0])
-        with np.errstate(invalid="ignore"):  # non-finite controls only void the fit
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            rows = _path_weights(cfg, ids, *grid, normals, kind if conditional else None)
+    except FloatingPointError as exc:
+        raise NonFinitePathError(f"{exc} in a step of chunk [{lo}, {hi})") from None
+    # a non-finite contribution is caught below; non-finite controls void the fit
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not conditional:
+            x, *weights, y = rows
+            spot = np.exp(x)
+            rows = np.empty((1 + means.size, n))
+            np.multiply(cfg.payoff.value_spot(spot), weights[_KINDS.index(kind)],
+                        out=rows[0])
             for j, w in enumerate(weights):
                 rows[1 + 2 * j] = w
                 np.multiply(spot, w, out=rows[2 + 2 * j])
                 if means.size > 6:
                     np.multiply(y, w, out=rows[7 + j])
                     np.multiply(y, rows[7 + j], out=rows[10 + j])
-    contrib = rows[0]
-    if kind == "delta":
-        contrib /= cfg.s0 * cfg.T
-    elif kind == "vega":
-        contrib /= cfg.T
-    if cfg.discount:
-        contrib *= math.exp(-cfg.model.r * cfg.T)
+        contrib = rows[0]
+        if kind == "delta":
+            contrib /= cfg.s0 * cfg.T
+        elif kind == "vega":
+            contrib /= cfg.T
+        if cfg.discount:
+            contrib *= math.exp(-cfg.model.r * cfg.T)
     # back in path order, so the plain sums keep their bits
     flat = np.empty(n)
     flat[first::2] = contrib[:n0]

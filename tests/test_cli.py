@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,13 @@ def test_module_run_prints_no_warning(module):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.startswith("price")
+
+
+def test_package_loads_the_cli_names_lazily():
+    assert uvol.ConfigError is ConfigError
+    assert uvol.load_config is load_config
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        uvol.nope
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -116,6 +124,11 @@ def test_flags_override_config_file(tmp_path):
     ({"model": "stein", "paths": [1]}, "'paths' must be a number"),
     ({"model": "stein", "s0": "abc"}, "'s0' must be a number"),
     ({"model": "stein", "discount": "false"}, "'discount' must be true or false"),
+    ({"model": "bs", "paths": True}, "'paths' must be a number"),
+    ({"model": "bs", "strike": True}, "'strike' must be a number"),
+    ({"model": "bs", "paths": 2000.9}, "'paths' must be an integer"),
+    ({"model": "bs", "seed": 1.5}, "'seed' must be an integer"),
+    ({"model": "bs", "threads": 1.9}, "'threads' must be an integer"),
 ])
 def test_bad_config_contents(tmp_path, capsys, data, fragment):
     cfg = write_config(tmp_path, data)
@@ -176,6 +189,39 @@ def test_float_overflow_is_numerical_error(capsys, flags):
     # exp(x0) and the discount factor exp(-r*T) overflow a double
     assert run(["price", "--model", "stein", "--paths", "10"] + flags) == 3
     assert "numerical error:" in capsys.readouterr().err
+
+
+# an overflow inside a chain step or weight, or in the payoff's moments
+_OVERFLOWS = [
+    ["vega", "--y0", "1e154"],
+    ["price", "--y0", "1e308"],
+    ["price", "--r", "1e10"],
+    ["price", "--lambda-y", "1e308"],
+]
+
+
+@pytest.mark.parametrize("argv", _OVERFLOWS)
+def test_overflowing_weights_are_numerical_errors_without_warnings(capsys, argv):
+    """Exit 3 with one line and no RuntimeWarning, never a confident zero."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = run(argv + ["--model", "stein", "--paths", "100"])
+    out = capsys.readouterr()
+    assert code == 3 and not seen
+    assert out.out == "" and out.err.startswith("numerical error:")
+    assert out.err.count("\n") == 1
+
+
+def test_overflow_exits_3_with_warnings_as_errors():
+    env = dict(os.environ)
+    src = str(Path(uvol.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "uvol", "price", "--model", "stein",
+         "--y0", "1e308", "--paths", "100"], capture_output=True, text=True, env=env,
+        timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical error:") and proc.stderr.count("\n") == 1
 
 
 def test_horizon_beyond_the_jump_cap_is_config_error(capsys):
@@ -547,6 +593,12 @@ def test_validate_rejects_flags_it_does_not_read(tmp_path, monkeypatch, capsys, 
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_validate_needs_a_grid_point(capsys, points):
     assert run(["validate", "--model", "bs", "--grid-points", points]) == 2
+    assert "--grid-points" in capsys.readouterr().err
+
+
+def test_validate_refuses_a_grid_numpy_cannot_size(capsys):
+    # numpy refuses this many points before it allocates anything
+    assert run(["validate", "--model", "bs", "--grid-points", str(10 ** 20)]) == 2
     assert "--grid-points" in capsys.readouterr().err
 
 

@@ -226,6 +226,16 @@ def test_control_means_match_the_ou_closed_forms(lam):
     np.testing.assert_allclose(got[[8, 11]], fd[[6, 9]], rtol=1e-8)
 
 
+def test_an_overflowing_forward_makes_the_spot_means_infinite():
+    """s0 exp(r T) overflows at r = 1500, T = 0.5: the S_T means are inf,
+    which voids the fit, and the others keep their values."""
+    model = builtin("SteinSteinAffine", r=1500.0)
+    got = _control_means(config(model=model))
+    assert math.isinf(got[1]) and math.isinf(got[3])
+    finite = [0, 2, 4, 5, 6, 7, 8, 9, 10, 11]
+    np.testing.assert_array_equal(got[finite], _control_means(config())[finite])
+
+
 def test_models_without_an_ou_factor_use_the_six_weight_controls():
     for model in (synthetic_model(), quadrature_only(builtin("SteinSteinAffine"))):
         cfg = config(model=model, n_paths=400)

@@ -371,6 +371,14 @@ def test_non_finite_contributions_abort():
         estimate_price(cfg)
 
 
+def test_overflow_in_a_step_kernel_aborts():
+    """At y0 = 1e154 the Vega weights overflow inside ``step_weights``: the
+    chunk raises instead of reporting a zero with a zero-width interval."""
+    cfg = base_config(model=builtin("SteinSteinAffine"), y0=1e154, n_paths=100)
+    with pytest.raises(NonFinitePathError, match="overflow .* in a step of chunk"):
+        estimate_vega(cfg)
+
+
 def test_estimate_result_fields():
     res = estimate_price(base_config(payoff=Payoff.call(1.2), n_paths=500,
                                      seed=1))

@@ -39,6 +39,11 @@ def test_flow_at_zero_delta():
     assert (m, j) == (0.37, 1.0)
 
 
+def test_flow_refuses_a_negative_time():
+    with pytest.raises(ValueError, match="nonnegative"):
+        flow_tangent(BS, 0.2, np.array([0.5, -1e-3]))
+
+
 def test_flow_zero_mean_reversion():
     m = builtin("BlackScholes", lambda_y=0.0)
     assert flow(m, 0.2, 0.7) == 0.2

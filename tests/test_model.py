@@ -143,6 +143,8 @@ def test_model_rejects_bad_kappa():
         dataclasses.replace(base, kappa=0.0)
     with pytest.raises(ParameterError):
         dataclasses.replace(base, rho=1.0)
+    with pytest.raises(ParameterError, match="r must be finite"):
+        dataclasses.replace(base, r=math.nan)
 
 
 def test_validate_clean_model():

@@ -139,6 +139,15 @@ def test_terminal_weights_pins():
     assert tw_e.I1_theta == 0.0  # I1_1 = 0 at zero noise
 
 
+def test_interior_interval_with_zero_density_is_rejected():
+    """An exponential(0.5) gap of 2000 has density 0.5 exp(-1000), which is 0
+    in doubles, so its reweighting 1 / f does not exist."""
+    step = make_step(STEIN, np.full(2, 0.4), np.full(2, 0.2), np.array([0.3, 2000.0]),
+                     np.array([0.3, -0.2]), np.array([0.5, 1.1]))
+    with pytest.raises(DomainError, match="density vanishes"):
+        step_weights(step, JumpSampler.exponential(0.5))
+
+
 def test_final_interval_with_zero_survival_is_rejected():
     """A Beta gap of exactly ``tau_bar`` has survival 0, so the survival
     reweighting ``1 / (1 - F)`` does not exist: both the sampled and the
