@@ -118,23 +118,19 @@ def _env_threads() -> int:
 
 
 def _coerce_numbers(settings: dict):
-    """Convert the numeric keys in place; name the key that does not convert.
-
-    A boolean is no number, and an integer key takes no fractional part."""
+    """Convert the numeric keys in place; name the key that does not convert."""
     for key in _INT_KEYS + _FLOAT_KEYS:
         value = settings.get(key)
         if value is None:
             continue
         try:
-            if isinstance(value, bool):
+            if isinstance(value, bool) or key in _INT_KEYS and not float(value).is_integer():
                 raise TypeError
-            number = int(value) if key in _INT_KEYS else float(value)
+            settings[key] = int(value) if key in _INT_KEYS else float(value)
         except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"config key {key!r} must be a number, "
+            rule = " with no fractional part" if key in _INT_KEYS else ""
+            raise ConfigError(f"config key {key!r} must be a number{rule}, "
                               f"got {value!r}") from None
-        if key in _INT_KEYS and isinstance(value, float) and number != value:
-            raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-        settings[key] = number
 
 
 def _merge_settings(file_cfg: dict, flag_cfg: dict) -> dict:

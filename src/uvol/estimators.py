@@ -309,6 +309,7 @@ def _fold(state, delta, w):
     ey_pref[...] = ey_pref * w.theta_eY
 
 
+@np.errstate(over="raise", invalid="raise")
 def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
                   n_jumps: np.ndarray, last_gap: np.ndarray, normals: Callable,
                   kind: str | None = None):
@@ -467,6 +468,7 @@ def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str,
     The paths are simulated fold by fold, even global indices first.  Every
     random number comes from the counter-based streams of :mod:`uvol.rng`,
     addressed by ``(cfg.seed, path index)``, so the order changes no path.
+    Overflow in a chain step or weight raises :class:`NonFinitePathError`.
     """
     n = hi - lo
     first = lo % 2  # chunk position of the first even path
@@ -479,18 +481,15 @@ def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str,
     normals = lambda k, p: _rng.normal_pair(cfg.seed, p, k)  # noqa: E731
     means = _control_means(cfg)
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            rows = _path_weights(cfg, ids, *grid, normals, kind if conditional else None)
+        rows = _path_weights(cfg, ids, *grid, normals, kind if conditional else None)
     except FloatingPointError as exc:
         raise NonFinitePathError(f"{exc} in a step of chunk [{lo}, {hi})") from None
-    # a non-finite contribution is caught below; non-finite controls void the fit
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, or voids the fit
         if not conditional:
             x, *weights, y = rows
             spot = np.exp(x)
             rows = np.empty((1 + means.size, n))
-            np.multiply(cfg.payoff.value_spot(spot), weights[_KINDS.index(kind)],
-                        out=rows[0])
+            rows[0] = cfg.payoff.value_spot(spot) * weights[_KINDS.index(kind)]
             for j, w in enumerate(weights):
                 rows[1 + 2 * j] = w
                 np.multiply(spot, w, out=rows[2 + 2 * j])
@@ -622,8 +621,8 @@ def _run(cfg: RunConfig, kind: str, *, control: bool = True) -> EstimateResult:
     Raises
     ------
     NonFinitePathError
-        If a contribution, or the estimate or its standard error, is not
-        finite.
+        If a chain step or weight overflows, or a contribution, the estimate
+        or its standard error is not finite.
     """
     start = time.perf_counter()
     bounds = [(lo, min(lo + cfg.chunk_size, cfg.n_paths))

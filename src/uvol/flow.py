@@ -19,8 +19,7 @@ exact for polynomials of degree ``2 * NODES - 1`` in ``s``, and the same
 walk runs on from the last node to ``delta`` for the flow endpoint.
 
 All entry points accept scalars or numpy arrays for ``y`` and ``delta``
-and broadcast them against each other once, on entry: every value they
-return has that shape, even where a coefficient is a constant float.
+and broadcast them together on entry: every value they return has that shape.
 """
 
 from __future__ import annotations
@@ -202,17 +201,12 @@ def _flow_integrals(model: Model, y, delta, integrands):
     """
     frac, w = _gauss_legendre_scheme(NODES)
     walk = _flow_nodes(model, y, delta, (*frac, 1.0))
-    sums = None
+    sums = [np.zeros(y.shape) for _ in integrands]
     for wk in w:
         m, jac = next(walk)
         jet = model.jet(m)
-        terms = [wk * g(jet, jac) for g in integrands]
-        if sums is None:
-            # arrays of our own, even where a coefficient is a constant float
-            sums = [np.full(y.shape, t) for t in terms]
-        else:
-            for s, t in zip(sums, terms):
-                np.add(s, t, out=s)
+        for s, g in zip(sums, integrands):
+            np.add(s, wk * g(jet, jac), out=s)
     m, jac = next(walk)
     _check_finite(NonFiniteError, "flow", m, jac)
     _check_finite(QuadratureError, "frozen-coefficient integrand", *sums)
