@@ -19,9 +19,13 @@ The same weights are unbiased for every payoff, so the price, Delta and
 Vega weights ``W``, ``D``, ``V`` applied to ``h = 1`` and ``h = exp(x)``
 have known means, and so, when the model declares an Ornstein-Uhlenbeck
 variance factor (``ou_params`` with ``sigma_Y_const``), do ``y_T`` and
-``y_T**2`` times each weight (:func:`_control_means`).  Every estimate is a
-regression on this one set of six or twelve controls, cross-fitted over two
-folds of paths (even and odd global index): the coefficients fitted on one
+``y_T**2`` times each weight (:func:`_control_means`).  One more control
+is the Delta row minus its translation twin: no coefficient depends on the
+log-spot, so Delta is also the price weight times the conditional payoff's
+slope in the final interval's Gaussian mean, and the difference of the two
+has mean 0 (:func:`uvol.weights.conditional_rows`).  Every estimate is a
+regression on this one set of seven or thirteen controls, cross-fitted over
+two folds of paths (even and odd global index): the coefficients fitted on one
 fold correct the other, so they never see the samples they correct and the
 estimate stays exactly unbiased.  Where a fold's control covariance is
 singular, the plain mean of the conditional contributions is returned.
@@ -384,6 +388,7 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
     if kind is not None:
         # x, y and the state now hold every path's start of its final interval
         rows = np.empty((1 + _control_means(cfg).size, n))
+        y_moments = _has_y_moments(mdl)
         q = _KINDS.index(kind)
 
         # The chunk's rows are live through this pass, next to a block's
@@ -397,7 +402,7 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
             fc = frozen_coeffs(mdl, y[lo:hi], last_gap[paths])
             with np.errstate(over="ignore", invalid="ignore"):  # rows are checked
                 vals = conditional_rows(mdl, x[lo:hi], fc, smp, [v[lo:hi] for v in state],
-                                        cfg.payoff, q, len(rows) > 7)
+                                        cfg.payoff, q, cfg.T, y_moments)
             for row, v in zip(rows, vals):
                 row[paths] = v  # row by row: a 2-D scatter is twice as slow
             del vals  # before the next block's are computed
@@ -413,13 +418,20 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
             y[unsort])
 
 
+def _has_y_moments(model: Model) -> bool:
+    """Whether ``y_T`` and ``y_T**2`` times the weights are controls: when
+    the model declares an Ornstein-Uhlenbeck variance factor."""
+    return model.ou_params is not None and model.sigma_Y_const is not None
+
+
 def _control_means(cfg: RunConfig) -> np.ndarray:
     """Known means of the controls, in their row order.
 
     The undiscounted weights ``W``, ``D`` (in units of ``s0 * T``) and ``V``
     (in units of ``T``) times the payoffs 1 and ``S_T``, whose price is 1
     and ``F = s0 * exp(r T)``, differentiated in ``s0`` or in ``y0``:
-    ``(W, S_T W, D, S_T D, V, S_T V)``.  When the model declares
+    ``(W, S_T W, D, S_T D, V, S_T V)``; then the payoff's Delta row minus
+    its translation twin, whose mean is 0.  When the model declares
     ``ou_params`` and ``sigma_Y_const``, ``Y_T`` is Gaussian with mean
     ``m = mu + (y0 - mu) exp(-lambda T)`` and variance
     ``v = sigma_Y**2 (1 - exp(-2 lambda T)) / (2 lambda)`` (``sigma_Y**2 T``
@@ -431,9 +443,9 @@ def _control_means(cfg: RunConfig) -> np.ndarray:
         forward = cfg.s0 * math.exp(cfg.model.r * T)
     except OverflowError:  # the controls are then unusable; see _fit
         forward = math.inf
-    means = [1.0, forward, 0.0, T * forward, 0.0, 0.0]
+    means = [1.0, forward, 0.0, T * forward, 0.0, 0.0, 0.0]
     mdl = cfg.model
-    if mdl.ou_params is not None and mdl.sigma_Y_const is not None:
+    if _has_y_moments(mdl):
         lam = mdl.ou_params[0]
         m, decay = (float(v) for v in flow_tangent(mdl, cfg.y0, T))
         v = mdl.sigma_Y_const ** 2 * (-math.expm1(-2.0 * lam * T) / (2.0 * lam)
@@ -498,12 +510,14 @@ def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str,
             spot = np.exp(x)
             rows = np.empty((1 + means.size, n))
             rows[0] = cfg.payoff.value_spot(spot) * weights[_KINDS.index(kind)]
+            rows[7] = 0.0  # the translation control: no control is fitted here
+            y_moments = _has_y_moments(cfg.model)
             for j, w in enumerate(weights):
                 rows[1 + 2 * j] = w
                 np.multiply(spot, w, out=rows[2 + 2 * j])
-                if means.size > 6:
-                    np.multiply(y, w, out=rows[7 + j])
-                    np.multiply(y, rows[7 + j], out=rows[10 + j])
+                if y_moments:
+                    np.multiply(y, w, out=rows[8 + j])
+                    np.multiply(y, rows[8 + j], out=rows[11 + j])
         contrib = rows[0]
         if kind == "delta":
             contrib /= cfg.s0 * cfg.T

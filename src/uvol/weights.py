@@ -313,7 +313,7 @@ def terminal_weights(step: StepRecord, s: JumpSampler) -> FoldWeights:
 
 
 def conditional_rows(model, x_prev, fc, s: JumpSampler, state, payoff, weight: int,
-                     y_moments: bool) -> list:
+                     T: float, y_moments: bool) -> list:
     """The final interval's rows with its Gaussian pair integrated out.
 
     ``x_prev`` and ``fc`` are the log-spot and frozen coefficients at the
@@ -326,7 +326,9 @@ def conditional_rows(model, x_prev, fc, s: JumpSampler, state, payoff, weight: i
     - row 0: ``payoff(x_T)`` times the weight ``weight`` (0, 1, 2 for the
       price, Delta and Vega weights ``W``, ``D``, ``V``);
     - rows 1-6: ``(W, S_T W, D, S_T D, V, S_T V)``;
-    - rows 7-12, with ``y_moments``: ``y_T (W, D, V)`` and
+    - row 7: the payoff's Delta row minus its translation twin,
+      ``theta (delta_acc M0 - (T - delta) price_pref M1 / sigma_S_i)``;
+    - rows 8-13, with ``y_moments``: ``y_T (W, D, V)`` and
       ``y_T**2 (W, D, V)``.
 
     With ``x_T = mu + sigma_S_i z1``, integrating ``z2`` out leaves each
@@ -346,6 +348,14 @@ def conditional_rows(model, x_prev, fc, s: JumpSampler, state, payoff, weight: i
     ``E[(u**2 - 1) V] = 2 theta delta ey sigma1_Y_i / sigma_Y_i``, which
     is 0 because these rows exist only for a constant ``sigma_Y``; and
     ``E[u D] = E[(u**2 - 1) D] = 0``.
+
+    Row 7 has mean 0 by translation in ``x0``.  No coefficient depends on
+    ``x``, so ``x_T - x0`` and the weights do not depend on ``x0``, and the
+    Delta (in units of ``s0 T``) is also ``T E[W dG/dmu]`` with
+    ``G(mu) = M0``, whose derivative is ``M1 / sigma_S_i``.  The row is the
+    Delta row ``d0 M0 + d1 M1`` minus ``T w0 M1 / sigma_S_i``, which is
+    exactly 0 on a jump-free path, where ``delta = T`` and
+    ``delta_acc = 0``.
 
     Raises
     ------
@@ -371,6 +381,7 @@ def conditional_rows(model, x_prev, fc, s: JumpSampler, state, payoff, weight: i
     rows = [_dot(r[weight], m)]
     for rj, mean in zip(r, (w0, d0, mean_v)):
         rows += [mean, _dot(rj, fwd)]
+    rows.append(d0 * m[0] - (T - delta) * w0 * m[1] / sig)
     if y_moments:
         my = fc.m_i
         y2 = my * my + fc.a_Y_i

@@ -1,6 +1,7 @@
 # The cross-fitted control-variate estimator: the price, Delta and Vega
 # weights applied to the payoffs 1 and exp(x), and for an OU variance factor
-# to y_T and y_T**2, have known means, and regressing on them, with the
+# to y_T and y_T**2, have known means, as has the Delta row minus its
+# translation twin (mean 0), and regressing on them, with the
 # coefficients fitted on one fold of paths and applied to the other, keeps
 # the estimate unbiased while cutting its variance.
 
@@ -37,11 +38,11 @@ def config(tag="SteinSteinAffine", **overrides):
 
 def known_means(cfg):
     """Every control's known mean, from the OU closed forms: the six weight
-    controls, then, for an OU variance factor, y_T and y_T**2 times each
-    weight."""
+    controls, the translation control, then, for an OU variance factor, y_T
+    and y_T**2 times each weight."""
     r, T, s0 = cfg.model.r, cfg.T, cfg.s0
     forward = s0 * math.exp(r * T)
-    means = [1.0, forward, 0.0, T * forward, 0.0, 0.0]
+    means = [1.0, forward, 0.0, T * forward, 0.0, 0.0, 0.0]
     if cfg.model.ou_params is not None and cfg.model.sigma_Y_const is not None:
         lam, mu = cfg.model.ou_params
         decay = math.exp(-lam * T)
@@ -214,7 +215,7 @@ def test_control_means_match_the_ou_closed_forms(lam):
     m = mu + (y0 - mu) * decay
     v = quad(lambda u: (sy * math.exp(-lam * (T - u))) ** 2, 0.0, T, epsabs=0.0,
              epsrel=1e-13)[0]
-    expected = [1.0, forward, 0.0, T * forward, 0.0, 0.0,
+    expected = [1.0, forward, 0.0, T * forward, 0.0, 0.0, 0.0,
                 m, 0.0, T * decay, m * m + v, 0.0, 2.0 * T * m * decay]
     got = _control_means(cfg)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
@@ -223,7 +224,7 @@ def test_control_means_match_the_ou_closed_forms(lam):
     bumped = [_control_means(config(model=cfg.model, y0=y0 + e, T=T))
               for e in (1e-5, -1e-5)]
     fd = T * (bumped[0] - bumped[1]) / 2e-5
-    np.testing.assert_allclose(got[[8, 11]], fd[[6, 9]], rtol=1e-8)
+    np.testing.assert_allclose(got[[9, 12]], fd[[7, 10]], rtol=1e-8)
 
 
 def test_an_overflowing_forward_makes_the_spot_means_infinite():
@@ -232,17 +233,18 @@ def test_an_overflowing_forward_makes_the_spot_means_infinite():
     model = builtin("SteinSteinAffine", r=1500.0)
     got = _control_means(config(model=model))
     assert math.isinf(got[1]) and math.isinf(got[3])
-    finite = [0, 2, 4, 5, 6, 7, 8, 9, 10, 11]
+    finite = [0, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12]
     np.testing.assert_array_equal(got[finite], _control_means(config())[finite])
 
 
 def test_models_without_an_ou_factor_use_the_six_weight_controls():
+    # and the translation control, but no y_T rows
     for model in (synthetic_model(), quadrature_only(builtin("SteinSteinAffine"))):
         cfg = config(model=model, n_paths=400)
-        assert _control_means(cfg).size == 6
+        assert _control_means(cfg).size == 7
         for count, mean, cross in _chunk_partials(cfg, 0, 400, "price")[4]:
-            assert count == 200 and mean.shape == (7,) and cross.shape == (7, 7)
-    assert _control_means(config()).size == 12
+            assert count == 200 and mean.shape == (8,) and cross.shape == (8, 8)
+    assert _control_means(config()).size == 13
 
 
 def merged_control_moments(cfg):
@@ -259,8 +261,9 @@ def merged_control_moments(cfg):
     ("PeriodicCosine", Payoff.digital_call(K), JumpSampler.exponential(0.5)),
 ])
 def test_every_control_averages_to_its_known_mean(tag, payoff, sampler):
-    """Pooled over 4 seeds of 2**18 paths, each of the twelve controls' mean
-    lies within 4 standard errors of its known mean."""
+    """Pooled over 4 seeds of 2**18 paths, each of the thirteen controls'
+    mean, the translation control's included, lies within 4 standard errors
+    of its known mean."""
     means, variances = [], []
     for seed in (61, 62, 63, 64):
         n, mean, cross = merged_control_moments(
@@ -268,8 +271,17 @@ def test_every_control_averages_to_its_known_mean(tag, payoff, sampler):
         means.append(mean[1:])
         variances.append(np.diag(cross)[1:] / (n - 1) / n)
     z = np.mean(means, axis=0) / (np.sqrt(np.sum(variances, axis=0)) / len(means))
-    assert z.shape == (12,)
+    assert z.shape == (13,)
     assert np.all(np.abs(z) <= 4.0), z
+
+
+def test_translation_controlled_delta_agrees_with_the_plain_estimator():
+    """The stein Delta, whose variance the translation control cuts most,
+    against the plain sampled estimator on the same paths."""
+    cfg = config(sampler=JumpSampler.beta_one_minus_alpha(0.5, 1.0), n_paths=200_000,
+                 seed=21)
+    ctl, plain = estimate_delta(cfg), PLAIN["delta"](cfg)
+    assert abs(ctl.mean - plain.mean) <= 3.0 * math.hypot(ctl.std_error, plain.std_error)
 
 
 def test_stein_call_price_keeps_a_twentieth_of_the_variance():

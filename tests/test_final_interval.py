@@ -74,6 +74,20 @@ def test_gauss_moments_match_quadrature(kind, d, s):
         assert abs(float(got[0]) - want) <= 1e-10 * abs(want), (got, want)
 
 
+@pytest.mark.parametrize("d", [0.0, -2.0, 2.0], ids=["atm", "itm", "otm"])
+@pytest.mark.parametrize("kind", ["call", "digital"])
+def test_first_moment_is_the_mean_derivative_of_the_price(kind, d):
+    """``M1 / s = dM0/dmu``, the slope the translation control takes for the
+    Delta: checked against a central difference."""
+    payoff = Payoff(kind=kind, strike=K)
+    s, eps = np.array([0.3]), 1e-5
+    mu = math.log(K) - s * d
+    m1 = payoff.gauss_moments(mu, s)[1]
+    up, down = (payoff.gauss_moments(mu + e, s)[0] for e in (eps, -eps))
+    assert float(m1[0] / s[0]) == pytest.approx(float((up - down)[0]) / (2.0 * eps),
+                                                rel=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # Conditional rows against sampled final intervals
 
@@ -97,9 +111,9 @@ def capture_final_inputs(monkeypatch, cfg, n_jumps):
     seen = []
     real = estimators.conditional_rows
 
-    def spy(model, x_prev, fc, s, state, payoff, weight, y_moments):
+    def spy(model, x_prev, fc, s, state, *rest):
         seen.append((x_prev.copy(), fc, [v.copy() for v in state]))
-        return real(model, x_prev, fc, s, state, payoff, weight, y_moments)
+        return real(model, x_prev, fc, s, state, *rest)
 
     monkeypatch.setattr(estimators, "conditional_rows", spy)
     grid = fixed_grid([GRIDS[n_jumps]])
@@ -115,7 +129,9 @@ def sampled_final_rows(cfg, x_prev, fc, state, n_rows, seed):
     """Means and standard errors, over ``N_DRAWS`` sampled final intervals
     after the given past, of the price, Delta and Vega contributions
     (undiscounted) and the control rows, as the sampled route forms them:
-    ``terminal_weights``, ``_fold``, then the payoff."""
+    ``terminal_weights``, ``_fold``, then the payoff.  The translation
+    control's sampled twin is ``h D - T W h z1 / sigma_S_i``, whose mean
+    given the past is ``T W dG/dmu`` less than the Delta row's."""
     gen = np.random.default_rng(seed)
     total = np.zeros(n_rows + 2)
     total_sq = np.zeros(n_rows + 2)
@@ -131,8 +147,9 @@ def sampled_final_rows(cfg, x_prev, fc, state, n_rows, seed):
         w, d, v = st[0], st[2], st[5]
         h = cfg.payoff.value_spot(np.exp(x_T))
         spot = np.exp(x_T)
-        cols = [h * w, h * d, h * v, w, spot * w, d, spot * d, v, spot * v]
-        if n_rows == 13:
+        cols = [h * w, h * d, h * v, w, spot * w, d, spot * d, v, spot * v,
+                h * d - cfg.T * w * h * z1 / fc.sigma_S_i]
+        if n_rows == 14:
             cols += [y_T * w, y_T * d, y_T * v, y_T * y_T * w, y_T * y_T * d,
                      y_T * y_T * v]
         cols = np.stack(cols)
@@ -150,7 +167,7 @@ def test_conditional_rows_match_sampled_final_intervals(monkeypatch, name, n_jum
     cfg = config(model, payoff, sampler)
     rows, (x_prev, fc, state) = capture_final_inputs(monkeypatch, cfg, n_jumps)
     n_rows = rows[0].size
-    assert n_rows == (7 if name == "synthetic" else 13)
+    assert n_rows == (8 if name == "synthetic" else 14)
     mean, se = sampled_final_rows(cfg, x_prev, fc, state, n_rows, seed=100 + n_jumps)
     got = np.concatenate(([r[0] for r in rows], rows[0][1:]))
     for j, (g, m, e) in enumerate(zip(got, mean, se)):
@@ -158,6 +175,20 @@ def test_conditional_rows_match_sampled_final_intervals(monkeypatch, name, n_jum
         assert abs(g - m) <= 4.5 * e + 1e-13 * abs(m), (j, g, m, e)
     for r in rows[1:]:
         assert np.array_equal(r[1:], rows[0][1:])
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_translation_control_is_zero_on_jump_free_paths(name):
+    """There ``delta = T`` and ``delta_acc = 0``, so the row is exactly 0."""
+    cfg = config(*MODELS[name], n_paths=2000)
+    ids = np.arange(cfg.n_paths, dtype=np.uint64)
+    grid = philox_grid(cfg.sampler, cfg.T, cfg.seed, ids)
+    rows = _path_weights(cfg, ids, *grid,
+                         lambda k, p: rng.normal_pair(cfg.seed, p, k), "delta")
+    free = grid[1] == 0
+    assert 0 < free.sum() < free.size
+    assert np.all(rows[7][free] == 0.0)
+    assert np.any(rows[7][~free] != 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def test_final_interval_with_zero_survival_is_rejected():
         terminal_weights(step, sampler)
     with pytest.raises(DomainError, match="survival"):
         conditional_rows(STEIN, step.x_prev, step.fc, sampler, state,
-                         Payoff.call(1.5), 0, True)
+                         Payoff.call(1.5), 0, 0.5, True)
 
 
 def test_both_kernels_return_fold_weights():
