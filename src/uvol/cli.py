@@ -118,13 +118,15 @@ def _env_threads() -> int:
 
 
 def _coerce_numbers(settings: dict):
-    """Convert the numeric keys in place; name the key that does not convert."""
+    """Convert the numeric keys in place; name the key that does not convert.
+    A JSON string or boolean is not a number, whatever its text."""
     for key in _INT_KEYS + _FLOAT_KEYS:
         value = settings.get(key)
         if value is None:
             continue
         try:
-            if isinstance(value, bool) or key in _INT_KEYS and not float(value).is_integer():
+            if isinstance(value, (bool, str)) or (key in _INT_KEYS
+                                                  and not float(value).is_integer()):
                 raise TypeError
             settings[key] = int(value) if key in _INT_KEYS else float(value)
         except (TypeError, ValueError, OverflowError):

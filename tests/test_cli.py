@@ -126,6 +126,8 @@ def test_flags_override_config_file(tmp_path):
     ({"model": "stein", "discount": "false"}, "'discount' must be true or false"),
     ({"model": "bs", "paths": True}, "'paths' must be a number"),
     ({"model": "bs", "strike": True}, "'strike' must be a number"),
+    ({"model": "bs", "strike": "1.4", "paths": 2000}, "'strike' must be a number"),
+    ({"model": "bs", "paths": "2000"}, "'paths' must be a number"),
     ({"model": "bs", "paths": 2000.9}, "'paths' must be a number with no fractional"),
     ({"model": "bs", "seed": 1.5}, "'seed' must be a number with no fractional"),
     ({"model": "bs", "threads": 1.9}, "'threads' must be a number with no fractional"),
