@@ -358,7 +358,6 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
     # A 16-bit key gets numpy's radix sort.  It holds every jump count: the
     # sampler adds at most one jump per round, in _MAX_SAMPLING_ROUNDS < 2**16.
     order = np.argsort((top - n_jumps).astype(np.uint16), kind="stable")
-    ids = ids[order]
     # n_act[k] = number of paths with at least k jumps, i.e. active at step k
     n_act = np.append(np.cumsum(np.bincount(n_jumps, minlength=top + 1)[::-1])[::-1], 0)
 
@@ -371,8 +370,11 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
         ``gap`` (indexed by chunk position) and fold ``weigh``'s weights."""
         for a in range(lo, hi, _BLOCK):
             b = min(a + _BLOCK, hi)
-            delta = gap[order[a:b]]
-            z1, z2 = normals(k, ids[a:b])
+            # chunk positions of the block; ids are gathered here, since a
+            # sorted copy would be live through the final pass, at peak memory
+            pos = order[a:b]
+            delta = gap[pos]
+            z1, z2 = normals(k, ids[pos])
             xb, yb = x[a:b], y[a:b]
             fc = frozen_coeffs(mdl, yb, delta)
             x_next, y_next = chain_step(mdl, xb, yb, fc, z1, z2)
