@@ -126,11 +126,11 @@ def test_flags_override_config_file(tmp_path):
     ({"model": "stein", "discount": "false"}, "'discount' must be true or false"),
     ({"model": "bs", "paths": True}, "'paths' must be a number"),
     ({"model": "bs", "strike": True}, "'strike' must be a number"),
-    ({"model": "bs", "strike": "1.4", "paths": 2000}, "'strike' must be a number"),
-    ({"model": "bs", "paths": "2000"}, "'paths' must be a number"),
     ({"model": "bs", "paths": 2000.9}, "'paths' must be a number with no fractional"),
     ({"model": "bs", "seed": 1.5}, "'seed' must be a number with no fractional"),
     ({"model": "bs", "threads": 1.9}, "'threads' must be a number with no fractional"),
+    ({"model": "bs", "strike": "1.4", "paths": 2000}, "'strike' must be a number"),
+    ({"model": "bs", "paths": "2000"}, "'paths' must be a number"),
 ])
 def test_bad_config_contents(tmp_path, capsys, data, fragment):
     cfg = write_config(tmp_path, data)
