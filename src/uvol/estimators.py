@@ -34,15 +34,17 @@ contiguous, and returns the per-fold centred moments of the contribution
 and the controls, which :func:`_merge_moments` combines in chunk order.
 
 This module holds the only route from a seed to a weight.  For each chunk,
-:func:`_sample_gap_columns` draws the renewal grids, and
-:func:`_path_weights` runs the chain on them.  One block walk advances the
-paths over an interval and folds the :class:`uvol.weights.FoldWeights` of
-its array-valued step records into the prefix recurrences of the price,
-Delta and Vega weights (:func:`_fold`).  It runs every interior interval
-with :func:`uvol.weights.step_weights`, and, on the sampled route only,
-every final interval with :func:`uvol.weights.terminal_weights`; by
-default the final intervals go to :func:`uvol.weights.conditional_rows`
-instead.  Every layer is called through a module attribute, so a tracer
+:func:`_sample_gap_columns` draws the renewal grids as per-round jump
+records, and :func:`_path_weights` lays them out as compact jump-sorted
+gap columns (:func:`_gap_columns`, ``n_jumps.sum()`` values and no padding,
+dropped before the final intervals) and runs the chain on them.  One block
+walk advances the paths over an interval and folds the
+:class:`uvol.weights.FoldWeights` of its array-valued step records into the
+prefix recurrences of the price, Delta and Vega weights (:func:`_fold`).
+It runs every interior interval with :func:`uvol.weights.step_weights`,
+and, on the sampled route only, every final interval with
+:func:`uvol.weights.terminal_weights`; by default the final intervals go to
+:func:`uvol.weights.conditional_rows` instead.  Every layer is called through a module attribute, so a tracer
 can wrap it.
 The grid sampler and the chain take their random numbers from sources
 passed in, so a test can run the engine on fixed grids and draws.
@@ -91,8 +93,8 @@ _MAX_SAMPLING_ROUNDS = 10000
 # 117 MB to 41 MB.  Smaller blocks pay more per-block Python time, and at two
 # threads more GIL handoffs; larger ones a higher peak.
 _BLOCK = 1 << 14
-# Horizons beyond this many expected jumps per path are rejected: the gap
-# matrix grows with the jump count, and the weight variance with it.
+# Horizons beyond this many expected jumps per path are rejected: the grid
+# sampling rounds grow with the jump count, and the weight variance with it.
 _MAX_EXPECTED_JUMPS = 1000
 # A fold's control covariance counts as singular when the smallest eigenvalue
 # of its correlation matrix is below this fraction of the largest.
@@ -254,9 +256,13 @@ def _sample_gap_columns(uniforms: Callable, sampler: JumpSampler, T: float,
     counter is the round index.  A draw that would give a zero-length or
     tied interval, or land exactly on ``T``, is discarded; the counter
     still advances, so the next round redraws it.  Returns
-    ``(gaps, n_jumps, last_gap)``: ``gaps[p, k]`` is the k-th interior
-    interval of path ``p`` (NaN beyond its jump count); it has as many
-    columns as the longest grid has interior intervals, and at least one.
+    ``(jumps, n_jumps, last_gap)``: ``jumps`` is a list with one record
+    ``(pos, slot, gap)`` of three equal-length arrays per round, saying that
+    the interior interval ``slot[i]`` of path ``pos[i]`` has length
+    ``gap[i]``; together the records name each of a path's ``n_jumps``
+    interior intervals once.  :func:`_path_weights` lays them out as its
+    grid columns (:func:`_gap_columns`).  No dense ``(n, max jumps)``
+    matrix is built: with few jumps a path, most of it would be padding.
 
     ``uniforms`` is called on slices of :data:`_BLOCK` live paths: Philox
     on a whole chunk's array runs at about twice the cost per pair.  Each
@@ -265,7 +271,7 @@ def _sample_gap_columns(uniforms: Callable, sampler: JumpSampler, T: float,
     slot = np.zeros(n, dtype=np.int64)
     cum = np.zeros(n)
     ia = np.arange(n)  # the live paths, in order
-    rows, slots, vals = [], [], []  # each round's jumps, scattered at the end
+    jumps = []
     for r in range(_MAX_SAMPLING_ROUNDS):
         if ia.size == 0:
             break
@@ -279,18 +285,41 @@ def _sample_gap_columns(uniforms: Callable, sampler: JumpSampler, T: float,
         ok = (g > 0) & (nxt != now) & (nxt != T)
         inside = ok & (nxt < T)
         jump = ia[inside]
-        rows.append(jump)
-        slots.append(slot[jump])
-        vals.append((nxt - now)[inside])
+        jumps.append((jump, slot[jump], (nxt - now)[inside]))
         cum[jump] = nxt[inside]
         slot[jump] += 1
         ia = ia[~(ok & (nxt > T))]
     else:  # pragma: no cover - would need a broken sampler
         raise RuntimeError("renewal sampling did not terminate")
-    gaps = np.full((n, max(1, int(slot.max(initial=0)))), np.nan)
-    if rows:
-        gaps[np.concatenate(rows), np.concatenate(slots)] = np.concatenate(vals)
-    return gaps, slot, T - cum
+    return jumps, slot, T - cum
+
+
+def _gap_columns(jumps: list, order: np.ndarray, n_act: np.ndarray):
+    """Lay the jump records of :func:`_sample_gap_columns` into flat columns.
+
+    ``order`` is the jump-count sort of :func:`_path_weights` and ``n_act[k]``
+    the number of paths with at least ``k`` jumps.  Returns ``(cols,
+    start)``: column ``k``, ``cols[start[k]:start[k + 1]]``, holds interval
+    ``k`` of the sorted rows ``[0, n_act[k + 1])``, so ``cols`` holds
+    exactly ``n_jumps.sum()`` values and no padding, and each block of the
+    step walk reads a contiguous slice.  ``jumps`` is emptied as it is laid
+    out, so no record outlives this call: a caller's reference to the list
+    cannot keep them alive into the final pass, where a chunk's memory
+    peaks.  Records that do not fill the columns raise ``ValueError``.
+    """
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    start = np.concatenate(([0], np.cumsum(n_act[1:-1])))
+    cols = np.empty(int(start[-1]))
+    laid = 0
+    while jumps:
+        pos, slot, gap = jumps.pop()
+        cols[start[slot] + rank[pos]] = gap
+        laid += pos.size
+    if laid != cols.size:  # e.g. records already consumed by an earlier call
+        raise ValueError(f"the jump records hold {laid} intervals for "
+                         f"{cols.size} jumps")
+    return cols, start
 
 
 def _fold(state, delta, w):
@@ -322,17 +351,18 @@ def _fold(state, delta, w):
 
 
 @np.errstate(over="raise", invalid="raise")
-def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
+def _path_weights(cfg: RunConfig, ids: np.ndarray, jumps: list,
                   n_jumps: np.ndarray, last_gap: np.ndarray, normals: Callable,
                   kind: str | None = None):
     """Run the chain on given grids and fold its weights, path by path.
 
-    ``(gaps, n_jumps, last_gap)`` are the grids of the paths ``ids``, as
-    :func:`_sample_gap_columns` returns them, and ``normals(k, ids)``
-    returns the Gaussian pair ``(z1, z2)`` of interval ``k`` for the paths
-    ``ids``.  Without ``kind``, every interval is sampled, and the return is
-    the terminal log-spot, the undiscounted price, Delta and Vega weights
-    (see :func:`_fold`) and the terminal variance factor, in the order of
+    ``(jumps, n_jumps, last_gap)`` are the grids of the paths ``ids``, as
+    :func:`_sample_gap_columns` returns them; the records in ``jumps`` are
+    consumed (:func:`_gap_columns`).  ``normals(k, ids)`` returns the
+    Gaussian pair ``(z1, z2)`` of interval ``k`` for the paths ``ids``.
+    Without ``kind``, every interval is sampled, and the return is the
+    terminal log-spot, the undiscounted price, Delta and Vega weights (see
+    :func:`_fold`) and the terminal variance factor, in the order of
     ``ids``.  With ``kind``, each path's final interval is integrated out
     instead (:func:`uvol.weights.conditional_rows`): it draws no normals and
     takes no chain step, and the return is the ``(1 + controls, n)`` matrix
@@ -343,14 +373,16 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
     paths whose interval ``k`` is interior are the prefix ``[:n_act[k + 1]]``
     and those whose final interval is interval ``k`` are the rows
     ``[n_act[k + 1], n_act[k])``.  Every layer then works on contiguous
-    slices, and only the paths that need them get interior weights.  One
-    block walk serves both: it runs the interior intervals ``k`` in order,
-    then, on the sampled route, the final intervals of each jump count,
-    each in blocks of :data:`_BLOCK` rows, so the kernels' temporaries are
-    block-sized.  Every kernel is elementwise per path, so neither the block
-    size nor the grouping of rows moves a bit.  Draws stay keyed by path
-    id, and the results are put back in the order of ``ids``, so they do
-    not depend on the sort.
+    slices, and only the paths that need them get interior weights; the
+    interior gaps are laid out in this order, column by column, so a block
+    reads its gaps as a slice too.  One block walk serves both: it runs the
+    interior intervals ``k`` in order, then, on the sampled route, the final
+    intervals of each jump count, each in blocks of :data:`_BLOCK` rows, so
+    the kernels' temporaries are block-sized.  The gap columns are dropped
+    before the final intervals.  Every kernel is elementwise per path, so
+    neither the block size nor the grouping of rows moves a bit.  Draws stay
+    keyed by path id, and the results are put back in the order of ``ids``,
+    so they do not depend on the sort.
     """
     n = n_jumps.size
     mdl, smp = cfg.model, cfg.sampler
@@ -360,21 +392,21 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
     order = np.argsort((top - n_jumps).astype(np.uint16), kind="stable")
     # n_act[k] = number of paths with at least k jumps, i.e. active at step k
     n_act = np.append(np.cumsum(np.bincount(n_jumps, minlength=top + 1)[::-1])[::-1], 0)
+    cols, start = _gap_columns(jumps, order, n_act)
 
     x = np.full(n, cfg.x0)
     y = np.full(n, cfg.y0)
     state = (np.ones(n), np.ones(n), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n))
 
     def walk(k, lo, hi, gap, weigh):
-        """Advance rows ``[lo, hi)`` over their interval ``k`` of length
-        ``gap`` (indexed by chunk position) and fold ``weigh``'s weights."""
+        """Advance sorted rows ``[lo, hi)`` over their interval ``k``, of
+        length ``gap[lo:hi]``, and fold ``weigh``'s weights."""
         for a in range(lo, hi, _BLOCK):
             b = min(a + _BLOCK, hi)
-            # chunk positions of the block; ids are gathered here, since a
-            # sorted copy would be live through the final pass, at peak memory
-            pos = order[a:b]
-            delta = gap[pos]
-            z1, z2 = normals(k, ids[pos])
+            # ids are gathered per block: a sorted copy would be live through
+            # the final pass, at peak memory
+            z1, z2 = normals(k, ids[order[a:b]])
+            delta = gap[a:b]
             xb, yb = x[a:b], y[a:b]
             fc = frozen_coeffs(mdl, yb, delta)
             x_next, y_next = chain_step(mdl, xb, yb, fc, z1, z2)
@@ -385,7 +417,8 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
             yb[...] = y_next
 
     for k in range(top):
-        walk(k, 0, int(n_act[k + 1]), gaps[:, k], step_weights)
+        walk(k, 0, int(n_act[k + 1]), cols[start[k]:start[k + 1]], step_weights)
+    del cols  # the final intervals read last_gap alone
 
     if kind is not None:
         # x, y and the state now hold every path's start of its final interval
@@ -411,8 +444,9 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: np.ndarray,
         return rows
 
     # sampled: the final interval of the paths with k jumps is their interval k
+    last_sorted = last_gap[order]
     for k in range(top + 1):
-        walk(k, int(n_act[k + 1]), int(n_act[k]), last_gap, terminal_weights)
+        walk(k, int(n_act[k + 1]), int(n_act[k]), last_sorted, terminal_weights)
     unsort = np.empty_like(order)
     unsort[order] = np.arange(n)
     price_pref, _, delta_acc, _, _, vega_acc = state
@@ -497,13 +531,15 @@ def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str,
     n0 = (n + 1 - first) // 2
     ids = np.concatenate((np.arange(lo + first, hi, 2, dtype=np.uint64),
                           np.arange(lo + 1 - first, hi, 2, dtype=np.uint64)))
-    grid = _sample_gap_columns(
+    # _path_weights empties jumps, so no record is live in its final pass
+    jumps, n_jumps, last_gap = _sample_gap_columns(
         lambda ia, j: _rng.uniform_pair(cfg.seed, ids[ia], _rng.GAP_STREAM, j)[0],
         cfg.sampler, cfg.T, n)
     normals = lambda k, p: _rng.normal_pair(cfg.seed, p, k)  # noqa: E731
     means = _control_means(cfg)
     try:
-        rows = _path_weights(cfg, ids, *grid, normals, kind if conditional else None)
+        rows = _path_weights(cfg, ids, jumps, n_jumps, last_gap, normals,
+                             kind if conditional else None)
     except FloatingPointError as exc:
         raise NonFinitePathError(f"{exc} in a step of chunk [{lo}, {hi})") from None
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, or voids the fit
@@ -544,7 +580,7 @@ def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str,
         sum_sq = float(np.einsum("i,i->", flat, flat))
     for _, mean, _ in folds:
         mean[1:] -= means
-    return float(flat.sum()), sum_sq, n, float(grid[1].sum()), folds
+    return float(flat.sum()), sum_sq, n, float(n_jumps.sum()), folds
 
 
 def aggregate(partials: Sequence, *, n_jumps_mean: float = math.nan,

@@ -9,9 +9,11 @@ from functools import partial
 import numpy as np
 
 from uvol.chain import StepRecord, chain_step, one_minus_rho_sq
-from uvol.estimators import _path_weights, _run, _sample_gap_columns
+from uvol.estimators import (_BLOCK, _MAX_SAMPLING_ROUNDS, _path_weights, _run,
+                             _sample_gap_columns)
 from uvol.flow import frozen_coeffs
 from uvol.model import BuiltinModelKind, Model, make_builtin
+from uvol.renewal import quantile
 from uvol.rng import GAP_STREAM, uniform_pair
 
 
@@ -59,16 +61,65 @@ def step_from_states(model, x_prev, y_prev, delta, x_next, y_next, *, index=0):
 
 
 def fixed_grid(zetas):
-    """Engine grid columns ``(gaps, n_jumps, last_gap)`` of explicit grids.
+    """Engine grids ``(jumps, n_jumps, last_gap)`` of explicit grids.
 
-    ``zetas`` holds one grid ``(0, zeta_1, ..., T)`` per path.
+    ``zetas`` holds one grid ``(0, zeta_1, ..., T)`` per path; ``jumps``
+    holds one record ``(pos, slot, gap)`` per interior interval index.
     """
     dz = [np.diff(np.asarray(z, dtype=float)) for z in zetas]
     n_jumps = np.array([d.size - 1 for d in dz], dtype=np.int64)
-    gaps = np.full((len(dz), max(1, int(n_jumps.max()))), np.nan)
-    for p, d in enumerate(dz):
-        gaps[p, :d.size - 1] = d[:-1]
-    return gaps, n_jumps, np.array([d[-1] for d in dz])
+    jumps = []
+    for k in range(int(n_jumps.max())):
+        pos = np.flatnonzero(n_jumps > k)
+        jumps.append((pos, np.full(pos.size, k), np.array([dz[p][k] for p in pos])))
+    return jumps, n_jumps, np.array([d[-1] for d in dz])
+
+
+def dense_gaps(grid):
+    """The ``(n, max(1, max jumps))`` matrix of a grid's interior intervals,
+    NaN beyond each path's jump count, rebuilt from its records without
+    consuming them."""
+    jumps, n_jumps, _ = grid
+    gaps = np.full((n_jumps.size, max(1, int(n_jumps.max(initial=0)))), np.nan)
+    for pos, slot, gap in jumps:
+        gaps[pos, slot] = gap
+    return gaps
+
+
+def dense_gap_columns(uniforms, sampler, T, n):
+    """Reference renewal-grid sampler: the engine's rounds, redraw rule and
+    uniform slices, returning ``(gaps, n_jumps, last_gap)`` with the interior
+    intervals scattered into a NaN-padded ``(n, max(1, max jumps))`` matrix,
+    which the engine's jump records must rebuild exactly."""
+    slot = np.zeros(n, dtype=np.int64)
+    cum = np.zeros(n)
+    ia = np.arange(n)
+    rows, slots, vals = [], [], []
+    for r in range(_MAX_SAMPLING_ROUNDS):
+        if ia.size == 0:
+            break
+        j = np.uint64(r)
+        u = np.empty(ia.size)
+        for a in range(0, ia.size, _BLOCK):
+            u[a:a + _BLOCK] = uniforms(ia[a:a + _BLOCK], j)
+        g = quantile(sampler, u)
+        now = cum[ia]
+        nxt = now + g
+        ok = (g > 0) & (nxt != now) & (nxt != T)
+        inside = ok & (nxt < T)
+        jump = ia[inside]
+        rows.append(jump)
+        slots.append(slot[jump])
+        vals.append((nxt - now)[inside])
+        cum[jump] = nxt[inside]
+        slot[jump] += 1
+        ia = ia[~(ok & (nxt > T))]
+    else:
+        raise RuntimeError("renewal sampling did not terminate")
+    gaps = np.full((n, max(1, int(slot.max(initial=0)))), np.nan)
+    if rows:
+        gaps[np.concatenate(rows), np.concatenate(slots)] = np.concatenate(vals)
+    return gaps, slot, T - cum
 
 
 def fixed_normals(z1, z2):
@@ -77,12 +128,28 @@ def fixed_normals(z1, z2):
                            np.full(ids.size, float(z2[k])))
 
 
+def path_weights(cfg, ids, grid, normals, kind=None):
+    """:func:`_path_weights` on ``grid``.  The engine consumes a copy of the
+    record list, so ``grid`` stays whole for another call."""
+    jumps, n_jumps, last_gap = grid
+    return _path_weights(cfg, ids, list(jumps), n_jumps, last_gap, normals, kind)
+
+
 def engine_weights(cfg, grid, normals, ids=None):
     """The engine's ``(x_T, price, delta, vega)`` per-path arrays on ``grid``
     (:func:`_path_weights` without its terminal ``y_T``)."""
     if ids is None:
         ids = np.arange(grid[1].size, dtype=np.uint64)
-    return _path_weights(cfg, ids, *grid, normals)[:4]
+    return path_weights(cfg, ids, grid, normals)[:4]
+
+
+def select_paths(grid, keep):
+    """The grid of the paths ``np.flatnonzero(keep)``, renumbered in order."""
+    jumps, n_jumps, last_gap = grid
+    new = np.cumsum(keep) - 1
+    sub = [(new[pos[keep[pos]]], slot[keep[pos]], gap[keep[pos]])
+           for pos, slot, gap in jumps]
+    return sub, n_jumps[keep], last_gap[keep]
 
 
 def plain_estimator(kind):
@@ -91,11 +158,14 @@ def plain_estimator(kind):
     return partial(_run, kind=kind, control=False)
 
 
+def philox_uniforms(seed, ids):
+    """The engine's gap-uniform source for the paths ``ids`` under ``seed``."""
+    return lambda ia, j: uniform_pair(seed, ids[ia], GAP_STREAM, j)[0]
+
+
 def philox_grid(sampler, T, seed, ids):
     """The engine's renewal grids of the paths ``ids`` under ``seed``."""
-    return _sample_gap_columns(
-        lambda ia, j: uniform_pair(seed, ids[ia], GAP_STREAM, j)[0],
-        sampler, T, ids.size)
+    return _sample_gap_columns(philox_uniforms(seed, ids), sampler, T, ids.size)
 
 
 def chain_steps(model, x0, y0, deltas, normals):

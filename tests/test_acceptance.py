@@ -17,12 +17,14 @@ from conftest import record_criterion
 from helpers import (
     builtin,
     chain_steps,
+    dense_gaps,
     engine_weights,
     gh_step_expectation,
     make_step,
     philox_grid,
     plain_estimator,
     rel_err,
+    select_paths,
     step_from_states,
     synthetic_model,
     unit_drift_model,
@@ -276,19 +278,19 @@ def test_criterion_07_weight_oracle_equivalence():
         kept = []
         for parity, sampler in enumerate((EXPO, BETA)):
             sub = ids[parity::2]
-            gaps, n_jumps, last_gap = philox_grid(sampler, T, seed, sub)
-            ok = n_jumps <= 4
-            kept.append((sampler, sub[ok], (gaps[ok], n_jumps[ok], last_gap[ok])))
+            grid = philox_grid(sampler, T, seed, sub)
+            ok = grid[1] <= 4
+            kept.append((sampler, sub[ok], select_paths(grid, ok)))
         chosen = np.sort(np.concatenate([sub for _, sub, _ in kept]))[:goal]
         for sampler, sub, grid in kept:
             use = np.isin(sub, chosen)
             sub = sub[use]
-            gaps, n_jumps, last_gap = (a[use] for a in grid)
+            grid = select_paths(grid, use)
+            gaps, (_, n_jumps, last_gap) = dense_gaps(grid), grid
             cfg = RunConfig(model=model, payoff=Payoff.call(K), sampler=sampler,
                             s0=S0, y0=Y0, T=T, n_paths=sub.size, seed=seed)
             _, price_w, delta_w, vega_w = engine_weights(
-                cfg, (gaps, n_jumps, last_gap),
-                lambda k, p: normal_pair(seed, p, k), ids=sub)
+                cfg, grid, lambda k, p: normal_pair(seed, p, k), ids=sub)
             for i, p in enumerate(sub):
                 deltas = list(gaps[i, :n_jumps[i]]) + [last_gap[i]]
                 steps = chain_steps(model, cfg.x0, Y0, deltas,

@@ -12,7 +12,7 @@ from uvol.flow import frozen_coeffs
 from uvol.renewal import JumpSampler
 from uvol.rng import normal_pair
 
-from helpers import (builtin, chain_steps, engine_weights, make_step,
+from helpers import (builtin, chain_steps, dense_gaps, engine_weights, make_step,
                      philox_grid, step_from_states, synthetic_model)
 
 BS = builtin("BlackScholes")
@@ -75,8 +75,8 @@ def _engine_run(sampler, seed, n_paths=64):
 
 
 def test_simulate_chain_structure():
-    cfg, (gaps, n_jumps, last_gap), requests, (x, *_) = _engine_run(
-        JumpSampler.exponential(2.0), seed=3)
+    cfg, grid, requests, (x, *_) = _engine_run(JumpSampler.exponential(2.0), seed=3)
+    gaps, (_, n_jumps, last_gap) = dense_gaps(grid), grid
     top = int(n_jumps.max())
     assert top >= 2
     # interval k draws once for each path with at least k jumps, however the

@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import (builtin, philox_grid, plain_estimator, quadrature_only,
-                     synthetic_model)
+from helpers import (builtin, path_weights, philox_grid, plain_estimator,
+                     quadrature_only, synthetic_model)
 from uvol.baselines import bs_delta, bs_price
 from uvol.estimators import (Payoff, RunConfig, _chunk_partials, _control_means,
-                             _fit, _fold_moments, _merge_moments, _path_weights,
-                             aggregate, estimate_delta, estimate_price,
+                             _fit, _fold_moments, _merge_moments, aggregate, estimate_delta, estimate_price,
                              estimate_vega)
 from uvol.renewal import JumpSampler
 from uvol.rng import normal_pair
@@ -57,8 +56,8 @@ def conditional_contributions(cfg, kind, ids):
     ``ids`` and their conditional control rows, centred at the known means,
     one column per control."""
     grid = philox_grid(cfg.sampler, cfg.T, cfg.seed, ids)
-    rows = _path_weights(cfg, ids, *grid, lambda k, p: normal_pair(cfg.seed, p, k),
-                         kind)
+    rows = path_weights(cfg, ids, grid, lambda k, p: normal_pair(cfg.seed, p, k),
+                        kind)
     r, T, s0 = cfg.model.r, cfg.T, cfg.s0
     y = rows[0]
     if kind == "delta":

@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from helpers import builtin, fixed_grid, fixed_normals, philox_grid, synthetic_model
+from helpers import (builtin, fixed_grid, fixed_normals, path_weights, philox_grid,
+                     synthetic_model)
 from uvol import cli, estimators, rng
 from uvol.baselines import bs_delta, bs_price
 from uvol.chain import StepRecord, chain_step
 from uvol.estimators import (NonFinitePathError, Payoff, RunConfig, _chunk_partials,
-                             _fold, _path_weights, estimate_delta, estimate_price,
-                             estimate_vega)
+                             _fold, estimate_delta, estimate_price, estimate_vega)
 from uvol.renewal import JumpSampler
 from uvol.weights import forward_moments, terminal_weights
 
@@ -118,7 +118,7 @@ def capture_final_inputs(monkeypatch, cfg, n_jumps):
     monkeypatch.setattr(estimators, "conditional_rows", spy)
     grid = fixed_grid([GRIDS[n_jumps]])
     ids = np.zeros(1, dtype=np.uint64)
-    rows = [_path_weights(cfg, ids, *grid, fixed_normals(*INTERIOR_Z), kind)[:, 0]
+    rows = [path_weights(cfg, ids, grid, fixed_normals(*INTERIOR_Z), kind)[:, 0]
             for kind in KINDS]
     monkeypatch.undo()
     assert len(seen) == 3
@@ -183,8 +183,8 @@ def test_translation_control_is_zero_on_jump_free_paths(name):
     cfg = config(*MODELS[name], n_paths=2000)
     ids = np.arange(cfg.n_paths, dtype=np.uint64)
     grid = philox_grid(cfg.sampler, cfg.T, cfg.seed, ids)
-    rows = _path_weights(cfg, ids, *grid,
-                         lambda k, p: rng.normal_pair(cfg.seed, p, k), "delta")
+    rows = path_weights(cfg, ids, grid,
+                        lambda k, p: rng.normal_pair(cfg.seed, p, k), "delta")
     free = grid[1] == 0
     assert 0 < free.sum() < free.size
     assert np.all(rows[7][free] == 0.0)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import philox_grid
-from uvol.estimators import _sample_gap_columns
+from helpers import dense_gap_columns, dense_gaps, philox_grid, philox_uniforms
+from uvol.estimators import _gap_columns, _sample_gap_columns
 from uvol.renewal import (DomainError, JumpSampler, cdf, density, mean_gap,
                           quantile, survival)
 
@@ -27,10 +27,23 @@ class ScriptedUniforms:
         return self.values[j.astype(np.int64)]
 
 
+def assert_same_grid(grid, reference):
+    """The records of ``grid`` rebuild the dense ``reference`` bit for bit."""
+    gaps, n_jumps, last_gap = reference
+    assert np.array_equal(dense_gaps(grid), gaps, equal_nan=True)
+    assert np.array_equal(grid[1], n_jumps)
+    assert np.array_equal(grid[2], last_gap)
+
+
 def scripted_grid(T, values, n_paths=2):
-    """Engine grids of ``n_paths`` identical scripted paths under EXPO."""
+    """Engine grids of ``n_paths`` identical scripted paths under EXPO,
+    checked against the dense reference sampler on the same script."""
     stream = ScriptedUniforms(values)
-    gaps, n_jumps, last_gap = _sample_gap_columns(stream, EXPO, T, n_paths)
+    grid = _sample_gap_columns(stream, EXPO, T, n_paths)
+    reference = ScriptedUniforms(values)
+    assert_same_grid(grid, dense_gap_columns(reference, EXPO, T, n_paths))
+    assert reference.consumed == stream.consumed
+    gaps, (_, n_jumps, last_gap) = dense_gaps(grid), grid
     assert np.all(n_jumps == n_jumps[0]) and np.all(last_gap == last_gap[0])
     return gaps[0, :n_jumps[0]], int(n_jumps[0]), float(last_gap[0]), stream
 
@@ -159,7 +172,8 @@ def test_sample_grid_redraws_tied_interval():
 
 
 def test_sample_grid_beta_gaps_within_support():
-    gaps, n_jumps, last_gap = philox_grid(BETA, 0.5, 5, np.arange(50, dtype=np.uint64))
+    grid = philox_grid(BETA, 0.5, 5, np.arange(50, dtype=np.uint64))
+    gaps, (_, n_jumps, last_gap) = dense_gaps(grid), grid
     inner = gaps[np.arange(gaps.shape[1]) < n_jumps[:, None]]
     assert inner.size == n_jumps.sum() > 0
     assert np.all(inner > 0)
@@ -176,13 +190,57 @@ def test_mean_gap_is_the_first_moment(sampler):
 
 
 def test_sample_grid_width_is_the_longest_grid():
-    gaps, n_jumps, _ = philox_grid(EXPO, 20.0, 3, np.arange(200, dtype=np.uint64))
-    assert gaps.shape == (200, n_jumps.max())
-    assert not np.any(np.isnan(gaps[np.arange(gaps.shape[1]) < n_jumps[:, None]]))
-    assert np.all(np.isnan(gaps[np.arange(gaps.shape[1]) >= n_jumps[:, None]]))
-    # with no jump at all there is still one (empty) column
-    gaps, n_jumps, _ = philox_grid(EXPO, 1e-9, 3, np.arange(4, dtype=np.uint64))
-    assert gaps.shape == (4, 1) and not n_jumps.any()
+    """The records name each interior interval of each path exactly once."""
+    jumps, n_jumps, _ = philox_grid(EXPO, 20.0, 3, np.arange(200, dtype=np.uint64))
+    pos = np.concatenate([p for p, _, _ in jumps])
+    slot = np.concatenate([k for _, k, _ in jumps])
+    assert slot.max() + 1 == n_jumps.max()
+    assert np.all(slot < n_jumps[pos])
+    assert np.array_equal(np.bincount(pos, minlength=200), n_jumps)
+    assert np.unique(pos * n_jumps.max() + slot).size == pos.size
+    # with no jump at all there are no records
+    jumps, n_jumps, _ = philox_grid(EXPO, 1e-9, 3, np.arange(4, dtype=np.uint64))
+    assert not n_jumps.any() and sum(p.size for p, _, _ in jumps) == 0
+
+
+@pytest.mark.parametrize("sampler, T, seed", [(EXPO, 0.5, 7), (EXPO, 6.0, 8),
+                                              (BETA, 0.5, 9), (BETA, 4.0, 10)])
+def test_records_rebuild_the_dense_reference(sampler, T, seed):
+    ids = np.arange(3000, dtype=np.uint64)
+    grid = philox_grid(sampler, T, seed, ids)
+    assert grid[1].max() >= 2
+    assert_same_grid(grid, dense_gap_columns(philox_uniforms(seed, ids), sampler, T,
+                                             ids.size))
+
+
+@pytest.mark.parametrize("sampler, T", [(EXPO, 6.0), (BETA, 0.5)])
+def test_gap_columns_hold_every_jump_without_padding(sampler, T):
+    """Column k holds interval k of the sorted rows [0, n_act[k + 1]), and
+    the flat array holds exactly the jump count of values."""
+    grid = philox_grid(sampler, T, 4, np.arange(5000, dtype=np.uint64))
+    jumps, n_jumps, _ = grid
+    gaps = dense_gaps(grid)
+    top = int(n_jumps.max())
+    order = np.argsort(-n_jumps, kind="stable")
+    n_act = np.array([np.sum(n_jumps >= k) for k in range(top + 2)])
+    cols, start = _gap_columns(jumps, order, n_act)
+    assert jumps == []
+    assert cols.size == start[-1] == n_jumps.sum()
+    assert not np.any(np.isnan(cols))
+    for k in range(top):
+        assert np.array_equal(cols[start[k]:start[k + 1]], gaps[order[:n_act[k + 1]], k])
+
+
+def test_consumed_records_are_refused():
+    """The engine empties the record list; a second run on it must not read
+    uninitialised columns."""
+    ids = np.arange(400, dtype=np.uint64)
+    jumps, n_jumps, _ = philox_grid(EXPO, 6.0, 2, ids)
+    order = np.argsort(-n_jumps, kind="stable")
+    n_act = np.array([np.sum(n_jumps >= k) for k in range(int(n_jumps.max()) + 2)])
+    _gap_columns(jumps, order, n_act)
+    with pytest.raises(ValueError, match="records hold 0 intervals"):
+        _gap_columns(jumps, order, n_act)
 
 
 def test_sample_grid_mean_jump_count():

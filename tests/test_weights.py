@@ -22,7 +22,7 @@ from uvol.rng import normal_pair
 from uvol.weights import (FoldWeights, conditional_rows, step_weights,
                           terminal_weights)
 
-from helpers import (builtin, chain_steps, engine_weights, fixed_grid,
+from helpers import (builtin, chain_steps, dense_gaps, engine_weights, fixed_grid,
                      fixed_normals, gh_step_expectation, make_step,
                      philox_grid, rel_err, step_from_states, synthetic_model)
 from jet_oracle import (oracle_model_from_kind, oracle_step_weights,
@@ -410,7 +410,7 @@ def test_terminal_weights_match_jet_oracle():
 def _check_engine_against_products(cfg, grid, ids, normals):
     """Engine weights of each path against literal products of its steps."""
     _, price_w, delta_w, vega_w = engine_weights(cfg, grid, normals, ids=ids)
-    gaps, n_jumps, last_gap = grid
+    gaps, (_, n_jumps, last_gap) = dense_gaps(grid), grid
     for i, p in enumerate(ids):
         deltas = list(gaps[i, :n_jumps[i]]) + [last_gap[i]]
         steps = chain_steps(cfg.model, cfg.x0, cfg.y0, deltas,
