@@ -283,12 +283,25 @@ def _flags_dict(args: argparse.Namespace) -> dict:
 
 
 def _csv_is_new(path: str) -> bool:
-    """Whether ``path`` still needs a header; refuse a file with other
-    columns, before any estimate runs."""
+    """Whether ``path`` still needs a header; refuse a path that cannot be
+    appended to and a file with other columns, before any estimate runs.
+    Creates nothing."""
+    if os.path.isdir(path):
+        raise ConfigError(f"CSV path {path} is a directory")
     if not os.path.exists(path):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(f"CSV path {path}: no directory {folder}")
+        if not os.access(folder, os.W_OK):
+            raise ConfigError(f"CSV path {path}: directory {folder} is not writable")
         return True
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+    if not os.access(path, os.W_OK):
+        raise ConfigError(f"CSV file {path} is not writable")
+    try:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+    except OSError as exc:
+        raise ConfigError(f"cannot read CSV file: {exc}") from None
     if header not in (None, _CSV_FIELDS):
         raise ConfigError(f"CSV file {path} has other columns than this "
                           f"version writes; append to a new file")

@@ -368,6 +368,26 @@ def test_csv_with_other_columns_is_not_appended_to(tmp_path, capsys, monkeypatch
     assert out.read_text() == old
 
 
+@pytest.mark.parametrize("argv", [
+    ["price", "--model", "bs", "--paths", "100"],
+    ["table", "--id", "1", "--paths", "60"],
+])
+@pytest.mark.parametrize("target, message", [
+    ("missing/x.csv", "no directory"),
+    (".", "is a directory"),
+])
+def test_csv_path_that_cannot_be_written_is_refused_first(tmp_path, capsys, monkeypatch,
+                                                          argv, target, message):
+    def no_simulation(*args):
+        raise AssertionError("the refusal must come before any simulation")
+
+    monkeypatch.setattr(estimators, "_chunk_partials", no_simulation)
+    assert run(argv + ["--csv", str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_no_discount_scales_mean(tmp_path):
     means = {}
     for label, extra in (("disc", []), ("nodisc", ["--no-discount"])):
