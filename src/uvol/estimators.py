@@ -89,8 +89,9 @@ __all__ = [
 
 _MAX_SAMPLING_ROUNDS = 10000
 # Rows per block of the step loop.  A step makes about 300 temporaries,
-# 128 KiB each at this size: a default chunk's traced peak falls from about
-# 117 MB to 41 MB.  Smaller blocks pay more per-block Python time, and at two
+# 128 KiB each at this size: a default affine chunk's traced peak fell from
+# about 117 MB with whole-chunk kernels to 41 MB (29 MB with compact gap
+# columns).  Smaller blocks pay more per-block Python time, and at two
 # threads more GIL handoffs; larger ones a higher peak.
 _BLOCK = 1 << 14
 # Horizons beyond this many expected jumps per path are rejected: the grid

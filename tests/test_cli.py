@@ -388,6 +388,18 @@ def test_csv_path_that_cannot_be_written_is_refused_first(tmp_path, capsys, monk
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("exists", [True, False])
+def test_csv_path_without_write_permission_is_refused(tmp_path, capsys, monkeypatch,
+                                                      exists):
+    out = tmp_path / "rows.csv"
+    if exists:
+        out.write_text("")
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    assert run(["price", "--model", "bs", "--paths", "100", "--csv", str(out)]) == 2
+    assert "not writable" in capsys.readouterr().err
+    assert out.exists() == exists
+
+
 def test_no_discount_scales_mean(tmp_path):
     means = {}
     for label, extra in (("disc", []), ("nodisc", ["--no-discount"])):

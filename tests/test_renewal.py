@@ -213,6 +213,13 @@ def test_records_rebuild_the_dense_reference(sampler, T, seed):
                                              ids.size))
 
 
+def jump_sort(n_jumps):
+    """The engine's stable sort, most jumps first, and ``n_act[k]``, the
+    number of paths with at least ``k`` jumps (a 0 appended)."""
+    order = np.argsort(-n_jumps, kind="stable")
+    return order, np.array([np.sum(n_jumps >= k) for k in range(int(n_jumps.max()) + 2)])
+
+
 @pytest.mark.parametrize("sampler, T", [(EXPO, 6.0), (BETA, 0.5)])
 def test_gap_columns_hold_every_jump_without_padding(sampler, T):
     """Column k holds interval k of the sorted rows [0, n_act[k + 1]), and
@@ -220,14 +227,12 @@ def test_gap_columns_hold_every_jump_without_padding(sampler, T):
     grid = philox_grid(sampler, T, 4, np.arange(5000, dtype=np.uint64))
     jumps, n_jumps, _ = grid
     gaps = dense_gaps(grid)
-    top = int(n_jumps.max())
-    order = np.argsort(-n_jumps, kind="stable")
-    n_act = np.array([np.sum(n_jumps >= k) for k in range(top + 2)])
+    order, n_act = jump_sort(n_jumps)
     cols, start = _gap_columns(jumps, order, n_act)
     assert jumps == []
     assert cols.size == start[-1] == n_jumps.sum()
     assert not np.any(np.isnan(cols))
-    for k in range(top):
+    for k in range(int(n_jumps.max())):
         assert np.array_equal(cols[start[k]:start[k + 1]], gaps[order[:n_act[k + 1]], k])
 
 
@@ -236,8 +241,7 @@ def test_consumed_records_are_refused():
     uninitialised columns."""
     ids = np.arange(400, dtype=np.uint64)
     jumps, n_jumps, _ = philox_grid(EXPO, 6.0, 2, ids)
-    order = np.argsort(-n_jumps, kind="stable")
-    n_act = np.array([np.sum(n_jumps >= k) for k in range(int(n_jumps.max()) + 2)])
+    order, n_act = jump_sort(n_jumps)
     _gap_columns(jumps, order, n_act)
     with pytest.raises(ValueError, match="records hold 0 intervals"):
         _gap_columns(jumps, order, n_act)
