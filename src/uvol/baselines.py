@@ -14,10 +14,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .estimators import EstimateResult, Payoff, aggregate
 from .model import Model, ParameterError
+from .normal import ndtr
 
 __all__ = [
     "EulerConfig",

@@ -67,12 +67,12 @@ from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import rng as _rng
 from .chain import StepRecord, chain_step
 from .flow import flow_tangent, frozen_coeffs
 from .model import Model, ParameterError
+from .normal import ndtr
 from .renewal import JumpSampler, mean_gap, quantile
 from .weights import conditional_rows, step_weights, terminal_weights
 
@@ -150,13 +150,16 @@ class Payoff:
         moments of ``Z`` on ``[d, inf)``; the call's follow from Stein's
         lemma, ``E[h(x) Z] = s E[h'(x)]``, with ``F = exp(mu + s**2 / 2)``:
         ``M1 = s F N(s - d)`` and ``M2 = M0 + s (M1 + strike * phi(d))``.
+        ``N`` is :func:`uvol.normal.ndtr`; the call's two tails ``N(-d)``
+        and ``N(s - d)`` take one call.
         """
         d = (math.log(self.strike) - mu) / s
-        tail = ndtr(-d)
         pdf = np.exp(-0.5 * d * d) * _INV_SQRT_2PI
         if self.kind == "digital":
+            tail = ndtr(-d)
             return tail, pdf, tail + d * pdf
-        itm = np.exp(mu + 0.5 * s * s) * ndtr(s - d)
+        tail, itm = ndtr((-d, s - d))
+        itm *= np.exp(mu + 0.5 * s * s)
         m0 = itm - self.strike * tail
         m1 = s * itm
         return m0, m1, m0 + s * (m1 + self.strike * pdf)

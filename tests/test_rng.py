@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 import uvol.rng as rng
 from helpers import builtin
 from uvol.estimators import Payoff, RunConfig, estimate_price
+from uvol.normal import ndtri
 from uvol.renewal import JumpSampler
 from uvol.rng import (GAP_STREAM, NORMAL_STREAM, normal_pair, philox4x32,
                       uniform_pair)
