@@ -125,6 +125,9 @@ _RS = _pair(
     (2.26052863220117276590E0, 9.39603524938001434673E0,
      1.20489539808096656605E1, 1.70814450747565897222E1,
      9.60896809063285878198E0, 3.36907645100081516050E0))
+# Both of erfc's forms as the four rows of one Horner pass, R and S padded
+_PQRS = (0, np.concatenate([_PQ[1], np.pad(_RS[1], ((_PQ[1].shape[0] - _RS[1].shape[0], 0),
+                                                    (0, 0), (0, 0)))], axis=1))
 _SQRT1_2 = 7.07106781186547524401E-1
 _MAXLOG = 7.09782712893383996843E2
 # Cephes' erfc returns 0 once -x*x < -MAXLOG; this is the largest x before.
@@ -234,10 +237,12 @@ def _ndtr_tail(z, x):
     np.exp(e, out=e)
     if top > _X_UNDER:
         e[under] = 0.0
-    nd = _horner(_PQ, z)
-    if top >= 8.0:
+    if top < 8.0:
+        nd = _horner(_PQ, z)
+    else:
+        nd = _horner(_PQRS, z)
         far = np.flatnonzero(z >= 8.0)
-        nd[:, far] = _horner(_RS, z[far])
+        nd[:2, far] = nd[2:, far]
     e *= nd[0]
     e /= nd[1]
     e *= 0.5
