@@ -42,10 +42,18 @@ def _pair(num, den):
     return len(den) - len(num), coef
 
 
+def _stacked(*pairs):
+    """Several pairs as the rows of one Horner pass, each padded with
+    leading zeros to the longest."""
+    terms = max(coef.shape[0] for _, coef in pairs)
+    return 0, np.concatenate([np.pad(coef, ((terms - coef.shape[0], 0), (0, 0), (0, 0)))
+                              for _, coef in pairs], axis=1)
+
+
 def _horner(pair, v):
-    """Rows ``(numerator, denominator)`` of ``pair`` (:func:`_pair`) at
-    ``v``, by Horner's rule with Cephes' rounding, as a ``(2, v.size)``
-    array.  The denominator's extra leading terms run on its row alone."""
+    """The rows of ``pair`` (:func:`_pair`, :func:`_stacked`) at ``v``, by
+    Horner's rule with Cephes' rounding, as a ``(rows, v.size)`` array.  A
+    denominator's extra leading terms run on its row alone."""
     lead, coef = pair
     if lead:
         acc = np.empty((2, v.size))
@@ -125,9 +133,7 @@ _RS = _pair(
     (2.26052863220117276590E0, 9.39603524938001434673E0,
      1.20489539808096656605E1, 1.70814450747565897222E1,
      9.60896809063285878198E0, 3.36907645100081516050E0))
-# Both of erfc's forms as the four rows of one Horner pass, R and S padded
-_PQRS = (0, np.concatenate([_PQ[1], np.pad(_RS[1], ((_PQ[1].shape[0] - _RS[1].shape[0], 0),
-                                                    (0, 0), (0, 0)))], axis=1))
+_PQRS = _stacked(_PQ, _RS)  # both of erfc's forms in one pass
 _SQRT1_2 = 7.07106781186547524401E-1
 _MAXLOG = 7.09782712893383996843E2
 # Cephes' erfc returns 0 once -x*x < -MAXLOG; this is the largest x before.
@@ -145,6 +151,7 @@ def _flat(v):
 
 
 def _shaped(out, shape):
+    """``out`` in the input's shape, a numpy float for a scalar input."""
     return out.reshape(shape) if shape else out[0]
 
 

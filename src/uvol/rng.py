@@ -45,10 +45,13 @@ _INV53 = 2.0 ** -53
 
 
 @lru_cache(maxsize=8)
-def _round_keys(k0: int, k1: int) -> np.ndarray:
-    """The ten rounds' key words, ``(10, 2, 1)``: round ``r`` adds ``r``
-    Weyl increments to each word, modulo 2**32."""
-    keys = np.array([[[(k + r * w) & 0xFFFFFFFF] for k, w in zip((k0, k1), _W)]
+def _round_keys(seed: int) -> np.ndarray:
+    """The ten rounds' key words ``(10, 2, 1)`` of a 64-bit seed: its low
+    and high 32-bit words, plus ``r`` Weyl increments in round ``r``, modulo
+    2**32."""
+    seed &= 0xFFFFFFFFFFFFFFFF
+    keys = np.array([[[(k + r * w) & 0xFFFFFFFF]
+                      for k, w in zip((seed & 0xFFFFFFFF, seed >> 32), _W)]
                      for r in range(10)], dtype=np.uint64)
     keys.flags.writeable = False  # shared by every call with this seed
     return keys
@@ -88,11 +91,6 @@ def _counters(path, stream: int, index):
     return a, b, path.shape
 
 
-def _keys(seed: int) -> np.ndarray:
-    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-    return _round_keys(seed & 0xFFFFFFFF, seed >> 32)
-
-
 def philox4x32(c0, c1, c2, c3, k0, k1):
     """Ten Philox4x32 rounds.  The counter words ``c0..c3`` are 32-bit
     values (integers or arrays, broadcast together) and the key words
@@ -102,7 +100,7 @@ def philox4x32(c0, c1, c2, c3, k0, k1):
     shape = (2,) + c[0].shape
     a = np.array((c[0], c[2])).reshape(2, -1)
     b = np.array((c[1], c[3])).reshape(2, -1)
-    a, b = _rounds(a, b, _round_keys(int(k0), int(k1)))
+    a, b = _rounds(a, b, _round_keys(int(k0) | int(k1) << 32))
     a, b = a.reshape(shape), b.reshape(shape)
     return a[0], b[0], a[1], b[1]
 
@@ -129,7 +127,7 @@ def uniform_pair(seed: int, path, stream: int, index):
         ``(o2 << 32) | o3``, plus one half, times ``2**-53``.
     """
     a, b, shape = _counters(path, stream, index)
-    a, b = _rounds(a, b, _keys(seed))
+    a, b = _rounds(a, b, _round_keys(int(seed)))
     a <<= _SH32
     a |= b
     a >>= _SH11
