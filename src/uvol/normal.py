@@ -212,8 +212,8 @@ def _ndtri_tail(y):
 def ndtr(a):
     """Standard normal CDF, elementwise.
 
-    Below ``-37.5`` it is 0, and above ``37.5`` it is 1, as in Cephes; NaN
-    gives NaN.
+    Below about ``-37.68``, where Cephes' ``erfc`` underflows, it is 0, as
+    in Cephes; NaN gives NaN.
     """
     a, shape = _flat(a)
     x = a * _SQRT1_2
