@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimateResult, Payoff, aggregate
+from .estimators import EstimateResult, Payoff, aggregate, check_seed
 from .model import Model, ParameterError
 from .normal import ndtr
 
@@ -23,6 +23,7 @@ __all__ = [
     "EulerConfig",
     "euler_terminal",
     "euler_price",
+    "fd_bump",
     "fd_greek",
     "bs_price",
     "bs_delta",
@@ -33,7 +34,8 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class EulerConfig:
-    """Euler discretization settings (defaults match the reference runs)."""
+    """Euler discretization settings (defaults match the reference runs).
+    ``seed`` is in ``[0, 2**64)``."""
 
     n_steps: int = 200
     n_paths: int = 160000
@@ -42,6 +44,7 @@ class EulerConfig:
     def __post_init__(self):
         if self.n_steps < 1 or self.n_paths < 1:
             raise ParameterError("n_steps and n_paths must be >= 1")
+        check_seed(self.seed)
 
 
 def euler_terminal(model: Model, s0: float, y0: float, T: float,
@@ -98,14 +101,10 @@ def fd_greek(model: Model, payoff: Payoff, s0: float, y0: float, T: float,
     consumption order), so the difference estimator's error is the error
     of the pathwise difference, not of two independent prices.
     """
-    if which not in ("delta", "vega"):
-        raise ParameterError(f"which must be 'delta' or 'vega', got {which!r}")
-    if not eps > 0:
-        raise ParameterError("eps must be positive")
+    bump = fd_bump(which, s0, y0, eps)
     start = time.perf_counter()
     disc = math.exp(-model.r * T)
     base = (s0, y0)
-    bump = (s0 + eps, y0) if which == "delta" else (s0, y0 + eps)
     vals = []
     for s_init, y_init in (base, bump):
         rng = np.random.Generator(np.random.Philox(cfg.seed))
@@ -114,6 +113,28 @@ def fd_greek(model: Model, payoff: Payoff, s0: float, y0: float, T: float,
     diff = (vals[1] - vals[0]) / eps
     return aggregate([(float(diff.sum()), float(np.dot(diff, diff)), diff.size)],
                      elapsed=time.perf_counter() - start)
+
+
+def fd_bump(which: str, s0: float, y0: float, eps: float) -> tuple:
+    """The bumped start ``(s0 + eps, y0)`` or ``(s0, y0 + eps)`` of
+    :func:`fd_greek`.
+
+    Raises
+    ------
+    ParameterError
+        If ``which`` is neither ``"delta"`` nor ``"vega"``, ``eps`` is not
+        positive, or the bumped value is not finite or rounds back to the
+        unbumped one (the difference quotient would read 0 or NaN).
+    """
+    if which not in ("delta", "vega"):
+        raise ParameterError(f"which must be 'delta' or 'vega', got {which!r}")
+    if not eps > 0:
+        raise ParameterError(f"eps must be positive, got {eps!r}")
+    name, value = ("s0", s0) if which == "delta" else ("y0", y0)
+    bumped = value + eps
+    if not (math.isfinite(bumped) and bumped != value):
+        raise ParameterError(f"a bump of {eps!r} moves {name} = {value!r} to {bumped!r}")
+    return (bumped, y0) if which == "delta" else (s0, bumped)
 
 
 def bs_price(s0: float, strike: float, r: float, T: float, sigma: float) -> float:

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .baselines import EulerConfig, bs_delta, bs_price, euler_price, fd_greek
+from .baselines import EulerConfig, bs_delta, bs_price, euler_price, fd_bump, fd_greek
 from .chain import DegenerateCovariance
 from .estimators import (EstimateResult, NonFinitePathError, Payoff, RunConfig,
                          estimate_delta, estimate_price, estimate_vega)
@@ -367,17 +367,23 @@ _ESTIMATORS = {"price": estimate_price, "delta": estimate_delta, "vega": estimat
 _CLOSED_FORMS = {"price": bs_price, "delta": bs_delta, "vega": lambda *_: 0.0}
 
 
-def _baseline_config(quantity: str, methods: tuple, seed: int,
+def _baseline_config(quantity: str, methods: tuple, points: list,
                      args) -> Optional[EulerConfig]:
     """Refuse a CSV with other columns and bad baseline options before any
-    simulation; the baseline's settings when ``methods`` holds it."""
+    simulation; the baseline's settings when ``methods`` holds it.  Every
+    point of ``points`` (each a settings dict) runs with the first one's
+    seed."""
     if args.csv:
         _csv_is_new(args.csv)
     if _BASELINES[quantity] not in methods:
         return None
-    if quantity != "price" and not args.fd_eps > 0:
-        raise ConfigError(f"--fd-eps must be positive, got {args.fd_eps}")
-    return EulerConfig(n_steps=args.euler_steps, n_paths=args.euler_paths, seed=seed)
+    for settings in points if quantity != "price" else ():
+        try:
+            fd_bump(quantity, settings["s0"], settings["y0"], args.fd_eps)
+        except ParameterError as exc:
+            raise ConfigError(f"--fd-eps {args.fd_eps!r}: {exc}") from None
+    return EulerConfig(n_steps=args.euler_steps, n_paths=args.euler_paths,
+                       seed=points[0]["seed"])
 
 
 def _job(method: str, settings: dict) -> tuple:
@@ -415,7 +421,7 @@ def _cmd_estimate(quantity: str, args: argparse.Namespace) -> int:
     settings = _merge_settings(file_cfg, _flags_dict(args))
     methods = (settings["sampler"],) + (
         (_BASELINES[quantity],) if args.compare_euler else ())
-    ecfg = _baseline_config(quantity, methods, settings["seed"], args)
+    ecfg = _baseline_config(quantity, methods, [settings], args)
     rows = []
     for method in methods:
         res, row = _result(quantity, method, _job(method, settings), ecfg, args.fd_eps)
@@ -472,7 +478,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     spec = table_spec(args.id, args.model)
     run_flags = dict(_flags_dict(args), model=spec.model, payoff=spec.payoff)
     points = [_merge_settings(run_flags, point) for point in spec.sweep]
-    ecfg = _baseline_config(spec.quantity, spec.methods, points[0]["seed"], args)
+    ecfg = _baseline_config(spec.quantity, spec.methods, points, args)
     # every cell's config is checked before the header is printed
     jobs = [[_job(method, settings) for method in spec.methods] for settings in points]
     rows = []

@@ -203,7 +203,8 @@ class RunConfig:
         horizon (positive, at most 1 000 mean gaps of ``sampler``).
     n_paths : int
     seed : int
-        Drives every random draw via counter-based streams.
+        Drives every random draw via counter-based streams; in
+        ``[0, 2**64)``, the Philox key's range.
     discount : bool
         Multiply estimates by ``exp(-r*T)`` (default on).
     threads : int
@@ -239,6 +240,7 @@ class RunConfig:
             raise ParameterError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.threads < 1 or self.chunk_size < 1:
             raise ParameterError("threads and chunk_size must be >= 1")
+        check_seed(self.seed)
         gap = mean_gap(self.sampler)
         if self.T / gap > _MAX_EXPECTED_JUMPS:
             raise ParameterError(
@@ -248,6 +250,14 @@ class RunConfig:
     @property
     def x0(self) -> float:
         return math.log(self.s0)
+
+
+def check_seed(seed) -> None:
+    """Refuse a seed outside ``[0, 2**64)``: the Philox key of :mod:`uvol.rng`
+    and numpy's ``Philox`` of the Euler baseline take 64 bits, and a wider
+    seed would be masked into the draws of another."""
+    if not 0 <= seed < 1 << 64:
+        raise ParameterError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def _sample_gap_columns(uniforms: Callable, sampler: JumpSampler, T: float,
@@ -425,26 +435,25 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, jumps: list,
     del cols  # the final intervals read last_gap alone
 
     if kind is not None:
-        # x, y and the state now hold every path's start of its final interval
+        # x, y and the state now hold every path's start of its final
+        # interval.  They go into the output's first eight rows, in path
+        # order, each sorted array dropped as it goes, so the final pass
+        # reads and writes slices of one matrix.
         rows = np.empty((1 + _control_means(cfg).size, n))
+        start_of_final = [x, y, *state]
+        del x, y, state
+        for j in range(len(start_of_final)):
+            rows[j, order] = start_of_final[j]
+            start_of_final[j] = None
+        del order
         y_moments = _has_y_moments(mdl)
         q = _KINDS.index(kind)
-
-        # The chunk's rows are live through this pass, next to a block's
-        # frozen coefficients and the closed form's temporaries (about 60
-        # doubles a row), so quarter blocks keep the chunk's peak memory at
-        # the step loop's.
-        block = max(1, _BLOCK // 4)
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            paths = order[lo:hi]
-            fc = frozen_coeffs(mdl, y[lo:hi], last_gap[paths])
+        for lo in range(0, n, _BLOCK):
+            out = rows[:, lo:lo + _BLOCK]
+            fc = frozen_coeffs(mdl, out[1], last_gap[lo:lo + _BLOCK])
             with np.errstate(over="ignore", invalid="ignore"):  # rows are checked
-                vals = conditional_rows(mdl, x[lo:hi], fc, smp, [v[lo:hi] for v in state],
-                                        cfg.payoff, q, cfg.T, y_moments)
-            for row, v in zip(rows, vals):
-                row[paths] = v  # row by row: a 2-D scatter is twice as slow
-            del vals  # before the next block's are computed
+                conditional_rows(mdl, out[0], fc, smp, out[2:8], cfg.payoff, q, cfg.T,
+                                 y_moments, out)
         return rows
 
     # sampled: the final interval of the paths with k jumps is their interval k

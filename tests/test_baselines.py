@@ -34,6 +34,8 @@ BS = builtin("BlackScholes")
     {"n_steps": 0},
     {"n_paths": 0},
     {"n_steps": -5, "n_paths": 100},
+    {"seed": -1},  # numpy's Philox refuses it, after the estimator has run
+    {"seed": 1 << 64},
 ])
 def test_euler_config_rejects_bad_arguments(kwargs):
     with pytest.raises(ParameterError):
@@ -103,6 +105,16 @@ def test_fd_greek_rejects_bad_arguments():
         fd_greek(BS, Payoff.call(K), S0, Y0, T, "gamma", 1e-4, cfg)
     with pytest.raises(ParameterError, match="eps"):
         fd_greek(BS, Payoff.call(K), S0, Y0, T, "delta", 0.0, cfg)
+
+
+@pytest.mark.parametrize("which, eps", [("delta", 1e-320), ("vega", 1e-320),
+                                         ("delta", math.inf), ("vega", 1e308)])
+def test_fd_greek_refuses_a_bump_that_rounds_away_or_overflows(which, eps):
+    # s0 + 1e-320 == s0, so the difference quotient would read exactly 0
+    cfg = EulerConfig(n_steps=2, n_paths=10, seed=0)
+    y0 = 1e308 if eps == 1e308 else Y0
+    with pytest.raises(ParameterError, match="bump"):
+        fd_greek(BS, Payoff.call(K), S0, y0, T, which, eps, cfg)
 
 
 @pytest.mark.parametrize("which", ["price", "delta"])

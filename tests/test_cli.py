@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import uvol
 from uvol.cli import (_CONFIG_KEYS, _CSV_FIELDS, ConfigError, TableSpec,
                       load_config, run, table_spec)
-from uvol import cli, estimators
+from uvol import baselines, cli, estimators
 from uvol.estimators import estimate_price
 
 
@@ -432,12 +432,18 @@ def test_compare_euler_adds_baseline_row(tmp_path, capsys):
     ["price", "--euler-paths", "0"],
     ["delta", "--fd-eps", "0"],
     ["vega", "--fd-eps", "-0.01"],
+    ["delta", "--fd-eps", "1e-320"],  # s0 + eps == s0
+    ["vega", "--fd-eps", "1e-320"],  # y0 + eps == y0
+    ["vega", "--fd-eps", "inf"],
+    ["price", "--seed", "-1"],
+    ["price", "--seed", "18446744073709551616"],  # 2**64 would draw as seed 0
 ])
 def test_bad_euler_options_are_refused_before_the_estimate(capsys, monkeypatch, argv):
     def no_simulation(*args):
         raise AssertionError("the refusal must come before any simulation")
 
     monkeypatch.setattr(estimators, "_chunk_partials", no_simulation)
+    monkeypatch.setattr(baselines, "euler_terminal", no_simulation)
     assert run(argv[:1] + ["--model", "bs", "--paths", "60", "--compare-euler"]
                + argv[1:]) == 2
     captured = capsys.readouterr()

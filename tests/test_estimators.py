@@ -100,6 +100,18 @@ def test_run_config_rejects_bad_arguments(overrides):
         base_config(**overrides)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 5])
+def test_run_config_refuses_seeds_beyond_the_philox_key(seed):
+    # the key takes 64 bits: 2**64 + 5 would otherwise draw as seed 5
+    with pytest.raises(ParameterError, match=r"seed must be in \[0, 2\*\*64\)"):
+        base_config(seed=seed)
+
+
+def test_run_config_takes_the_whole_seed_range():
+    assert base_config(seed=0).seed == 0
+    assert base_config(seed=(1 << 64) - 1).seed == (1 << 64) - 1
+
+
 def test_grid_width_cap_names_horizon_and_mean_gap():
     with pytest.raises(ParameterError, match=r"T = 2001.0 .* mean gaps of 2\b"):
         base_config(T=2001.0)
@@ -278,11 +290,19 @@ def test_results_insensitive_to_chunk_size():
     assert small.n_jumps_mean == big.n_jumps_mean
 
 
+_BLOCK_CASES = [(tag, kind) for kind in (None, "price", "vega")
+                for tag in ("PeriodicCosine", "synthetic")]
+
+
 @pytest.mark.parametrize("block", [2, 3])
-@pytest.mark.parametrize("tag", ["PeriodicCosine", "synthetic"])
-def test_block_size_moves_no_bit_of_any_path(monkeypatch, tag, block):
+@pytest.mark.parametrize("tag, kind", _BLOCK_CASES,
+                         ids=[t if k is None else f"{t}-{k}" for t, k in _BLOCK_CASES])
+def test_block_size_moves_no_bit_of_any_path(monkeypatch, tag, kind, block):
     # Quadrature models: 101 paths leave a lone row at both block sizes, and
-    # it must round as it does inside a larger block.
+    # it must round as it does inside a larger block.  Without ``kind`` the
+    # final intervals are sampled; with it, the conditional rows (14 on the
+    # cosine model, 8 on the synthetic one) are written block by block into
+    # the rows that held each path's state.
     model = synthetic_model() if tag == "synthetic" else builtin(tag)
     cfg = base_config(model=model, sampler=JumpSampler.exponential(2.0),
                       n_paths=101, seed=11)
@@ -290,7 +310,8 @@ def test_block_size_moves_no_bit_of_any_path(monkeypatch, tag, block):
     grid = philox_grid(cfg.sampler, T, cfg.seed, ids)
 
     def weights():
-        return path_weights(cfg, ids, grid, lambda k, p: normal_pair(cfg.seed, p, k))
+        return path_weights(cfg, ids, grid, lambda k, p: normal_pair(cfg.seed, p, k),
+                            kind)
 
     whole = weights()
     monkeypatch.setattr(estimators, "_BLOCK", block)
@@ -317,8 +338,10 @@ def test_one_chunk_working_set_is_block_sized():
     # at about 117 MB of traced memory, blocked ones at 41.4 MB while the
     # chunk kept a NaN-padded (n, max jumps) gap matrix, and 28.9 MB with
     # jump-sorted compact gap columns dropped before the final pass.  The
-    # bound is that last figure plus 2.6 MB (9%).  numpy reports its buffers
-    # to tracemalloc, so the figure does not depend on the allocator.
+    # bound is that last figure plus 2.6 MB (9%).  A final pass in path
+    # order, writing its rows over each path's state, brought it to 27.3 MB.
+    # numpy reports its buffers to tracemalloc, so the figure does not
+    # depend on the allocator.
     cfg = base_config(model=builtin("SteinSteinAffine"),
                       sampler=JumpSampler.beta_one_minus_alpha(0.5, 1.0),
                       n_paths=1 << 17)
@@ -329,6 +352,24 @@ def test_one_chunk_working_set_is_block_sized():
     finally:
         tracemalloc.stop()
     assert peak < 31.5e6
+
+
+def test_quadrature_chunk_working_set_is_block_sized():
+    # 32 768 paths of the cosine-digital contract, its one chunk: 8.7 MB of
+    # traced memory with the final pass in quarter blocks, 8.9 MB with full
+    # ones written over each path's state.  The bound is the first figure
+    # plus 9%, as for the affine chunk.  A small chunk first fills the
+    # caches a process builds once (the quadrature rule, Philox keys).
+    cfg = base_config(model=builtin("PeriodicCosine"), payoff=Payoff.digital_call(1.5),
+                      sampler=JumpSampler.exponential(0.5), n_paths=1 << 15)
+    estimators._chunk_partials(cfg, 0, 64, "price")
+    tracemalloc.start()
+    try:
+        estimators._chunk_partials(cfg, 0, cfg.n_paths, "price")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.48e6
 
 
 def test_runs_are_reproducible_for_fixed_seed():

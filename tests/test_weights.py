@@ -17,7 +17,7 @@ import pytest
 from uvol.chain import one_minus_rho_sq
 from uvol.estimators import Payoff, RunConfig
 from uvol.flow import frozen_coeffs
-from uvol.renewal import DomainError, JumpSampler, density
+from uvol.renewal import DomainError, JumpSampler, density, survival
 from uvol.rng import normal_pair
 from uvol.weights import (FoldWeights, conditional_rows, step_weights,
                           terminal_weights)
@@ -162,6 +162,78 @@ def test_final_interval_with_zero_survival_is_rejected():
     with pytest.raises(DomainError, match="survival"):
         conditional_rows(STEIN, step.x_prev, step.fc, sampler, state,
                          Payoff.call(1.5), 0, 0.5, True)
+
+
+def rows_by_formula(model, x_prev, fc, sampler, state, payoff, weight, T, y_moments):
+    """:func:`conditional_rows` as its docstring writes it, one expression a
+    row, in the same order of floating-point operations."""
+    delta, sig = fc.delta, fc.sigma_S_i
+    theta = 1.0 / survival(sampler, delta)
+    price_pref, ey_pref, delta_acc, corr, spill, vega_acc = state
+    mu = x_prev + (model.r * delta - 0.5 * fc.a_S_i)
+    m = payoff.gauss_moments(mu, sig)
+    f0 = np.exp(mu + 0.5 * sig * sig)
+    fwd = (f0, f0 * sig, f0 + f0 * (sig * sig))
+    td = theta * delta
+    tey = td * ey_pref
+    w0, d0 = theta * price_pref, theta * delta_acc
+    d1 = td * price_pref / sig
+    v2 = tey * fc.sigma1_S_i / sig
+    v1 = (td * spill - tey * (0.5 * fc.a1_S_i)) / sig
+    mean_v = theta * (vega_acc + delta * corr)
+    r = ((w0,), (d0, d1), (mean_v - v2, v1, v2))
+
+    def dot(c, mom):
+        acc = c[0] * mom[0]
+        for ck, mk in zip(c[1:], mom[1:]):
+            acc = acc + ck * mk
+        return acc
+
+    rows = [dot(r[weight], m)]
+    for rj, mean in zip(r, (w0, d0, mean_v)):
+        rows += [mean, dot(rj, fwd)]
+    rows.append(d0 * m[0] - (T - delta) * w0 * m[1] / sig)
+    if y_moments:
+        my = fc.m_i
+        y2 = my * my + fc.a_Y_i
+        lin = tey * fc.m1_i
+        rows += [my * w0, my * d0, my * mean_v + lin,
+                 y2 * w0, y2 * d0, y2 * mean_v + 2.0 * my * lin]
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("y_moments", [False, True])
+@pytest.mark.parametrize("payoff", [Payoff.call(1.5), Payoff.digital_call(1.5)],
+                         ids=["call", "digital"])
+@pytest.mark.parametrize("model", [STEIN, COSINE], ids=["stein", "cosine"])
+def test_conditional_rows_into_their_own_inputs_keep_every_bit(model, payoff, y_moments):
+    """The engine's final pass lays ``x_prev`` and the state into rows 0 and
+    2-7 of the block the rows are written to, and :func:`conditional_rows`
+    turns them into the rows in place.  The rows must equal, bit for bit,
+    those written into a fresh buffer and the formulas evaluated one row at
+    a time, and a fresh buffer must leave the inputs as they were."""
+    gen = np.random.default_rng(5)
+    n = 9
+    y = gen.uniform(0.05, 0.4, n)
+    x_prev = gen.normal(0.4, 0.3, n)
+    state = np.stack([gen.uniform(0.5, 2.0, n), gen.uniform(0.5, 2.0, n),
+                      *gen.normal(0.0, 1.0, (4, n))])
+    fc = frozen_coeffs(model, y, gen.uniform(0.01, 0.5, n))
+    n_rows = 14 if y_moments else 8
+    for weight in range(3):
+        args = (model, fc, BETA, payoff, weight, 0.5, y_moments)
+        inputs = (x_prev.copy(), state.copy())
+        fresh = conditional_rows(args[0], x_prev, *args[1:3], state, *args[3:])
+        assert fresh.shape == (n_rows, n)
+        assert np.array_equal(x_prev, inputs[0]) and np.array_equal(state, inputs[1])
+        block = np.full((n_rows, n), np.nan)
+        block[0], block[1], block[2:8] = x_prev, y, state
+        got = conditional_rows(args[0], block[0], *args[1:3], block[2:8], *args[3:], block)
+        assert got is block
+        assert np.array_equal(block.view(np.int64), fresh.view(np.int64)), weight
+        plain = rows_by_formula(model, x_prev, fc, BETA, state, payoff, weight, 0.5,
+                                y_moments)
+        assert np.array_equal(plain.view(np.int64), fresh.view(np.int64)), weight
 
 
 def test_both_kernels_return_fold_weights():
