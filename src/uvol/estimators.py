@@ -52,7 +52,10 @@ passed in, so a test can run the engine on fixed grids and draws.
 The chunk is the unit of threading, of the jump-count sort and of the
 reduction; the block of :data:`_BLOCK` rows is the unit of kernel work.
 :func:`_path_weights` walks each interval's paths block by block, so a
-kernel's temporaries are block-sized however large the chunk.
+kernel's temporaries are block-sized however large the chunk.  The
+closed-form final pass walks the chunk in path order, in blocks of the
+chunk's output matrix whose rows first hold each path's state and are then
+overwritten with its conditional rows.
 Every kernel is elementwise per path, so the block size moves no bit; the
 chunk size sets the order of the sums and so moves the last bits of means.
 """
@@ -88,11 +91,13 @@ __all__ = [
 ]
 
 _MAX_SAMPLING_ROUNDS = 10000
-# Rows per block of the step loop.  A step makes about 300 temporaries,
-# 128 KiB each at this size: a default affine chunk's traced peak fell from
-# about 117 MB with whole-chunk kernels to 41 MB (29 MB with compact gap
-# columns).  Smaller blocks pay more per-block Python time, and at two
-# threads more GIL handoffs; larger ones a higher peak.
+# Rows per block of the step loop and of the final pass.  A step makes
+# about 300 temporaries, 128 KiB each at this size: a default affine chunk's
+# traced peak fell from about 117 MB with whole-chunk kernels to 41 MB
+# (29 MB with compact gap columns, 27.3 MB with the final pass written over
+# the spent state).  Smaller blocks pay more per-block Python time, and at
+# two threads more GIL handoffs (each numpy call costs about 4.7 us there);
+# larger ones a higher peak.
 _BLOCK = 1 << 14
 # Horizons beyond this many expected jumps per path are rejected: the grid
 # sampling rounds grow with the jump count, and the weight variance with it.
@@ -393,7 +398,13 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, jumps: list,
     interior intervals ``k`` in order, then, on the sampled route, the final
     intervals of each jump count, each in blocks of :data:`_BLOCK` rows, so
     the kernels' temporaries are block-sized.  The gap columns are dropped
-    before the final intervals.  Every kernel is elementwise per path, so
+    before the final intervals.  On the conditional route, the log-spot,
+    the variance factor and the six prefix sums are scattered instead into
+    rows 0-7 of the output matrix, in the order of ``ids``, each sorted
+    array dropped once it is laid; the final pass then walks that matrix in
+    blocks of :data:`_BLOCK` columns, reading ``last_gap`` and the rows as
+    slices, and :func:`uvol.weights.conditional_rows` overwrites each
+    block's state with its rows.  Every kernel is elementwise per path, so
     neither the block size nor the grouping of rows moves a bit.  Draws stay
     keyed by path id, and the results are put back in the order of ``ids``,
     so they do not depend on the sort.
@@ -435,10 +446,9 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, jumps: list,
     del cols  # the final intervals read last_gap alone
 
     if kind is not None:
-        # x, y and the state now hold every path's start of its final
-        # interval.  They go into the output's first eight rows, in path
-        # order, each sorted array dropped as it goes, so the final pass
-        # reads and writes slices of one matrix.
+        # Each sorted array is dropped once laid, so the eight are never all
+        # live next to the matrix.  Row 1, the variance factor, is read only
+        # by frozen_coeffs, before conditional_rows overwrites it.
         rows = np.empty((1 + _control_means(cfg).size, n))
         start_of_final = [x, y, *state]
         del x, y, state

@@ -339,8 +339,9 @@ def conditional_rows(model, x_prev, fc, s: JumpSampler, state, payoff, weight: i
     factor, read only by :func:`uvol.flow.frozen_coeffs` before this call).
     The state is first turned, row by row in place, into the coefficients
     of the quadratics below, and then each output row is written over a
-    coefficient no later row reads, so the bits are those of a fresh
-    ``out``.  ``fc`` must not share memory with ``out``.
+    coefficient no later row reads, in the floating-point order of the
+    formulas below written one expression a row.  ``fc`` must not share
+    memory with ``out``.
 
     With ``x_T = mu + sigma_S_i z1``, integrating ``z2`` out leaves each
     weight a quadratic ``r0 + r1 z1 + r2 z1**2``: with ``theta`` the
@@ -415,7 +416,7 @@ def conditional_rows(model, x_prev, fc, s: JumpSampler, state, payoff, weight: i
         np.multiply(y2, mean_v, out=out[13])
         out[13] += 2.0 * my * lin
     h = _dot(((w0,), (d0, d1), (v0, v1, v2))[weight], m)
-    # V . F = (v1 F1 + v0 F0) + v2 F2, accumulated over v1
+    # V . F accumulated over v1: v1 F1 + v0 F0 is v0 F0 + v1 F1 bit for bit
     v1 *= fwd[1]
     v1 += v0 * fwd[0]
     v1 += v2 * fwd[2]
