@@ -95,13 +95,16 @@ def fd_greek(model: Model, payoff: Payoff, s0: float, y0: float, T: float,
     which : {"delta", "vega"}
         Bump direction: initial spot or initial variance factor.
     eps : float
-        Bump size.
+        Bump size.  The difference is divided by the bump applied,
+        ``(s0 + eps) - s0`` or ``(y0 + eps) - y0``, which rounding may
+        make differ from ``eps``.
 
     Both runs replay the same Gaussian increments (identical seed and
     consumption order), so the difference estimator's error is the error
     of the pathwise difference, not of two independent prices.
     """
     bump = fd_bump(which, s0, y0, eps)
+    applied = bump[0] - s0 if which == "delta" else bump[1] - y0
     start = time.perf_counter()
     disc = math.exp(-model.r * T)
     base = (s0, y0)
@@ -110,7 +113,7 @@ def fd_greek(model: Model, payoff: Payoff, s0: float, y0: float, T: float,
         rng = np.random.Generator(np.random.Philox(cfg.seed))
         s, _ = euler_terminal(model, s_init, y_init, T, cfg, rng)
         vals.append(payoff.value_spot(s) * disc)
-    diff = (vals[1] - vals[0]) / eps
+    diff = (vals[1] - vals[0]) / applied
     return aggregate([(float(diff.sum()), float(np.dot(diff, diff)), diff.size)],
                      elapsed=time.perf_counter() - start)
 

@@ -95,10 +95,12 @@ def _float_text(x) -> str:
 
 def _read_config_file(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -298,10 +300,12 @@ def _csv_is_new(path: str) -> bool:
     if not os.access(path, os.W_OK):
         raise ConfigError(f"CSV file {path} is not writable")
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh), None)
     except OSError as exc:
         raise ConfigError(f"cannot read CSV file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"CSV file {path} is not UTF-8: {exc}") from None
     if header not in (None, _CSV_FIELDS):
         raise ConfigError(f"CSV file {path} has other columns than this "
                           f"version writes; append to a new file")

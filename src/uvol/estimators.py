@@ -13,7 +13,9 @@ replaced by their conditional means in closed form
 (:func:`uvol.weights.conditional_rows`).  By the tower property these have
 the same means as the sampled values, so the estimate stays unbiased.  The
 sampled final interval stays reachable as the tests' reference estimator
-(``_run(..., control=False)``).
+(``_run(..., control=False)``), the plain mean of the sampled
+contributions; it fits no control, so it forms only seven rows, the
+contribution and the six weight controls that ``control_z`` reads.
 
 The same weights are unbiased for every payoff, so the price, Delta and
 Vega weights ``W``, ``D``, ``V`` applied to ``h = 1`` and ``h = exp(x)``
@@ -93,11 +95,10 @@ __all__ = [
 _MAX_SAMPLING_ROUNDS = 10000
 # Rows per block of the step loop and of the final pass.  A step makes
 # about 300 temporaries, 128 KiB each at this size: a default affine chunk's
-# traced peak fell from about 117 MB with whole-chunk kernels to 41 MB
-# (29 MB with compact gap columns, 27.3 MB with the final pass written over
-# the spent state).  Smaller blocks pay more per-block Python time, and at
-# two threads more GIL handoffs (each numpy call costs about 4.7 us there);
-# larger ones a higher peak.
+# traced peak is 27.3 MB, a 32 768-path cosine-digital chunk's 8.9 MB.
+# Smaller blocks pay more per-block Python time, and at two threads more GIL
+# handoffs (each numpy call costs about 4.7 us there); larger ones a higher
+# peak.
 _BLOCK = 1 << 14
 # Horizons beyond this many expected jumps per path are rejected: the grid
 # sampling rounds grow with the jump count, and the weight variance with it.
@@ -380,11 +381,12 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, jumps: list,
     consumed (:func:`_gap_columns`).  ``normals(k, ids)`` returns the
     Gaussian pair ``(z1, z2)`` of interval ``k`` for the paths ``ids``.
     Without ``kind``, every interval is sampled, and the return is the
-    terminal log-spot, the undiscounted price, Delta and Vega weights (see
-    :func:`_fold`) and the terminal variance factor, in the order of
-    ``ids``.  With ``kind``, each path's final interval is integrated out
-    instead (:func:`uvol.weights.conditional_rows`): it draws no normals and
-    takes no chain step, and the return is the ``(1 + controls, n)`` matrix
+    terminal log-spot and the undiscounted price, Delta and Vega weights
+    (see :func:`_fold`), in the order of ``ids``, from which
+    :func:`_chunk_partials` forms the reference route's seven rows.  With
+    ``kind``, each path's final interval is integrated out instead
+    (:func:`uvol.weights.conditional_rows`): it draws no normals and takes
+    no chain step, and the return is the ``(1 + controls, n)`` matrix
     of conditional rows, the undiscounted ``kind`` contribution first and
     then the controls of :func:`_control_means`, in the order of ``ids``.
 
@@ -456,14 +458,12 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, jumps: list,
             rows[j, order] = start_of_final[j]
             start_of_final[j] = None
         del order
-        y_moments = _has_y_moments(mdl)
         q = _KINDS.index(kind)
         for lo in range(0, n, _BLOCK):
-            out = rows[:, lo:lo + _BLOCK]
-            fc = frozen_coeffs(mdl, out[1], last_gap[lo:lo + _BLOCK])
+            block = rows[:, lo:lo + _BLOCK]
+            fc = frozen_coeffs(mdl, block[1], last_gap[lo:lo + _BLOCK])
             with np.errstate(over="ignore", invalid="ignore"):  # rows are checked
-                conditional_rows(mdl, out[0], fc, smp, out[2:8], cfg.payoff, q, cfg.T,
-                                 y_moments, out)
+                conditional_rows(mdl, fc, smp, cfg.payoff, q, cfg.T, block)
         return rows
 
     # sampled: the final interval of the paths with k jumps is their interval k
@@ -473,14 +473,7 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, jumps: list,
     unsort = np.empty_like(order)
     unsort[order] = np.arange(n)
     price_pref, _, delta_acc, _, _, vega_acc = state
-    return (x[unsort], price_pref[unsort], delta_acc[unsort], vega_acc[unsort],
-            y[unsort])
-
-
-def _has_y_moments(model: Model) -> bool:
-    """Whether ``y_T`` and ``y_T**2`` times the weights are controls: when
-    the model declares an Ornstein-Uhlenbeck variance factor."""
-    return model.ou_params is not None and model.sigma_Y_const is not None
+    return x[unsort], price_pref[unsort], delta_acc[unsort], vega_acc[unsort]
 
 
 def _control_means(cfg: RunConfig) -> np.ndarray:
@@ -504,7 +497,7 @@ def _control_means(cfg: RunConfig) -> np.ndarray:
         forward = math.inf
     means = [1.0, forward, 0.0, T * forward, 0.0, 0.0, 0.0]
     mdl = cfg.model
-    if _has_y_moments(mdl):
+    if mdl.ou_params is not None and mdl.sigma_Y_const is not None:
         lam = mdl.ou_params[0]
         m, decay = (float(v) for v in flow_tangent(mdl, cfg.y0, T))
         v = mdl.sigma_Y_const ** 2 * (-math.expm1(-2.0 * lam * T) / (2.0 * lam)
@@ -543,7 +536,8 @@ def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str,
     (:func:`_fold_moments`) of the contribution and the controls, each
     centred at its known mean (:func:`_control_means`).  The contribution
     and the controls are the conditional rows of :func:`_path_weights`, or,
-    without ``conditional``, their values on the sampled final interval.
+    without ``conditional``, the contribution and the six weight controls
+    on the sampled final interval.
     The paths are simulated fold by fold, even global indices first.  Every
     random number comes from the counter-based streams of :mod:`uvol.rng`,
     addressed by ``(cfg.seed, path index)``, so the order changes no path.
@@ -567,18 +561,14 @@ def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str,
         raise NonFinitePathError(f"{exc} in a step of chunk [{lo}, {hi})") from None
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, or voids the fit
         if not conditional:
-            x, *weights, y = rows
+            # no control is fitted here: the six weight controls feed control_z
+            x, *weights = rows
             spot = np.exp(x)
-            rows = np.empty((1 + means.size, n))
+            rows = np.empty((7, n))
             rows[0] = cfg.payoff.value_spot(spot) * weights[_KINDS.index(kind)]
-            rows[7] = 0.0  # the translation control: no control is fitted here
-            y_moments = _has_y_moments(cfg.model)
             for j, w in enumerate(weights):
                 rows[1 + 2 * j] = w
                 np.multiply(spot, w, out=rows[2 + 2 * j])
-                if y_moments:
-                    np.multiply(y, w, out=rows[8 + j])
-                    np.multiply(y, rows[8 + j], out=rows[11 + j])
         contrib = rows[0]
         if kind == "delta":
             contrib /= cfg.s0 * cfg.T
@@ -602,7 +592,7 @@ def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str,
         # einsum keeps the sum of squares off BLAS, whose idle threads would spin
         sum_sq = float(np.einsum("i,i->", flat, flat))
     for _, mean, _ in folds:
-        mean[1:] -= means
+        mean[1:] -= means[:len(mean) - 1]
     return float(flat.sum()), sum_sq, n, float(n_jumps.sum()), folds
 
 

@@ -312,16 +312,17 @@ def terminal_weights(step: StepRecord, s: JumpSampler) -> FoldWeights:
     )
 
 
-def conditional_rows(model, x_prev, fc, s: JumpSampler, state, payoff, weight: int,
-                     T: float, y_moments: bool, out=None):
+def conditional_rows(model, fc, s: JumpSampler, payoff, weight: int, T: float, block):
     """The final interval's rows with its Gaussian pair integrated out.
 
-    ``x_prev`` and ``fc`` are the log-spot and frozen coefficients at the
-    start of the final interval ``[zeta_{N_T}, T]`` and ``state`` the
-    six prefix sums ``(price_pref, ey_pref, delta_acc, corr, spill,
-    vega_acc)`` before it (see :func:`uvol.estimators._fold`).  Returns the
-    ``(8, n)`` or, with ``y_moments``, ``(14, n)`` matrix of the conditional
-    means, given that past, of what the sampled interval would give after
+    ``fc`` holds the frozen coefficients of the final interval
+    ``[zeta_{N_T}, T]`` and ``block`` is an ``(8, n)`` or ``(14, n)``
+    matrix.  On entry, its row 0 holds the log-spot ``x_prev`` at
+    ``zeta_{N_T}`` and its rows 2-7 the six prefix sums ``(price_pref,
+    ey_pref, delta_acc, corr, spill, vega_acc)`` before the interval (see
+    :func:`uvol.estimators._fold`); row 1 is not read, and ``fc`` must not
+    share memory with ``block``.  On return, each row holds the conditional
+    mean, given that past, of what the sampled interval would give after
     :func:`terminal_weights` and the fold:
 
     - row 0: ``payoff(x_T)`` times the weight ``weight`` (0, 1, 2 for the
@@ -329,19 +330,13 @@ def conditional_rows(model, x_prev, fc, s: JumpSampler, state, payoff, weight: i
     - rows 1-6: ``(W, S_T W, D, S_T D, V, S_T V)``;
     - row 7: the payoff's Delta row minus its translation twin,
       ``theta (delta_acc M0 - (T - delta) price_pref M1 / sigma_S_i)``;
-    - rows 8-13, with ``y_moments``: ``y_T (W, D, V)`` and
+    - rows 8-13 of a 14-row block: ``y_T (W, D, V)`` and
       ``y_T**2 (W, D, V)``.
 
-    The rows are written into ``out`` when it is given, else into a new
-    matrix.  ``out`` may alias the inputs in one way: ``x_prev`` as its row
-    0 and the six state arrays as its rows 2-7, which is how the engine
-    lays out each block of its final pass (row 1 is then the variance
-    factor, read only by :func:`uvol.flow.frozen_coeffs` before this call).
     The state is first turned, row by row in place, into the coefficients
-    of the quadratics below, and then each output row is written over a
+    of the quadratics below, and then each row is written over a
     coefficient no later row reads, in the floating-point order of the
-    formulas below written one expression a row.  ``fc`` must not share
-    memory with ``out``.
+    formulas below written one expression a row.
 
     With ``x_T = mu + sigma_S_i z1``, integrating ``z2`` out leaves each
     weight a quadratic ``r0 + r1 z1 + r2 z1**2``: with ``theta`` the
@@ -376,60 +371,55 @@ def conditional_rows(model, x_prev, fc, s: JumpSampler, state, payoff, weight: i
     """
     delta = fc.delta
     theta = _survival_inv(s, delta)
-    price_pref, ey_pref, delta_acc, corr, spill, vega_acc = state
-    if out is None:
-        shape = np.broadcast_shapes(np.shape(x_prev), np.shape(delta),
-                                    *(np.shape(v) for v in state))
-        out = np.empty((14 if y_moments else 8,) + shape)
+    price_pref, ey_pref, delta_acc, corr, spill, vega_acc = block[2:8]
     sig = fc.sigma_S_i
-    mu = np.add(x_prev, model.r * delta - 0.5 * fc.a_S_i, out=out[0])
+    mu = np.add(block[0], model.r * delta - 0.5 * fc.a_S_i, out=block[0])
     m = payoff.gauss_moments(mu, sig)
     fwd = forward_moments(mu, sig)
     # The quadratics' coefficients, each in the row of a state array read
     # for the last time: r = ((w0,), (d0, d1), (v0, v1, v2)).
     td = theta * delta
-    d1 = np.multiply(td, price_pref, out=out[0])
+    d1 = np.multiply(td, price_pref, out=block[0])
     d1 /= sig
-    w0 = np.multiply(theta, price_pref, out=out[1])
-    tey = np.multiply(td, ey_pref, out=out[3])
-    d0 = np.multiply(theta, delta_acc, out=out[4])
-    v2 = np.multiply(tey, fc.sigma1_S_i, out=out[2])
+    w0 = np.multiply(theta, price_pref, out=block[1])
+    tey = np.multiply(td, ey_pref, out=block[3])
+    d0 = np.multiply(theta, delta_acc, out=block[4])
+    v2 = np.multiply(tey, fc.sigma1_S_i, out=block[2])
     v2 /= sig
-    v1 = np.multiply(td, spill, out=out[6])
+    v1 = np.multiply(td, spill, out=block[6])
     v1 -= tey * (0.5 * fc.a1_S_i)
     v1 /= sig
-    mean_v = np.add(vega_acc, np.multiply(delta, corr, out=out[5]), out=out[7])
+    mean_v = np.add(vega_acc, np.multiply(delta, corr, out=block[5]), out=block[7])
     mean_v *= theta
-    v0 = np.subtract(mean_v, v2, out=out[5])
+    v0 = np.subtract(mean_v, v2, out=block[5])
 
     # Each row overwrites coefficients no later row reads.
-    if y_moments:
+    if len(block) > 8:
         my = fc.m_i
         y2 = my * my + fc.a_Y_i
-        lin = np.multiply(tey, fc.m1_i, out=out[3])
-        np.multiply(my, w0, out=out[8])
-        np.multiply(my, d0, out=out[9])
-        np.multiply(my, mean_v, out=out[10])
-        out[10] += lin
-        np.multiply(y2, w0, out=out[11])
-        np.multiply(y2, d0, out=out[12])
-        np.multiply(y2, mean_v, out=out[13])
-        out[13] += 2.0 * my * lin
+        lin = np.multiply(tey, fc.m1_i, out=block[3])
+        np.multiply(my, w0, out=block[8])
+        np.multiply(my, d0, out=block[9])
+        np.multiply(my, mean_v, out=block[10])
+        block[10] += lin
+        np.multiply(y2, w0, out=block[11])
+        np.multiply(y2, d0, out=block[12])
+        np.multiply(y2, mean_v, out=block[13])
+        block[13] += 2.0 * my * lin
     h = _dot(((w0,), (d0, d1), (v0, v1, v2))[weight], m)
     # V . F accumulated over v1: v1 F1 + v0 F0 is v0 F0 + v1 F1 bit for bit
     v1 *= fwd[1]
     v1 += v0 * fwd[0]
     v1 += v2 * fwd[2]
-    out[5] = mean_v
-    np.multiply(d0, m[0], out=out[7])
-    out[7] -= (T - delta) * w0 * m[1] / sig
-    out[3] = d0
+    block[5] = mean_v
+    np.multiply(d0, m[0], out=block[7])
+    block[7] -= (T - delta) * w0 * m[1] / sig
+    block[3] = d0
     d0 *= fwd[0]  # D . F, accumulated over d0
     d1 *= fwd[1]
     d0 += d1
-    np.multiply(w0, fwd[0], out=out[2])
-    out[0] = h
-    return out
+    np.multiply(w0, fwd[0], out=block[2])
+    block[0] = h
 
 
 def forward_moments(mu, s):

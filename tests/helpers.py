@@ -136,11 +136,10 @@ def path_weights(cfg, ids, grid, normals, kind=None):
 
 
 def engine_weights(cfg, grid, normals, ids=None):
-    """The engine's ``(x_T, price, delta, vega)`` per-path arrays on ``grid``
-    (:func:`_path_weights` without its terminal ``y_T``)."""
+    """The engine's ``(x_T, price, delta, vega)`` per-path arrays on ``grid``."""
     if ids is None:
         ids = np.arange(grid[1].size, dtype=np.uint64)
-    return path_weights(cfg, ids, grid, normals)[:4]
+    return path_weights(cfg, ids, grid, normals)
 
 
 def select_paths(grid, keep):

@@ -117,6 +117,21 @@ def test_fd_greek_refuses_a_bump_that_rounds_away_or_overflows(which, eps):
         fd_greek(BS, Payoff.call(K), S0, y0, T, which, eps, cfg)
 
 
+@pytest.mark.parametrize("eps", [1e-15, 1e-14, 1e-2])
+def test_fd_greek_divides_by_the_applied_bump(eps):
+    """At ``s0 = e^0.4`` a bump of 1e-15 moves ``s0`` by 1.110e-15: the
+    quotient must divide the path-wise difference by that, not by ``eps``."""
+    cfg = EulerConfig(n_steps=4, n_paths=2000, seed=5)
+    disc = math.exp(-BS.r * T)
+    vals = [Payoff.call(K).value_spot(euler_terminal(
+        BS, s, Y0, T, cfg, np.random.Generator(np.random.Philox(cfg.seed)))[0]) * disc
+        for s in (S0, S0 + eps)]
+    diff = (vals[1] - vals[0]) / ((S0 + eps) - S0)
+    assert np.any(diff != 0.0)
+    fd = fd_greek(BS, Payoff.call(K), S0, Y0, T, "delta", eps, cfg)
+    assert fd.mean == pytest.approx(float(diff.mean()), rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("which", ["price", "delta"])
 def test_baselines_warn_on_negative_spots(caplog, which):
     wild = make_builtin(BuiltinModelKind(tag="BlackScholes", sigma_s=3.0))

@@ -150,6 +150,20 @@ def test_config_file_must_be_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+# a UTF-16 byte-order mark, then a byte no UTF-8 text holds
+NOT_UTF8 = b"\xff\xfe{\x00\xc3("
+
+
+@pytest.mark.parametrize("command", [["price"], ["validate"]])
+def test_config_file_must_be_utf8(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(NOT_UTF8)
+    assert run(command + ["--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert f"config file {path} is not UTF-8" in err
+
+
 def test_s0_and_x0_conflict(tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": "bs", "s0": 1.5})
     assert run(["price", "--config", cfg, "--x0", "0.4"]) == 2
@@ -386,6 +400,25 @@ def test_csv_path_that_cannot_be_written_is_refused_first(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--model", "bs", "--paths", "60"],
+    ["table", "--id", "1", "--paths", "60"],
+])
+def test_csv_that_is_not_utf8_is_refused_first(tmp_path, capsys, monkeypatch, argv):
+    out = tmp_path / "rows.csv"
+    out.write_bytes(NOT_UTF8)
+
+    def no_simulation(*args):
+        raise AssertionError("the refusal must come before any simulation")
+
+    monkeypatch.setattr(estimators, "_chunk_partials", no_simulation)
+    assert run(argv + ["--csv", str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""  # no table header either
+    assert f"CSV file {out} is not UTF-8" in err and len(err.strip().splitlines()) == 1
+    assert out.read_bytes() == NOT_UTF8
 
 
 @pytest.mark.parametrize("exists", [True, False])

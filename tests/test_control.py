@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import (builtin, path_weights, philox_grid, plain_estimator,
-                     quadrature_only, synthetic_model)
+from helpers import (builtin, engine_weights, path_weights, philox_grid,
+                     plain_estimator, quadrature_only, synthetic_model)
 from uvol.baselines import bs_delta, bs_price
 from uvol.estimators import (Payoff, RunConfig, _chunk_partials, _control_means,
                              _fit, _fold_moments, _merge_moments, aggregate, estimate_delta, estimate_price,
@@ -105,6 +105,28 @@ def test_mean_matches_numpy_cross_fit(kind):
     mean, se, z = numpy_cross_fit(cfg, kind)
     assert res.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
     assert res.std_error == pytest.approx(se, rel=1e-9, abs=0.0)
+    np.testing.assert_allclose(res.control_z, z, rtol=1e-9)
+
+
+@pytest.mark.parametrize("kind", sorted(ESTIMATORS))
+def test_reference_route_forms_seven_rows_and_their_z_scores(kind):
+    """The sampled reference route fits no control, so its folds hold only
+    the contribution and the six weight controls, on a model whose default
+    route has 14 rows, and its ``control_z`` are the z-scores of the
+    quantity's own two weight controls, computed with numpy from the
+    engine's per-path weights."""
+    cfg = config(chunk_size=701)
+    assert _control_means(cfg).size == 13
+    for count, mean, cross in _chunk_partials(cfg, 0, 701, kind, False)[4]:
+        assert mean.shape == (7,) and cross.shape == (7, 7)
+    res = PLAIN[kind](cfg)
+    ids = np.arange(cfg.n_paths, dtype=np.uint64)
+    grid = philox_grid(cfg.sampler, cfg.T, cfg.seed, ids)
+    x, *weights = engine_weights(cfg, grid, lambda k, p: normal_pair(cfg.seed, p, k))
+    q = ("price", "delta", "vega").index(kind)
+    w = weights[q]
+    own = np.stack([w, np.exp(x) * w], axis=1) - _control_means(cfg)[2 * q:2 * q + 2]
+    z = own.mean(axis=0) / (own.std(axis=0, ddof=1) / math.sqrt(cfg.n_paths))
     np.testing.assert_allclose(res.control_z, z, rtol=1e-9)
 
 

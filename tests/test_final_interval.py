@@ -106,14 +106,15 @@ BATCH = 1 << 17
 
 def capture_final_inputs(monkeypatch, cfg, n_jumps):
     """The engine's conditional rows of one path on a fixed grid, in the
-    order price, delta, vega, and the inputs it passed to
-    :func:`uvol.weights.conditional_rows` (one row each)."""
+    order price, delta, vega, and the inputs it laid into the block it
+    passed to :func:`uvol.weights.conditional_rows`: ``x_prev`` (row 0),
+    the frozen coefficients and the six prefix sums (rows 2-7)."""
     seen = []
     real = estimators.conditional_rows
 
-    def spy(model, x_prev, fc, s, state, *rest):
-        seen.append((x_prev.copy(), fc, [v.copy() for v in state]))
-        return real(model, x_prev, fc, s, state, *rest)
+    def spy(model, fc, s, payoff, weight, T, block):
+        seen.append((block[0].copy(), fc, [v.copy() for v in block[2:8]]))
+        real(model, fc, s, payoff, weight, T, block)
 
     monkeypatch.setattr(estimators, "conditional_rows", spy)
     grid = fixed_grid([GRIDS[n_jumps]])
