@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimateResult, Payoff, aggregate, check_seed
+from .estimators import EstimateResult, Payoff, aggregate, check_integers, check_seed
 from .model import Model, ParameterError
 from .normal import ndtr
 
@@ -42,6 +42,7 @@ class EulerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, ("n_steps", "n_paths", "seed"))
         if self.n_steps < 1 or self.n_paths < 1:
             raise ParameterError("n_steps and n_paths must be >= 1")
         check_seed(self.seed)

@@ -48,13 +48,14 @@ class StepRecord:
     """One chain transition with everything needed to weight it.
 
     Fields hold scalars (single path) or numpy arrays (path batches).  The
-    step covers the interval ``[zeta_index, zeta_{index+1}]``; ``fc`` holds
-    the coefficients frozen at the left endpoint ``y_prev``, and ``model``
-    is a back-reference so weight routines can evaluate coefficient
-    functions at the step's endpoints.
+    step covers the interval ``[zeta_index, zeta_{index+1}]``; in the
+    engine's batches ``index`` is an array of one interval per path, since
+    a batch can mix intervals.  ``fc`` holds the coefficients frozen at the
+    left endpoint ``y_prev``, and ``model`` is a back-reference so weight
+    routines can evaluate coefficient functions at the step's endpoints.
     """
 
-    index: int
+    index: object
     x_prev: object
     y_prev: object
     x_next: object

@@ -37,34 +37,32 @@ and the controls, which :func:`_merge_moments` combines in chunk order.
 
 This module holds the only route from a seed to a weight.  For each chunk,
 :func:`_sample_gap_columns` draws the renewal grids as per-round jump
-records, and :func:`_path_weights` lays them out as compact jump-sorted
-gap columns (:func:`_gap_columns`, ``n_jumps.sum()`` values and no padding,
-dropped before the final intervals) and runs the chain on them.  One block
-walk advances the paths over an interval and folds the
-:class:`uvol.weights.FoldWeights` of its array-valued step records into the
-prefix recurrences of the price, Delta and Vega weights (:func:`_fold`).
-It runs every interior interval with :func:`uvol.weights.step_weights`,
-and, on the sampled route only, every final interval with
-:func:`uvol.weights.terminal_weights`; by default the final intervals go to
-:func:`uvol.weights.conditional_rows` instead.  Every layer is called through a module attribute, so a tracer
-can wrap it.
-The grid sampler and the chain take their random numbers from sources
-passed in, so a test can run the engine on fixed grids and draws.
+records, and :func:`_path_weights` walks them round by round, keeping the
+paths in one order throughout.  One block walk advances a block of paths
+over an interval each and folds the :class:`uvol.weights.FoldWeights` of
+its array-valued step records into the prefix recurrences of the price,
+Delta and Vega weights (:func:`_fold`).  It runs every interior interval
+with :func:`uvol.weights.step_weights`, and, on the sampled route only,
+every final interval with :func:`uvol.weights.terminal_weights`; by
+default the final intervals go to :func:`uvol.weights.conditional_rows`
+instead.  Every layer is called through a module attribute, so a tracer
+can wrap it.  The grid sampler and the chain take their random numbers
+from sources passed in, so a test can run the engine on fixed grids and
+draws.
 
-The chunk is the unit of threading, of the jump-count sort and of the
-reduction; the block of :data:`_BLOCK` rows is the unit of kernel work.
-:func:`_path_weights` walks each interval's paths block by block, so a
-kernel's temporaries are block-sized however large the chunk.  The
-closed-form final pass walks the chunk in path order, in blocks of the
-chunk's output matrix whose rows first hold each path's state and are then
-overwritten with its conditional rows.
-Every kernel is elementwise per path, so the block size moves no bit; the
-chunk size sets the order of the sums and so moves the last bits of means.
+The chunk is the unit of threading and of the reduction; the block of
+:data:`_BLOCK` paths is the unit of kernel work, so a kernel's temporaries
+are block-sized however large the chunk.  Each path's state is a column
+of one matrix, which the closed-form final pass overwrites with its
+conditional rows.  Every kernel is elementwise per path, so the block size
+moves no bit; the chunk size sets the order of the sums and so moves the
+last bits of means.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -95,7 +93,7 @@ __all__ = [
 _MAX_SAMPLING_ROUNDS = 10000
 # Rows per block of the step loop and of the final pass.  A step makes
 # about 300 temporaries, 128 KiB each at this size: a default affine chunk's
-# traced peak is 27.3 MB, a 32 768-path cosine-digital chunk's 8.9 MB.
+# traced peak is 26.3 MB, a 32 768-path cosine-digital chunk's 8.8 MB.
 # Smaller blocks pay more per-block Python time, and at two threads more GIL
 # handoffs (each numpy call costs about 4.7 us there); larger ones a higher
 # peak.
@@ -216,7 +214,7 @@ class RunConfig:
     threads : int
         Worker threads for chunk processing; results do not depend on it.
     chunk_size : int
-        Paths per chunk, the unit of threading, sorting and reduction.  The
+        Paths per chunk, the unit of threading and reduction.  The
         paths do not depend on it, but the order of the floating-point sums
         does, so means at two chunk sizes can differ in the last few bits.
         The step kernels run on fixed blocks of rows within a chunk; the
@@ -236,6 +234,7 @@ class RunConfig:
     chunk_size: int = 1 << 17
 
     def __post_init__(self):
+        check_integers(self, ("n_paths", "seed", "threads", "chunk_size"))
         if not (math.isfinite(self.s0) and self.s0 > 0):
             raise ParameterError(f"s0 must be positive, got {self.s0}")
         if not math.isfinite(self.y0):
@@ -256,6 +255,16 @@ class RunConfig:
     @property
     def x0(self) -> float:
         return math.log(self.s0)
+
+
+def check_integers(cfg, names) -> None:
+    """Refuse a bool or a value of a non-integral type in the fields
+    ``names`` of ``cfg``: a float seed would run as its integer part, and
+    a float count fails only once the run starts."""
+    for name in names:
+        v = getattr(cfg, name)
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ParameterError(f"{name} must be an integer, got {v!r}")
 
 
 def check_seed(seed) -> None:
@@ -280,17 +289,22 @@ def _sample_gap_columns(uniforms: Callable, sampler: JumpSampler, T: float,
     ``(pos, slot, gap)`` of three equal-length arrays per round, saying that
     the interior interval ``slot[i]`` of path ``pos[i]`` has length
     ``gap[i]``; together the records name each of a path's ``n_jumps``
-    interior intervals once.  :func:`_path_weights` lays them out as its
-    grid columns (:func:`_gap_columns`).  No dense ``(n, max jumps)``
-    matrix is built: with few jumps a path, most of it would be padding.
+    interior intervals once, in slot order.  A redrawn path's slot lags the
+    round, so one round's slots need not be equal.  :func:`_path_weights`
+    walks the records round by round.  No dense ``(n, max jumps)`` matrix
+    is built: with few jumps a path, most of it would be padding.  The
+    positions are int32 below ``2**31`` paths and the slots and ``n_jumps``
+    uint16, which holds every jump count: a path gains at most one jump a
+    round, in ``_MAX_SAMPLING_ROUNDS < 2**16`` rounds.
 
     ``uniforms`` is called on slices of :data:`_BLOCK` live paths: Philox
     on a whole chunk's array runs at about twice the cost per pair.  Each
     uniform depends only on its own path and counter, so this moves no bit.
     """
-    slot = np.zeros(n, dtype=np.int64)
+    slot = np.zeros(n, dtype=np.uint16)
     cum = np.zeros(n)
-    ia = np.arange(n)  # the live paths, in order
+    # the live paths, in order
+    ia = np.arange(n, dtype=np.int32 if n < 1 << 31 else np.int64)
     jumps = []
     for r in range(_MAX_SAMPLING_ROUNDS):
         if ia.size == 0:
@@ -312,34 +326,6 @@ def _sample_gap_columns(uniforms: Callable, sampler: JumpSampler, T: float,
     else:  # pragma: no cover - would need a broken sampler
         raise RuntimeError("renewal sampling did not terminate")
     return jumps, slot, T - cum
-
-
-def _gap_columns(jumps: list, order: np.ndarray, n_act: np.ndarray):
-    """Lay the jump records of :func:`_sample_gap_columns` into flat columns.
-
-    ``order`` is the jump-count sort of :func:`_path_weights` and ``n_act[k]``
-    the number of paths with at least ``k`` jumps.  Returns ``(cols,
-    start)``: column ``k``, ``cols[start[k]:start[k + 1]]``, holds interval
-    ``k`` of the sorted rows ``[0, n_act[k + 1])``, so ``cols`` holds
-    exactly ``n_jumps.sum()`` values and no padding, and each block of the
-    step walk reads a contiguous slice.  ``jumps`` is emptied as it is laid
-    out, so no record outlives this call: a caller's reference to the list
-    cannot keep them alive into the final pass, where a chunk's memory
-    peaks.  Records that do not fill the columns raise ``ValueError``.
-    """
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    start = np.concatenate(([0], np.cumsum(n_act[1:-1])))
-    cols = np.empty(int(start[-1]))
-    laid = 0
-    while jumps:
-        pos, slot, gap = jumps.pop()
-        cols[start[slot] + rank[pos]] = gap
-        laid += pos.size
-    if laid != cols.size:  # e.g. records already consumed by an earlier call
-        raise ValueError(f"the jump records hold {laid} intervals for "
-                         f"{cols.size} jumps")
-    return cols, start
 
 
 def _fold(state, delta, w):
@@ -378,102 +364,85 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, jumps: list,
 
     ``(jumps, n_jumps, last_gap)`` are the grids of the paths ``ids``, as
     :func:`_sample_gap_columns` returns them; the records in ``jumps`` are
-    consumed (:func:`_gap_columns`).  ``normals(k, ids)`` returns the
-    Gaussian pair ``(z1, z2)`` of interval ``k`` for the paths ``ids``.
-    Without ``kind``, every interval is sampled, and the return is the
-    terminal log-spot and the undiscounted price, Delta and Vega weights
-    (see :func:`_fold`), in the order of ``ids``, from which
-    :func:`_chunk_partials` forms the reference route's seven rows.  With
-    ``kind``, each path's final interval is integrated out instead
+    consumed, and records that do not hold ``n_jumps.sum()`` intervals (an
+    emptied list, say) raise ``ValueError``.  ``normals(k, ids)`` returns
+    the Gaussian pairs ``(z1, z2)`` of the intervals ``k`` of the paths
+    ``ids``, elementwise.  Without ``kind``, every interval is sampled, and
+    the return is the terminal log-spot and the undiscounted price, Delta
+    and Vega weights (see :func:`_fold`), in the order of ``ids``, from
+    which :func:`_chunk_partials` forms the reference route's seven rows.
+    With ``kind``, each path's final interval is integrated out instead
     (:func:`uvol.weights.conditional_rows`): it draws no normals and takes
-    no chain step, and the return is the ``(1 + controls, n)`` matrix
-    of conditional rows, the undiscounted ``kind`` contribution first and
-    then the controls of :func:`_control_means`, in the order of ``ids``.
+    no chain step, and the return is the ``(1 + controls, n)`` matrix of
+    conditional rows, the undiscounted ``kind`` contribution first and then
+    the controls of :func:`_control_means`, in the order of ``ids``.
 
-    The paths are stably sorted by jump count, most jumps first, so the
-    paths whose interval ``k`` is interior are the prefix ``[:n_act[k + 1]]``
-    and those whose final interval is interval ``k`` are the rows
-    ``[n_act[k + 1], n_act[k])``.  Every layer then works on contiguous
-    slices, and only the paths that need them get interior weights; the
-    interior gaps are laid out in this order, column by column, so a block
-    reads its gaps as a slice too.  One block walk serves both: it runs the
-    interior intervals ``k`` in order, then, on the sampled route, the final
-    intervals of each jump count, each in blocks of :data:`_BLOCK` rows, so
-    the kernels' temporaries are block-sized.  The gap columns are dropped
-    before the final intervals.  On the conditional route, the log-spot,
-    the variance factor and the six prefix sums are scattered instead into
-    rows 0-7 of the output matrix, in the order of ``ids``, each sorted
-    array dropped once it is laid; the final pass then walks that matrix in
-    blocks of :data:`_BLOCK` columns, reading ``last_gap`` and the rows as
-    slices, and :func:`uvol.weights.conditional_rows` overwrites each
-    block's state with its rows.  Every kernel is elementwise per path, so
-    neither the block size nor the grouping of rows moves a bit.  Draws stay
-    keyed by path id, and the results are put back in the order of ``ids``,
-    so they do not depend on the sort.
+    The paths stay in the order of ``ids``.  Their log-spot, variance
+    factor and six prefix sums are the rows of one ``(8, n)`` matrix.  The
+    records are walked round by round: each record's paths take their
+    interval ``slot`` in blocks of :data:`_BLOCK`, which gather their rows,
+    run the step kernels and scatter the rows back.  A path's records come
+    in slot order, so it takes its intervals in order.  On the sampled
+    route, the final intervals are then walked in blocks of the matrix in
+    place, each path's being its interval ``n_jumps``.  On the conditional
+    route, the matrix grows in place to its ``1 + controls`` rows, and the
+    final pass walks it in blocks of :data:`_BLOCK` columns, where
+    :func:`uvol.weights.conditional_rows` overwrites each block's state
+    with its rows.  Every kernel is elementwise per path, and draws are
+    keyed by path id and interval, so neither the blocks nor the rounds
+    move a bit.
     """
     n = n_jumps.size
     mdl, smp = cfg.model, cfg.sampler
-    top = int(n_jumps.max())
-    # A 16-bit key gets numpy's radix sort.  It holds every jump count: the
-    # sampler adds at most one jump per round, in _MAX_SAMPLING_ROUNDS < 2**16.
-    order = np.argsort((top - n_jumps).astype(np.uint16), kind="stable")
-    # n_act[k] = number of paths with at least k jumps, i.e. active at step k
-    n_act = np.append(np.cumsum(np.bincount(n_jumps, minlength=top + 1)[::-1])[::-1], 0)
-    cols, start = _gap_columns(jumps, order, n_act)
+    laid = sum(pos.size for pos, _, _ in jumps)
+    if laid != n_jumps.sum():
+        raise ValueError(f"the jump records hold {laid} intervals for "
+                         f"{int(n_jumps.sum())} jumps")
+    rows = np.zeros((8, n))
+    rows[0] = cfg.x0
+    rows[1] = cfg.y0
+    rows[2:4] = 1.0
 
-    x = np.full(n, cfg.x0)
-    y = np.full(n, cfg.y0)
-    state = (np.ones(n), np.ones(n), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n))
+    def walk(block, k, p, delta, weigh):
+        """Advance the paths ``ids[p]``, whose rows are ``block``, over
+        their intervals ``k`` of lengths ``delta``, and fold ``weigh``'s
+        weights into ``block``."""
+        z1, z2 = normals(k, ids[p])
+        x, y = block[0], block[1]
+        fc = frozen_coeffs(mdl, y, delta)
+        x_next, y_next = chain_step(mdl, x, y, fc, z1, z2)
+        rec = StepRecord(index=k, x_prev=x, y_prev=y, x_next=x_next,
+                         y_next=y_next, z1=z1, z2=z2, fc=fc, model=mdl)
+        _fold(block[2:], delta, weigh(rec, smp))
+        x[...] = x_next
+        y[...] = y_next
 
-    def walk(k, lo, hi, gap, weigh):
-        """Advance sorted rows ``[lo, hi)`` over their interval ``k``, of
-        length ``gap[lo:hi]``, and fold ``weigh``'s weights."""
-        for a in range(lo, hi, _BLOCK):
-            b = min(a + _BLOCK, hi)
-            # ids are gathered per block: a sorted copy would be live through
-            # the final pass, at peak memory
-            z1, z2 = normals(k, ids[order[a:b]])
-            delta = gap[a:b]
-            xb, yb = x[a:b], y[a:b]
-            fc = frozen_coeffs(mdl, yb, delta)
-            x_next, y_next = chain_step(mdl, xb, yb, fc, z1, z2)
-            rec = StepRecord(index=k, x_prev=xb, y_prev=yb, x_next=x_next,
-                             y_next=y_next, z1=z1, z2=z2, fc=fc, model=mdl)
-            _fold([v[a:b] for v in state], delta, weigh(rec, smp))
-            xb[...] = x_next
-            yb[...] = y_next
+    jumps.reverse()  # popped in round order, each record dropped once walked
+    while jumps:
+        pos, slot, gap = jumps.pop()
+        for a in range(0, pos.size, _BLOCK):
+            p = pos[a:a + _BLOCK]
+            block = rows.take(p, axis=1)
+            walk(block, slot[a:a + _BLOCK], p, gap[a:a + _BLOCK], step_weights)
+            rows[:, p] = block
 
-    for k in range(top):
-        walk(k, 0, int(n_act[k + 1]), cols[start[k]:start[k + 1]], step_weights)
-    del cols  # the final intervals read last_gap alone
-
-    if kind is not None:
-        # Each sorted array is dropped once laid, so the eight are never all
-        # live next to the matrix.  Row 1, the variance factor, is read only
-        # by frozen_coeffs, before conditional_rows overwrites it.
-        rows = np.empty((1 + _control_means(cfg).size, n))
-        start_of_final = [x, y, *state]
-        del x, y, state
-        for j in range(len(start_of_final)):
-            rows[j, order] = start_of_final[j]
-            start_of_final[j] = None
-        del order
-        q = _KINDS.index(kind)
+    if kind is None:
         for lo in range(0, n, _BLOCK):
-            block = rows[:, lo:lo + _BLOCK]
-            fc = frozen_coeffs(mdl, block[1], last_gap[lo:lo + _BLOCK])
-            with np.errstate(over="ignore", invalid="ignore"):  # rows are checked
-                conditional_rows(mdl, fc, smp, cfg.payoff, q, cfg.T, block)
-        return rows
+            b = slice(lo, lo + _BLOCK)
+            walk(rows[:, b], n_jumps[b], b, last_gap[b], terminal_weights)
+        return rows[0], rows[2], rows[4], rows[7]
 
-    # sampled: the final interval of the paths with k jumps is their interval k
-    last_sorted = last_gap[order]
-    for k in range(top + 1):
-        walk(k, int(n_act[k + 1]), int(n_act[k]), last_sorted, terminal_weights)
-    unsort = np.empty_like(order)
-    unsort[order] = np.arange(n)
-    price_pref, _, delta_acc, _, _, vega_acc = state
-    return x[unsort], price_pref[unsort], delta_acc[unsort], vega_acc[unsort]
+    # In place: no view of the matrix may survive the walk, or this raises.
+    # Row 1, the variance factor, is read only by frozen_coeffs, before
+    # conditional_rows overwrites it.
+    rows.resize((1 + _control_means(cfg).size, n))
+    q = _KINDS.index(kind)
+    for lo in range(0, n, _BLOCK):
+        block = rows[:, lo:lo + _BLOCK]
+        fc = frozen_coeffs(mdl, block[1], last_gap[lo:lo + _BLOCK])
+        with np.errstate(over="ignore", invalid="ignore"):  # rows are checked
+            conditional_rows(mdl, fc, smp, cfg.payoff, q, cfg.T, block)
+    return rows
 
 
 def _control_means(cfg: RunConfig) -> np.ndarray:

@@ -60,18 +60,25 @@ def step_from_states(model, x_prev, y_prev, delta, x_next, y_next, *, index=0):
                       fc=fc, model=model)
 
 
-def fixed_grid(zetas):
+def fixed_grid(zetas, lag=None):
     """Engine grids ``(jumps, n_jumps, last_gap)`` of explicit grids.
 
     ``zetas`` holds one grid ``(0, zeta_1, ..., T)`` per path; ``jumps``
-    holds one record ``(pos, slot, gap)`` per interior interval index.
+    holds one record ``(pos, slot, gap)`` per round, and round ``r`` holds
+    interval ``r`` of every path, except that with ``lag = (p, k)`` path
+    ``p``'s intervals from ``k`` on arrive one round late, as after a
+    redrawn gap.
     """
     dz = [np.diff(np.asarray(z, dtype=float)) for z in zetas]
     n_jumps = np.array([d.size - 1 for d in dz], dtype=np.int64)
+    late = [(k + (lag is not None and p == lag[0] and k >= lag[1]), p, k)
+            for p in range(len(dz)) for k in range(n_jumps[p])]
     jumps = []
-    for k in range(int(n_jumps.max())):
-        pos = np.flatnonzero(n_jumps > k)
-        jumps.append((pos, np.full(pos.size, k), np.array([dz[p][k] for p in pos])))
+    for r in range(max((e[0] for e in late), default=-1) + 1):
+        pos = np.array([p for rr, p, _ in late if rr == r], dtype=np.int64)
+        slot = np.array([k for rr, _, k in late if rr == r], dtype=np.int64)
+        jumps.append((pos, slot, np.array([dz[p][k] for p, k in zip(pos, slot)],
+                                          dtype=float)))
     return jumps, n_jumps, np.array([d[-1] for d in dz])
 
 
@@ -123,9 +130,15 @@ def dense_gap_columns(uniforms, sampler, T, n):
 
 
 def fixed_normals(z1, z2):
-    """Engine normals source giving every path the draws ``z1[k], z2[k]``."""
-    return lambda k, ids: (np.full(ids.size, float(z1[k])),
-                           np.full(ids.size, float(z2[k])))
+    """Engine normals source giving interval ``k`` of every path the draws
+    ``z1[k], z2[k]``; ``k`` holds one interval for each path of ``ids``."""
+    z1, z2 = np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
+
+    def normals(k, ids):
+        assert np.shape(k) == ids.shape
+        return z1[k], z2[k]
+
+    return normals
 
 
 def path_weights(cfg, ids, grid, normals, kind=None):

@@ -42,6 +42,14 @@ def test_euler_config_rejects_bad_arguments(kwargs):
         EulerConfig(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["n_steps", "n_paths", "seed"])
+@pytest.mark.parametrize("value", [2.5, 100.0, False, "7"])
+def test_euler_config_refuses_counts_and_seeds_that_are_not_integers(field, value):
+    # each was accepted and then failed with a TypeError once the run started
+    with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+        EulerConfig(**{field: value})
+
+
 def test_euler_config_defaults():
     cfg = EulerConfig()
     assert cfg.n_steps == 200

@@ -68,7 +68,7 @@ def _engine_run(sampler, seed, n_paths=64):
     requests = []
 
     def normals(k, p):
-        requests.append((k, np.array(p)))
+        requests.append((np.array(k), np.array(p)))
         return normal_pair(seed, p, k)
 
     return cfg, grid, requests, engine_weights(cfg, grid, normals, ids=ids)
@@ -77,14 +77,14 @@ def _engine_run(sampler, seed, n_paths=64):
 def test_simulate_chain_structure():
     cfg, grid, requests, (x, *_) = _engine_run(JumpSampler.exponential(2.0), seed=3)
     gaps, (_, n_jumps, last_gap) = dense_gaps(grid), grid
-    top = int(n_jumps.max())
-    assert top >= 2
-    # interval k draws once for each path with at least k jumps, however the
+    assert n_jumps.max() >= 2
+    # each interval k <= n_jumps of each path draws exactly once, however the
     # engine groups its requests
-    assert {k for k, _ in requests} == set(range(top + 1))
-    for k in range(top + 1):
-        drawn = np.concatenate([p for j, p in requests if j == k])
-        assert sorted(drawn) == list(np.flatnonzero(n_jumps >= k))
+    for k, p in requests:
+        assert k.shape == p.shape
+    drawn = sorted(zip(np.concatenate([p for _, p in requests]).tolist(),
+                       np.concatenate([k for k, _ in requests]).tolist()))
+    assert drawn == [(p, k) for p in range(x.size) for k in range(n_jumps[p] + 1)]
     # each path follows its own grid, with draws addressed by interval
     for p in range(x.size):
         deltas = list(gaps[p, :n_jumps[p]]) + [last_gap[p]]

@@ -95,18 +95,22 @@ def test_each_active_path_is_weighted_exactly_once_per_step(monkeypatch):
                     y0=0.2, T=0.5, n_paths=400, seed=2)
     ids = np.arange(cfg.n_paths, dtype=np.uint64)
     grid = philox_grid(cfg.sampler, cfg.T, cfg.seed, ids)
-    owner, weighted = {}, []
+    owner, drawn, weighted = {}, [], []
 
     def normals(k, p):
         z1, z2 = normal_pair(cfg.seed, p, k)
-        owner.update((z, (int(q), k)) for z, q in zip(z1.tolist(), p))
+        assert k.shape == p.shape
+        pairs = list(zip(p.tolist(), k.tolist()))
+        drawn.extend(pairs)
+        owner.update(zip(z1.tolist(), pairs))
         return z1, z2
 
     def spy(kind, fn):
         def wrapped(rec, smp):
-            for z in rec.z1.tolist():
-                path, k = owner[z]
-                assert k == rec.index
+            assert rec.index.shape == rec.z1.shape
+            for z, k in zip(rec.z1.tolist(), rec.index.tolist()):
+                path, drawn_k = owner[z]
+                assert drawn_k == k
                 weighted.append((path, k, kind))
             return fn(rec, smp)
         return wrapped
@@ -120,4 +124,5 @@ def test_each_active_path_is_weighted_exactly_once_per_step(monkeypatch):
     assert len(owner) == int((n_jumps + 1).sum())  # every draw tells its path
     expected = [(p, k, "interior") for p in range(cfg.n_paths) for k in range(n_jumps[p])]
     expected += [(p, int(n_jumps[p]), "final") for p in range(cfg.n_paths)]
+    assert sorted(drawn) == sorted((p, k) for p, k, _ in expected)
     assert sorted(weighted) == sorted(expected)

@@ -107,6 +107,20 @@ def test_run_config_refuses_seeds_beyond_the_philox_key(seed):
         base_config(seed=seed)
 
 
+@pytest.mark.parametrize("field", ["n_paths", "seed", "threads", "chunk_size"])
+@pytest.mark.parametrize("value", [1.5, 2000.0, True, "7", None])
+def test_run_config_refuses_counts_and_seeds_that_are_not_integers(field, value):
+    # seed=1.5 and seed=True ran as seed 1; n_paths=2000.0 and
+    # chunk_size=700.5 failed in range() with a bare TypeError
+    with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+        base_config(**{field: value})
+
+
+def test_run_config_takes_numpy_integers():
+    cfg = base_config(n_paths=np.int64(64), seed=np.uint64(3), chunk_size=np.int32(16))
+    assert estimate_price(cfg).mean == estimate_price(base_config(seed=3, chunk_size=16)).mean
+
+
 def test_run_config_takes_the_whole_seed_range():
     assert base_config(seed=0).seed == 0
     assert base_config(seed=(1 << 64) - 1).seed == (1 << 64) - 1
@@ -263,6 +277,29 @@ def test_injected_two_intervals_match_literal_products(tag, frozen):
         assert got == pytest.approx(pin, rel=1e-12)
 
 
+LAG_ZETAS = [(0.0, 0.1, 0.2, 0.35, 0.5), (0.0, 0.5), (0.0, 0.15, 0.3, 0.5),
+             (0.0, 0.05, 0.25, 0.4, 0.5), (0.0, 0.3, 0.5)]
+
+
+@pytest.mark.parametrize("kind", [None, "price", "delta", "vega"])
+@pytest.mark.parametrize("tag", ["SteinSteinAffine", "synthetic"])
+def test_a_slot_lagging_its_round_moves_no_bit(tag, kind):
+    """After a redrawn gap a path's interval k arrives a round after the
+    other paths' interval k, so one round's record mixes slots.  The rows
+    equal those of the same grid with every slot in its round."""
+    model = synthetic_model() if tag == "synthetic" else builtin(tag)
+    cfg = base_config(model=model, n_paths=len(LAG_ZETAS), seed=5)
+    ids = np.arange(cfg.n_paths, dtype=np.uint64)
+    lagged = fixed_grid(LAG_ZETAS, lag=(0, 1))
+    assert any(np.unique(slot).size > 1 for _, slot, _ in lagged[0])
+    assert len(lagged[0]) == len(fixed_grid(LAG_ZETAS)[0]) + 1
+    normals = lambda k, p: normal_pair(cfg.seed, p, k)  # noqa: E731
+    want, got = (path_weights(cfg, ids, grid, normals, kind)
+                 for grid in (fixed_grid(LAG_ZETAS), lagged))
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
+
+
 # ---------------------------------------------------------------------------
 # Determinism
 
@@ -337,9 +374,11 @@ def test_one_chunk_working_set_is_block_sized():
     # 131 072 paths of the affine-greeks contract: whole-chunk kernels peaked
     # at about 117 MB of traced memory, blocked ones at 41.4 MB while the
     # chunk kept a NaN-padded (n, max jumps) gap matrix, and 28.9 MB with
-    # jump-sorted compact gap columns dropped before the final pass.  The
-    # bound is that last figure plus 2.6 MB (9%).  A final pass in path
-    # order, writing its rows over each path's state, brought it to 27.3 MB.
+    # compact gap columns dropped before the final pass.  The bound is that
+    # last figure plus 2.6 MB (9%).  A final pass in path order, writing its
+    # rows over each path's state, brought it to 27.3 MB, and keeping the
+    # state in one (8, n) matrix that the final pass grows in place, walked
+    # round by round over the jump records, to 26.3 MB.
     # numpy reports its buffers to tracemalloc, so the figure does not
     # depend on the allocator.
     cfg = base_config(model=builtin("SteinSteinAffine"),
@@ -357,7 +396,8 @@ def test_one_chunk_working_set_is_block_sized():
 def test_quadrature_chunk_working_set_is_block_sized():
     # 32 768 paths of the cosine-digital contract, its one chunk: 8.7 MB of
     # traced memory with the final pass in quarter blocks, 8.9 MB with full
-    # ones written over each path's state.  The bound is the first figure
+    # ones written over each path's state, and 8.8 MB with that state in one
+    # matrix grown in place for the final pass.  The bound is the first figure
     # plus 9%, as for the affine chunk.  A small chunk first fills the
     # caches a process builds once (the quadrature rule, Philox keys).
     cfg = base_config(model=builtin("PeriodicCosine"), payoff=Payoff.digital_call(1.5),

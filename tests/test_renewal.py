@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import dense_gap_columns, dense_gaps, philox_grid, philox_uniforms
-from uvol.estimators import _gap_columns, _sample_gap_columns
+from helpers import builtin, dense_gap_columns, dense_gaps, philox_grid, philox_uniforms
+from uvol.estimators import Payoff, RunConfig, _path_weights, _sample_gap_columns
 from uvol.renewal import (DomainError, JumpSampler, cdf, density, mean_gap,
                           quantile, survival)
+from uvol.rng import normal_pair
 
 EXPO = JumpSampler.exponential(0.5)
 BETA = JumpSampler.beta_one_minus_alpha(0.1, 2.0)
@@ -213,38 +214,23 @@ def test_records_rebuild_the_dense_reference(sampler, T, seed):
                                              ids.size))
 
 
-def jump_sort(n_jumps):
-    """The engine's stable sort, most jumps first, and ``n_act[k]``, the
-    number of paths with at least ``k`` jumps (a 0 appended)."""
-    order = np.argsort(-n_jumps, kind="stable")
-    return order, np.array([np.sum(n_jumps >= k) for k in range(int(n_jumps.max()) + 2)])
-
-
-@pytest.mark.parametrize("sampler, T", [(EXPO, 6.0), (BETA, 0.5)])
-def test_gap_columns_hold_every_jump_without_padding(sampler, T):
-    """Column k holds interval k of the sorted rows [0, n_act[k + 1]), and
-    the flat array holds exactly the jump count of values."""
-    grid = philox_grid(sampler, T, 4, np.arange(5000, dtype=np.uint64))
-    jumps, n_jumps, _ = grid
-    gaps = dense_gaps(grid)
-    order, n_act = jump_sort(n_jumps)
-    cols, start = _gap_columns(jumps, order, n_act)
-    assert jumps == []
-    assert cols.size == start[-1] == n_jumps.sum()
-    assert not np.any(np.isnan(cols))
-    for k in range(int(n_jumps.max())):
-        assert np.array_equal(cols[start[k]:start[k + 1]], gaps[order[:n_act[k + 1]], k])
-
-
 def test_consumed_records_are_refused():
-    """The engine empties the record list; a second run on it must not read
-    uninitialised columns."""
-    ids = np.arange(400, dtype=np.uint64)
-    jumps, n_jumps, _ = philox_grid(EXPO, 6.0, 2, ids)
-    order, n_act = jump_sort(n_jumps)
-    _gap_columns(jumps, order, n_act)
+    """The engine empties the record list; a second run on it must not skip
+    every interior step."""
+    cfg = RunConfig(model=builtin("BlackScholes"), payoff=Payoff.call(1.5),
+                    sampler=EXPO, s0=1.5, y0=0.2, T=6.0, n_paths=400, seed=2)
+    ids = np.arange(cfg.n_paths, dtype=np.uint64)
+    jumps, n_jumps, last_gap = philox_grid(EXPO, cfg.T, cfg.seed, ids)
+    assert n_jumps.sum() > 0
+
+    def run():
+        return _path_weights(cfg, ids, jumps, n_jumps, last_gap,
+                             lambda k, p: normal_pair(cfg.seed, p, k), "price")
+
+    run()
+    assert jumps == []
     with pytest.raises(ValueError, match="records hold 0 intervals"):
-        _gap_columns(jumps, order, n_act)
+        run()
 
 
 def test_sample_grid_mean_jump_count():
