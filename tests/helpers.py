@@ -71,12 +71,13 @@ def fixed_grid(zetas, lag=None):
     """
     dz = [np.diff(np.asarray(z, dtype=float)) for z in zetas]
     n_jumps = np.array([d.size - 1 for d in dz], dtype=np.int64)
-    late = [(k + (lag is not None and p == lag[0] and k >= lag[1]), p, k)
-            for p in range(len(dz)) for k in range(n_jumps[p])]
+    # (round, path, interval) of every interior interval, in path order
+    arrivals = [(k + (lag is not None and p == lag[0] and k >= lag[1]), p, k)
+                for p in range(len(dz)) for k in range(n_jumps[p])]
     jumps = []
-    for r in range(max((e[0] for e in late), default=-1) + 1):
-        pos = np.array([p for rr, p, _ in late if rr == r], dtype=np.int64)
-        slot = np.array([k for rr, _, k in late if rr == r], dtype=np.int64)
+    for r in range(max((a[0] for a in arrivals), default=-1) + 1):
+        pos = np.array([p for rr, p, _ in arrivals if rr == r], dtype=np.int64)
+        slot = np.array([k for rr, _, k in arrivals if rr == r], dtype=np.int64)
         jumps.append((pos, slot, np.array([dz[p][k] for p, k in zip(pos, slot)],
                                           dtype=float)))
     return jumps, n_jumps, np.array([d[-1] for d in dz])
@@ -135,7 +136,7 @@ def fixed_normals(z1, z2):
     z1, z2 = np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
 
     def normals(k, ids):
-        assert np.shape(k) == ids.shape
+        assert k.shape == ids.shape
         return z1[k], z2[k]
 
     return normals
