@@ -114,9 +114,12 @@ def _read_config_file(path: str) -> dict:
 def _env_threads() -> int:
     raw = os.environ.get("UVOL_THREADS", "1")
     try:
-        return int(raw)
+        threads = int(raw)
     except ValueError:
-        raise ConfigError(f"UVOL_THREADS must be an integer, got {raw!r}") from None
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"UVOL_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
 
 
 def _coerce_numbers(settings: dict):

@@ -36,19 +36,18 @@ contiguous, and returns the per-fold centred moments of the contribution
 and the controls, which :func:`_merge_moments` combines in chunk order.
 
 This module holds the only route from a seed to a weight.  For each chunk,
-:func:`_sample_gap_columns` draws the renewal grids as per-round jump
-records, and :func:`_path_weights` walks them round by round, keeping the
-paths in one order throughout.  One block walk advances a block of paths
-over an interval each and folds the :class:`uvol.weights.FoldWeights` of
-its array-valued step records into the prefix recurrences of the price,
-Delta and Vega weights (:func:`_fold`).  It runs every interior interval
-with :func:`uvol.weights.step_weights`, and, on the sampled route only,
-every final interval with :func:`uvol.weights.terminal_weights`; by
-default the final intervals go to :func:`uvol.weights.conditional_rows`
-instead.  Every layer is called through a module attribute, so a tracer
-can wrap it.  The grid sampler and the chain take their random numbers
-from sources passed in, so a test can run the engine on fixed grids and
-draws.
+:func:`_path_weights` runs one loop of renewal rounds, each drawing the live
+paths' next gaps and stepping the paths that jump, in one path order
+throughout.  One block walk advances a block of paths over an interval each
+and folds the :class:`uvol.weights.FoldWeights` of its array-valued step
+records into the prefix recurrences of the price, Delta and Vega weights
+(:func:`_fold`): :func:`uvol.weights.step_weights` on each interior
+interval and, on the sampled route only, :func:`uvol.weights.terminal_weights`
+on each final one, which by default goes to
+:func:`uvol.weights.conditional_rows` instead.  Every layer is called
+through a module attribute, so a tracer can wrap it, and the gaps and the
+normals come from sources passed in, so a test can run the engine on fixed
+grids and draws.
 
 The chunk is the unit of threading and of the reduction; the block of
 :data:`_BLOCK` paths is the unit of kernel work, so a kernel's temporaries
@@ -91,9 +90,9 @@ __all__ = [
 ]
 
 _MAX_SAMPLING_ROUNDS = 10000
-# Rows per block of the step loop and of the final pass.  A step makes
-# about 300 temporaries, 128 KiB each at this size: a default affine chunk's
-# traced peak is 26.3 MB, a 32 768-path cosine-digital chunk's 8.8 MB.
+# Paths per block of the steps, the gap draws and the final pass.  A step
+# makes about 300 temporaries, 128 KiB each at this size: a default affine
+# chunk's traced peak is 25.0 MB, a 32 768-path cosine-digital chunk's 8.8 MB.
 # Smaller blocks pay more per-block Python time, and at two threads more GIL
 # handoffs (each numpy call costs about 4.7 us there); larger ones a higher
 # peak.
@@ -109,7 +108,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class NonFinitePathError(ArithmeticError):
-    """Raised when path contributions come out non-finite."""
+    """Raised when a contribution comes out non-finite or a grid never reaches T."""
 
 
 @dataclass(frozen=True)
@@ -275,59 +274,6 @@ def check_seed(seed) -> None:
         raise ParameterError(f"seed must be in [0, 2**64), got {seed}")
 
 
-def _sample_gap_columns(uniforms: Callable, sampler: JumpSampler, T: float,
-                        n: int):
-    """Vectorized renewal-grid sampling for ``n`` paths.
-
-    ``uniforms(ia, j)`` returns the gap uniforms of the paths ``ia`` (indices
-    into the ``n`` paths, in increasing order) at draw counter ``j``, a
-    scalar ``np.uint64``.  Every live path draws once per round, so its
-    counter is the round index.  A draw that would give a zero-length or
-    tied interval, or land exactly on ``T``, is discarded; the counter
-    still advances, so the next round redraws it.  Returns
-    ``(jumps, n_jumps, last_gap)``: ``jumps`` is a list with one record
-    ``(pos, slot, gap)`` of three equal-length arrays per round, saying that
-    the interior interval ``slot[i]`` of path ``pos[i]`` has length
-    ``gap[i]``; together the records name each of a path's ``n_jumps``
-    interior intervals once, in slot order.  A redrawn path's slot lags the
-    round, so one round's slots need not be equal.  :func:`_path_weights`
-    walks the records round by round.  No dense ``(n, max jumps)`` matrix
-    is built: with few jumps a path, most of it would be padding.  The
-    positions are int32 below ``2**31`` paths and the slots and ``n_jumps``
-    uint16, which holds every jump count: a path gains at most one jump a
-    round, in ``_MAX_SAMPLING_ROUNDS < 2**16`` rounds.
-
-    ``uniforms`` is called on slices of :data:`_BLOCK` live paths: Philox
-    on a whole chunk's array runs at about twice the cost per pair.  Each
-    uniform depends only on its own path and counter, so this moves no bit.
-    """
-    slot = np.zeros(n, dtype=np.uint16)
-    cum = np.zeros(n)
-    # the live paths, in order
-    ia = np.arange(n, dtype=np.int32 if n < 1 << 31 else np.int64)
-    jumps = []
-    for r in range(_MAX_SAMPLING_ROUNDS):
-        if ia.size == 0:
-            break
-        j = np.uint64(r)
-        u = np.empty(ia.size)
-        for a in range(0, ia.size, _BLOCK):
-            u[a:a + _BLOCK] = uniforms(ia[a:a + _BLOCK], j)
-        g = quantile(sampler, u)
-        now = cum[ia]
-        nxt = now + g
-        ok = (g > 0) & (nxt != now) & (nxt != T)
-        inside = ok & (nxt < T)
-        jump = ia[inside]
-        jumps.append((jump, slot[jump], (nxt - now)[inside]))
-        cum[jump] = nxt[inside]
-        slot[jump] += 1
-        ia = ia[~(ok & (nxt > T))]
-    else:  # pragma: no cover - would need a broken sampler
-        raise RuntimeError("renewal sampling did not terminate")
-    return jumps, slot, T - cum
-
-
 def _fold(state, delta, w):
     """Fold one slice's weights ``w`` into the prefix recurrences, in place.
 
@@ -356,53 +302,50 @@ def _fold(state, delta, w):
     ey_pref[...] = ey_pref * w.theta_eY
 
 
-@np.errstate(over="raise", invalid="raise")
-def _path_weights(cfg: RunConfig, ids: np.ndarray, jumps: list,
-                  n_jumps: np.ndarray, last_gap: np.ndarray, normals: Callable,
-                  kind: str | None = None):
-    """Run the chain on given grids and fold its weights, path by path.
+def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: Callable,
+                  normals: Callable, kind: str | None = None):
+    """Lay the renewal grids of the paths ``ids``, run the chain on them and
+    fold its weights, path by path.
 
-    ``(jumps, n_jumps, last_gap)`` are the grids of the paths ``ids``, as
-    :func:`_sample_gap_columns` returns them; the records in ``jumps`` are
-    consumed, and records that do not hold ``n_jumps.sum()`` intervals (an
-    emptied list, say) raise ``ValueError``.  ``normals(k, ids)`` returns
+    ``gaps(ia, j)`` returns the gaps that the paths ``ia`` (indices into
+    ``ids``) draw at counter ``j``, a scalar ``np.uint64``: the round
+    index, as every live path draws once a round.  A gap that would give a
+    zero-length or tied interval, or land exactly on ``T``, is redrawn the
+    next round; one past ``T`` ends the path.  ``normals(k, ids)`` returns
     the Gaussian pairs ``(z1, z2)`` of the intervals ``k`` of the paths
-    ``ids``, elementwise.  Without ``kind``, every interval is sampled, and
-    the return is the terminal log-spot and the undiscounted price, Delta
-    and Vega weights (see :func:`_fold`), in the order of ``ids``, from
-    which :func:`_chunk_partials` forms the reference route's seven rows.
-    With ``kind``, each path's final interval is integrated out instead
-    (:func:`uvol.weights.conditional_rows`): it draws no normals and takes
-    no chain step, and the return is the ``(1 + controls, n)`` matrix of
-    conditional rows, the undiscounted ``kind`` contribution first and then
-    the controls of :func:`_control_means`, in the order of ``ids``.
+    ``ids``.  Returns ``(n_jumps, rows)`` in the order of ``ids``, the jump
+    counts uint16: a path gains at most one jump a round, in
+    ``_MAX_SAMPLING_ROUNDS < 2**16`` rounds, and one still short of ``T``
+    after them raises :class:`NonFinitePathError`.  Without ``kind`` every
+    interval is sampled, and ``rows`` is the terminal log-spot and the
+    undiscounted price, Delta and Vega weights (:func:`_fold`).  With
+    ``kind`` each final interval is integrated out, drawing no normals
+    (:func:`uvol.weights.conditional_rows`), and ``rows`` is the
+    ``(1 + controls, n)`` matrix of the undiscounted ``kind`` contribution
+    and the controls of :func:`_control_means`.
 
-    The paths stay in the order of ``ids``.  Their log-spot, variance
-    factor and six prefix sums are the rows of one ``(8, n)`` matrix.  The
-    records are walked round by round: each record's paths take their
-    interval ``slot`` in blocks of :data:`_BLOCK`, which gather their rows,
-    run the step kernels and scatter the rows back.  A path's records come
-    in slot order, so it takes its intervals in order.  On the sampled
-    route, the final intervals are then walked in blocks of the matrix in
-    place, each path's being its interval ``n_jumps``.  On the conditional
-    route, the matrix grows in place to its ``1 + controls`` rows, and the
-    final pass walks it in blocks of :data:`_BLOCK` columns, where
-    :func:`uvol.weights.conditional_rows` overwrites each block's state
-    with its rows.  Every kernel is elementwise per path, and draws are
-    keyed by path id and interval, so neither the blocks nor the rounds
-    move a bit.
+    The paths' log-spot, variance factor and six prefix sums are the rows
+    of one ``(8, n)`` matrix.  Each round draws the live paths' gaps, drops
+    the draws once it knows which paths jump and how far, and steps those
+    paths in blocks of :data:`_BLOCK` that gather their rows, run the step
+    kernels (overflow and invalid operations raised) and scatter the rows
+    back.  No grid is kept, only each path's clock, which becomes its final
+    interval.  The final pass walks the matrix in blocks in place; on the
+    conditional route the matrix first grows to its ``1 + controls`` rows,
+    and :func:`uvol.weights.conditional_rows` overwrites each block's state.
+    Every kernel is elementwise per path, and draws are keyed by path id
+    and counter, so neither the blocks nor the rounds move a bit.
     """
-    n = n_jumps.size
+    n, T = ids.size, cfg.T
     mdl, smp = cfg.model, cfg.sampler
-    laid = sum(pos.size for pos, _, _ in jumps)
-    if laid != n_jumps.sum():
-        raise ValueError(f"the jump records hold {laid} intervals for "
-                         f"{int(n_jumps.sum())} jumps")
     rows = np.zeros((8, n))
     rows[0] = cfg.x0
     rows[1] = cfg.y0
     rows[2:4] = 1.0
+    n_jumps = np.zeros(n, dtype=np.uint16)
+    cum = np.zeros(n)
 
+    @np.errstate(over="raise", invalid="raise")
     def walk(block, k, p, delta, weigh):
         """Advance the paths ``ids[p]``, whose rows are ``block``, over
         their intervals ``k`` of lengths ``delta``, and fold ``weigh``'s
@@ -417,20 +360,39 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, jumps: list,
         x[...] = x_next
         y[...] = y_next
 
-    jumps.reverse()  # popped in round order, each record dropped once walked
-    while jumps:
-        pos, slot, gap = jumps.pop()
+    # the live paths
+    ia = np.arange(n, dtype=np.int32 if n < 1 << 31 else np.int64)
+    for r in range(_MAX_SAMPLING_ROUNDS):
+        if ia.size == 0:
+            break
+        g = gaps(ia, np.uint64(r))
+        now = cum[ia]
+        nxt = now + g
+        ok = (g > 0) & (nxt != now) & (nxt != T)
+        inside = ok & (nxt < T)
+        gap = (nxt - now)[inside]
+        ia = np.concatenate((ia[inside], ia[~ok]))  # the jumpers, then the redraws
+        pos = ia[:gap.size]
+        slot = n_jumps[pos]
+        cum[pos] = nxt[inside]
+        n_jumps[pos] += 1
+        del g, now, nxt, ok, inside  # before the steps' temporaries
         for a in range(0, pos.size, _BLOCK):
             p = pos[a:a + _BLOCK]
             block = rows.take(p, axis=1)
             walk(block, slot[a:a + _BLOCK], p, gap[a:a + _BLOCK], step_weights)
             rows[:, p] = block
+    if ia.size:
+        raise NonFinitePathError(
+            f"the renewal grids of {ia.size} of {n} paths did not reach T = {T} within "
+            f"{_MAX_SAMPLING_ROUNDS} rounds: a gap too small to move a clock is redrawn")
+    last_gap = np.subtract(T, cum, out=cum)
 
     if kind is None:
         for lo in range(0, n, _BLOCK):
             b = slice(lo, lo + _BLOCK)
             walk(rows[:, b], n_jumps[b], b, last_gap[b], terminal_weights)
-        return rows[0], rows[2], rows[4], rows[7]
+        return n_jumps, (rows[0], rows[2], rows[4], rows[7])
 
     # In place: no view of the matrix may survive the walk, or this raises.
     # Row 1, the variance factor, is read only by frozen_coeffs, before
@@ -439,10 +401,11 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, jumps: list,
     q = _KINDS.index(kind)
     for lo in range(0, n, _BLOCK):
         block = rows[:, lo:lo + _BLOCK]
-        fc = frozen_coeffs(mdl, block[1], last_gap[lo:lo + _BLOCK])
+        with np.errstate(over="raise", invalid="raise"):
+            fc = frozen_coeffs(mdl, block[1], last_gap[lo:lo + _BLOCK])
         with np.errstate(over="ignore", invalid="ignore"):  # rows are checked
             conditional_rows(mdl, fc, smp, cfg.payoff, q, cfg.T, block)
-    return rows
+    return n_jumps, rows
 
 
 def _control_means(cfg: RunConfig) -> np.ndarray:
@@ -517,15 +480,19 @@ def _chunk_partials(cfg: RunConfig, lo: int, hi: int, kind: str,
     n0 = (n + 1 - first) // 2
     ids = np.concatenate((np.arange(lo + first, hi, 2, dtype=np.uint64),
                           np.arange(lo + 1 - first, hi, 2, dtype=np.uint64)))
-    # _path_weights empties jumps, so no record is live in its final pass
-    jumps, n_jumps, last_gap = _sample_gap_columns(
-        lambda ia, j: _rng.uniform_pair(cfg.seed, ids[ia], _rng.GAP_STREAM, j)[0],
-        cfg.sampler, cfg.T, n)
+
+    def gaps(ia, j):  # Philox on a whole chunk costs about twice as much a pair
+        u = np.empty(ia.size)
+        for a in range(0, ia.size, _BLOCK):
+            u[a:a + _BLOCK] = _rng.uniform_pair(cfg.seed, ids[ia[a:a + _BLOCK]],
+                                                _rng.GAP_STREAM, j)[0]
+        return quantile(cfg.sampler, u)
+
     normals = lambda k, p: _rng.normal_pair(cfg.seed, p, k)  # noqa: E731
     means = _control_means(cfg)
     try:
-        rows = _path_weights(cfg, ids, jumps, n_jumps, last_gap, normals,
-                             kind if conditional else None)
+        n_jumps, rows = _path_weights(cfg, ids, gaps, normals,
+                                      kind if conditional else None)
     except FloatingPointError as exc:
         raise NonFinitePathError(f"{exc} in a step of chunk [{lo}, {hi})") from None
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, or voids the fit

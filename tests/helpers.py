@@ -9,8 +9,8 @@ from functools import partial
 import numpy as np
 
 from uvol.chain import StepRecord, chain_step, one_minus_rho_sq
-from uvol.estimators import (_BLOCK, _MAX_SAMPLING_ROUNDS, _path_weights, _run,
-                             _sample_gap_columns)
+from uvol import estimators
+from uvol.estimators import _BLOCK, _MAX_SAMPLING_ROUNDS, Payoff, RunConfig, _path_weights, _run
 from uvol.flow import frozen_coeffs
 from uvol.model import BuiltinModelKind, Model, make_builtin
 from uvol.renewal import quantile
@@ -60,45 +60,43 @@ def step_from_states(model, x_prev, y_prev, delta, x_next, y_next, *, index=0):
                       fc=fc, model=model)
 
 
-def fixed_grid(zetas, lag=None):
-    """Engine grids ``(jumps, n_jumps, last_gap)`` of explicit grids.
+def fixed_gaps(zetas, lag=None):
+    """Engine gap source that lays the explicit grids ``zetas``.
 
-    ``zetas`` holds one grid ``(0, zeta_1, ..., T)`` per path; ``jumps``
-    holds one record ``(pos, slot, gap)`` per round, and round ``r`` holds
-    interval ``r`` of every path, except that with ``lag = (p, k)`` path
-    ``p``'s intervals from ``k`` on arrive one round late, as after a
-    redrawn gap.
+    ``zetas`` holds one grid ``(0, zeta_1, ..., T)`` per path.  Round ``r``
+    gives each path the gap to its jump ``r + 1``, and once it has none
+    left an infinite one, which ends it.  With ``lag = (p, k)``, path ``p``
+    draws a zero gap at round ``k``, which the engine redraws, so its
+    intervals from ``k`` on come one round late.  Returns ``(gaps,
+    intervals)``: ``intervals[p]`` are path ``p``'s interior and final
+    intervals as the engine forms them from its clock, ``(now + g) - now``
+    and ``T - now``, which need not be the differences of ``zetas[p]``.
     """
-    dz = [np.diff(np.asarray(z, dtype=float)) for z in zetas]
-    n_jumps = np.array([d.size - 1 for d in dz], dtype=np.int64)
-    # (round, path, interval) of every interior interval, in path order
-    arrivals = [(k + (lag is not None and p == lag[0] and k >= lag[1]), p, k)
-                for p in range(len(dz)) for k in range(n_jumps[p])]
-    jumps = []
-    for r in range(max((a[0] for a in arrivals), default=-1) + 1):
-        pos = np.array([p for rr, p, _ in arrivals if rr == r], dtype=np.int64)
-        slot = np.array([k for rr, _, k in arrivals if rr == r], dtype=np.int64)
-        jumps.append((pos, slot, np.array([dz[p][k] for p, k in zip(pos, slot)],
-                                          dtype=float)))
-    return jumps, n_jumps, np.array([d[-1] for d in dz])
-
-
-def dense_gaps(grid):
-    """The ``(n, max(1, max jumps))`` matrix of a grid's interior intervals,
-    NaN beyond each path's jump count, rebuilt from its records without
-    consuming them."""
-    jumps, n_jumps, _ = grid
-    gaps = np.full((n_jumps.size, max(1, int(n_jumps.max(initial=0)))), np.nan)
-    for pos, slot, gap in jumps:
-        gaps[pos, slot] = gap
-    return gaps
+    rounds = max(len(z) for z in zetas) + (lag is not None)
+    table = np.full((len(zetas), rounds), np.inf)
+    intervals = []
+    for p, z in enumerate(zetas):
+        dz = np.diff(np.asarray(z, dtype=float))[:-1]
+        r = np.arange(dz.size)
+        if lag is not None and p == lag[0]:
+            table[p, lag[1]] = 0.0
+            r[lag[1]:] += 1
+        table[p, r] = dz
+        now, got = 0.0, []
+        for g in dz:
+            nxt = now + g
+            assert now < nxt < z[-1], "the engine would redraw this gap or end on it"
+            got.append(nxt - now)
+            now = nxt
+        intervals.append(got + [z[-1] - now])
+    return (lambda ia, j: table[ia, int(j)]), intervals
 
 
 def dense_gap_columns(uniforms, sampler, T, n):
     """Reference renewal-grid sampler: the engine's rounds, redraw rule and
     uniform slices, returning ``(gaps, n_jumps, last_gap)`` with the interior
     intervals scattered into a NaN-padded ``(n, max(1, max jumps))`` matrix,
-    which the engine's jump records must rebuild exactly."""
+    which the grids the engine steps must equal bit for bit."""
     slot = np.zeros(n, dtype=np.int64)
     cum = np.zeros(n)
     ia = np.arange(n)
@@ -142,27 +140,13 @@ def fixed_normals(z1, z2):
     return normals
 
 
-def path_weights(cfg, ids, grid, normals, kind=None):
-    """:func:`_path_weights` on ``grid``.  The engine consumes a copy of the
-    record list, so ``grid`` stays whole for another call."""
-    jumps, n_jumps, last_gap = grid
-    return _path_weights(cfg, ids, list(jumps), n_jumps, last_gap, normals, kind)
-
-
-def engine_weights(cfg, grid, normals, ids=None):
-    """The engine's ``(x_T, price, delta, vega)`` per-path arrays on ``grid``."""
+def path_weights(cfg, gaps, normals, kind=None, ids=None):
+    """The rows of :func:`_path_weights` on the paths ``ids``, by default
+    ``0 .. cfg.n_paths - 1``: ``(x_T, price, delta, vega)`` without
+    ``kind``, the conditional rows with it."""
     if ids is None:
-        ids = np.arange(grid[1].size, dtype=np.uint64)
-    return path_weights(cfg, ids, grid, normals)
-
-
-def select_paths(grid, keep):
-    """The grid of the paths ``np.flatnonzero(keep)``, renumbered in order."""
-    jumps, n_jumps, last_gap = grid
-    new = np.cumsum(keep) - 1
-    sub = [(new[pos[keep[pos]]], slot[keep[pos]], gap[keep[pos]])
-           for pos, slot, gap in jumps]
-    return sub, n_jumps[keep], last_gap[keep]
+        ids = np.arange(cfg.n_paths, dtype=np.uint64)
+    return _path_weights(cfg, ids, gaps, normals, kind)[1]
 
 
 def plain_estimator(kind):
@@ -176,9 +160,54 @@ def philox_uniforms(seed, ids):
     return lambda ia, j: uniform_pair(seed, ids[ia], GAP_STREAM, j)[0]
 
 
+def philox_gaps(sampler, seed, ids):
+    """The engine's gap source for the paths ``ids`` under ``seed``."""
+    uniforms = philox_uniforms(seed, ids)
+    return lambda ia, j: quantile(sampler, uniforms(ia, j))
+
+
 def philox_grid(sampler, T, seed, ids):
-    """The engine's renewal grids of the paths ``ids`` under ``seed``."""
-    return _sample_gap_columns(philox_uniforms(seed, ids), sampler, T, ids.size)
+    """The reference sampler's grids of the paths ``ids`` under ``seed``, as
+    :func:`dense_gap_columns` returns them."""
+    return dense_gap_columns(philox_uniforms(seed, ids), sampler, T, ids.size)
+
+
+def engine_grid(sampler, T, gaps, n):
+    """The grids the engine steps when ``gaps`` feeds ``n`` paths, in the
+    form of :func:`dense_gap_columns`.
+
+    Read off the sampled route of a Black-Scholes run: each walk asks the
+    normals source for its paths and intervals, and then passes the
+    intervals' lengths to ``frozen_coeffs``.  Checks that every path steps
+    each of its intervals once, in order, and the final one last.
+    """
+    cfg = RunConfig(model=builtin("BlackScholes"), payoff=Payoff.call(1.0),
+                    sampler=sampler, s0=1.0, y0=0.2, T=T, n_paths=n, seed=0)
+    walks = []
+
+    def normals(k, p):
+        walks.append([k, p])
+        return np.zeros(p.size), np.zeros(p.size)
+
+    def coeffs(model, y, delta):
+        walks[-1].append(np.array(delta))
+        return real(model, y, delta)
+
+    real, estimators.frozen_coeffs = estimators.frozen_coeffs, coeffs
+    try:
+        n_jumps = _path_weights(cfg, np.arange(n, dtype=np.uint64), gaps, normals)[0]
+    finally:
+        estimators.frozen_coeffs = real
+    k, p, delta = (np.concatenate(c) for c in zip(*walks))
+    order = np.argsort(p, kind="stable")
+    assert np.array_equal(p[order], np.repeat(np.arange(n), n_jumps + 1))
+    assert np.array_equal(k[order], np.concatenate([np.arange(c + 1) for c in n_jumps]))
+    final = k == n_jumps[p]
+    gap_matrix = np.full((n, max(1, int(n_jumps.max(initial=0)))), np.nan)
+    gap_matrix[p[~final], k[~final]] = delta[~final]
+    last_gap = np.empty(n)
+    last_gap[p[final]] = delta[final]
+    return gap_matrix, n_jumps, last_gap
 
 
 def chain_steps(model, x0, y0, deltas, normals):

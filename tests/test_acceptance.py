@@ -17,14 +17,13 @@ from conftest import record_criterion
 from helpers import (
     builtin,
     chain_steps,
-    dense_gaps,
-    engine_weights,
     gh_step_expectation,
     make_step,
+    path_weights,
+    philox_gaps,
     philox_grid,
     plain_estimator,
     rel_err,
-    select_paths,
     step_from_states,
     synthetic_model,
     unit_drift_model,
@@ -256,9 +255,10 @@ def test_criterion_07_weight_oracle_equivalence():
 
     Path ``p`` uses the exponential sampler when ``p`` is even and the Beta
     one when it is odd; of the paths ``0 .. 3*goal - 1``, the first ``goal``
-    with at most four jumps are checked.  Each is rebuilt step by step from
-    the engine's grid and the path's Philox normals, and the oracle weighs
-    those steps.
+    with at most four jumps are checked.  The engine runs on those paths
+    alone, as a path's grid and draws depend only on the seed and its index.
+    Each is rebuilt step by step from the reference sampler's grid and the
+    path's Philox normals, and the oracle weighs those steps.
     """
     cases = [
         (builtin("SteinSteinAffine"),
@@ -275,22 +275,18 @@ def test_criterion_07_weight_oracle_equivalence():
     for ci, (model, om, goal) in enumerate(cases):
         seed = 700 + ci
         ids = np.arange(3 * goal, dtype=np.uint64)
-        kept = []
-        for parity, sampler in enumerate((EXPO, BETA)):
-            sub = ids[parity::2]
-            grid = philox_grid(sampler, T, seed, sub)
-            ok = grid[1] <= 4
-            kept.append((sampler, sub[ok], select_paths(grid, ok)))
-        chosen = np.sort(np.concatenate([sub for _, sub, _ in kept]))[:goal]
+        kept = [(sampler, ids[parity::2], philox_grid(sampler, T, seed, ids[parity::2]))
+                for parity, sampler in enumerate((EXPO, BETA))]
+        chosen = np.sort(np.concatenate([sub[grid[1] <= 4] for _, sub, grid in kept]))[:goal]
         for sampler, sub, grid in kept:
             use = np.isin(sub, chosen)
             sub = sub[use]
-            grid = select_paths(grid, use)
-            gaps, (_, n_jumps, last_gap) = dense_gaps(grid), grid
+            gaps, n_jumps, last_gap = (a[use] for a in grid)
             cfg = RunConfig(model=model, payoff=Payoff.call(K), sampler=sampler,
                             s0=S0, y0=Y0, T=T, n_paths=sub.size, seed=seed)
-            _, price_w, delta_w, vega_w = engine_weights(
-                cfg, grid, lambda k, p: normal_pair(seed, p, k), ids=sub)
+            _, price_w, delta_w, vega_w = path_weights(
+                cfg, philox_gaps(sampler, seed, sub), lambda k, p: normal_pair(seed, p, k),
+                ids=sub)
             for i, p in enumerate(sub):
                 deltas = list(gaps[i, :n_jumps[i]]) + [last_gap[i]]
                 steps = chain_steps(model, cfg.x0, Y0, deltas,

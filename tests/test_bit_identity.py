@@ -2,8 +2,10 @@
 
 The bs and stein values were recorded with the engine as it stood before
 the coefficient jet went in and before the paths were walked in jump-sorted
-slices; each of those changes, and the round-by-round walk in path order
-that replaced the sorted slices, claims to leave every mean bit-identical.  The quadrature-route
+slices; each of those changes, the round-by-round walk in path order that
+replaced the sorted slices, and the one loop of rounds that steps each
+round's jumpers as soon as their gaps are drawn, with no grid stored,
+claims to leave every mean bit-identical.  The quadrature-route
 values (cosine, cosine-3, synthetic and the frozen coefficients) were
 re-recorded when the 8-node Gauss-Legendre rule replaced the Simpson rule.
 The synthetic estimates (sampled and default route) were re-recorded once
@@ -26,9 +28,9 @@ The cases cover the three builtins for price, Delta and Vega, multi-chunk
 runs on two threads, a non-OU model (RK4 flow nodes, full quadrature), and
 runs of three paths per chunk, where many steps have a single active path.
 Each estimate is
-also run with blocks of 7 rows, which splits every round's run of paths
-and, on the default route, cuts the closed-form final pass into single
-rows: the block size must not move a bit either.  Frozen coefficients are
+also run with blocks of 7 rows, which splits every round's jumpers and its
+Philox draws and, on the default route, cuts the closed-form final pass
+into single rows: the block size must not move a bit either.  Frozen coefficients are
 pinned directly for one and for several points.
 
 The pins above are on the sampled route.  The default route, with the final

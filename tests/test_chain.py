@@ -12,7 +12,7 @@ from uvol.flow import frozen_coeffs
 from uvol.renewal import JumpSampler
 from uvol.rng import normal_pair
 
-from helpers import (builtin, chain_steps, dense_gaps, engine_weights, make_step,
+from helpers import (builtin, chain_steps, make_step, path_weights, philox_gaps,
                      philox_grid, step_from_states, synthetic_model)
 
 BS = builtin("BlackScholes")
@@ -60,7 +60,8 @@ def test_one_minus_rho_sq_guard():
 
 
 def _engine_run(sampler, seed, n_paths=64):
-    """Engine outputs on Philox grids, with the normals requests it made."""
+    """Engine outputs on Philox grids, with the normals requests it made and
+    the reference sampler's grids."""
     cfg = RunConfig(model=BS, payoff=Payoff.call(1.5), sampler=sampler,
                     s0=math.exp(0.4), y0=0.2, T=0.5, n_paths=n_paths, seed=seed)
     ids = np.arange(n_paths, dtype=np.uint64)
@@ -71,12 +72,12 @@ def _engine_run(sampler, seed, n_paths=64):
         requests.append((np.array(k), np.array(p)))
         return normal_pair(seed, p, k)
 
-    return cfg, grid, requests, engine_weights(cfg, grid, normals, ids=ids)
+    return cfg, grid, requests, path_weights(cfg, philox_gaps(sampler, seed, ids), normals)
 
 
 def test_simulate_chain_structure():
     cfg, grid, requests, (x, *_) = _engine_run(JumpSampler.exponential(2.0), seed=3)
-    gaps, (_, n_jumps, last_gap) = dense_gaps(grid), grid
+    gaps, n_jumps, last_gap = grid
     assert n_jumps.max() >= 2
     # each interval k <= n_jumps of each path draws exactly once, however the
     # engine groups its requests

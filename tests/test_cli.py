@@ -175,9 +175,11 @@ def test_s0_and_x0_conflict(tmp_path, capsys):
     ["table", "--id", "1", "--paths", "10"],
 ])
 def test_bad_thread_variable_is_config_error(monkeypatch, capsys, argv):
-    monkeypatch.setenv("UVOL_THREADS", "abc")
-    assert run(argv) == 2
-    assert "UVOL_THREADS" in capsys.readouterr().err
+    for value in ("abc", "0", "-3"):
+        monkeypatch.setenv("UVOL_THREADS", value)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"UVOL_THREADS must be an integer >= 1, got {value!r}" in err
 
 
 @pytest.mark.parametrize("bad", [
@@ -227,6 +229,18 @@ def test_overflowing_weights_are_numerical_errors_without_warnings(capsys, argv)
     assert code == 3 and not seen
     assert out.out == "" and out.err.startswith("numerical error:")
     assert out.err.count("\n") == 1
+
+
+def test_grids_held_at_the_round_cap_are_numerical_errors(capsys):
+    """Every gap of this sampler underflows to zero and is redrawn, so the
+    path never reaches T: one line naming the round cap, exit 3."""
+    argv = ["price", "--model", "bs", "--sampler", "beta", "--alpha", "0.999999999",
+            "-T", "1e-6", "--paths", "1"]
+    assert run(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("numerical error: the renewal grids of 1 of 1 paths")
+    assert "within 10000 rounds" in out.err
 
 
 def test_horizon_beyond_the_jump_cap_is_config_error(capsys):

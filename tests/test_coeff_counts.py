@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import uvol.estimators as est
-from helpers import (builtin, engine_weights, make_step, philox_grid,
+from helpers import (builtin, make_step, path_weights, philox_gaps, philox_grid,
                      quadrature_only, synthetic_model)
 from uvol.estimators import Payoff, RunConfig
 from uvol.flow import frozen_coeffs
@@ -117,7 +117,7 @@ def test_each_active_path_is_weighted_exactly_once_per_step(monkeypatch):
 
     monkeypatch.setattr(est, "step_weights", spy("interior", est.step_weights))
     monkeypatch.setattr(est, "terminal_weights", spy("final", est.terminal_weights))
-    engine_weights(cfg, grid, normals, ids=ids)
+    path_weights(cfg, philox_gaps(cfg.sampler, cfg.seed, ids), normals)
 
     n_jumps = grid[1]
     assert n_jumps.max() >= 2

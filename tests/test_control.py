@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import (builtin, engine_weights, path_weights, philox_grid,
-                     plain_estimator, quadrature_only, synthetic_model)
+from helpers import (builtin, path_weights, philox_gaps, plain_estimator,
+                     quadrature_only, synthetic_model)
 from uvol.baselines import bs_delta, bs_price
 from uvol.estimators import (Payoff, RunConfig, _chunk_partials, _control_means,
                              _fit, _fold_moments, _merge_moments, aggregate, estimate_delta, estimate_price,
@@ -55,9 +55,8 @@ def conditional_contributions(cfg, kind, ids):
     """The discounted conditional contributions of ``kind`` on the paths
     ``ids`` and their conditional control rows, centred at the known means,
     one column per control."""
-    grid = philox_grid(cfg.sampler, cfg.T, cfg.seed, ids)
-    rows = path_weights(cfg, ids, grid, lambda k, p: normal_pair(cfg.seed, p, k),
-                        kind)
+    rows = path_weights(cfg, philox_gaps(cfg.sampler, cfg.seed, ids),
+                        lambda k, p: normal_pair(cfg.seed, p, k), kind, ids=ids)
     r, T, s0 = cfg.model.r, cfg.T, cfg.s0
     y = rows[0]
     if kind == "delta":
@@ -121,8 +120,8 @@ def test_reference_route_forms_seven_rows_and_their_z_scores(kind):
         assert mean.shape == (7,) and cross.shape == (7, 7)
     res = PLAIN[kind](cfg)
     ids = np.arange(cfg.n_paths, dtype=np.uint64)
-    grid = philox_grid(cfg.sampler, cfg.T, cfg.seed, ids)
-    x, *weights = engine_weights(cfg, grid, lambda k, p: normal_pair(cfg.seed, p, k))
+    x, *weights = path_weights(cfg, philox_gaps(cfg.sampler, cfg.seed, ids),
+                               lambda k, p: normal_pair(cfg.seed, p, k))
     q = ("price", "delta", "vega").index(kind)
     w = weights[q]
     own = np.stack([w, np.exp(x) * w], axis=1) - _control_means(cfg)[2 * q:2 * q + 2]

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (builtin, chain_steps, engine_weights, fixed_grid,
-                     fixed_normals, path_weights, philox_grid, synthetic_model)
+from helpers import (builtin, chain_steps, fixed_gaps, fixed_normals, path_weights,
+                     philox_gaps, synthetic_model)
 from jet_oracle import (product_delta, product_price, product_vega,
                         production_path_values)
 from uvol import estimators
@@ -204,7 +204,7 @@ def injected(zeta, z1, z2, n_paths=4, **overrides):
     kwargs = dict(payoff=Payoff.call(1.2), n_paths=n_paths)
     kwargs.update(overrides)
     cfg = base_config(**kwargs)
-    out = engine_weights(cfg, fixed_grid([zeta] * n_paths), fixed_normals(z1, z2))
+    out = path_weights(cfg, fixed_gaps([zeta] * n_paths)[0], fixed_normals(z1, z2))
     return cfg, out
 
 
@@ -261,7 +261,7 @@ def test_injected_two_intervals_match_literal_products(tag, frozen):
     model = builtin(tag)
     cfg, (x, price_w, delta_w, vega_w) = injected(zeta, z1, z2, n_paths=3,
                                                   model=model)
-    deltas = np.diff(zeta)
+    deltas = fixed_gaps([zeta])[1][0]
     steps = chain_steps(model, cfg.x0, Y0, deltas, lambda k: (z1[k], z2[k]))
     vals = production_path_values(steps, EXPO)
     h = float(cfg.payoff(steps[-1].x_next))
@@ -284,18 +284,30 @@ LAG_ZETAS = [(0.0, 0.1, 0.2, 0.35, 0.5), (0.0, 0.5), (0.0, 0.15, 0.3, 0.5),
 @pytest.mark.parametrize("kind", [None, "price", "delta", "vega"])
 @pytest.mark.parametrize("tag", ["SteinSteinAffine", "synthetic"])
 def test_a_slot_lagging_its_round_moves_no_bit(tag, kind):
-    """After a redrawn gap a path's interval k arrives a round after the
-    other paths' interval k, so one round's record mixes slots.  The rows
-    equal those of the same grid with every slot in its round."""
+    """After a redrawn gap a path's interval k comes a round after the
+    other paths' interval k, so one round steps mixed intervals.  The rows
+    equal those of the same grid with every interval in its round."""
     model = synthetic_model() if tag == "synthetic" else builtin(tag)
     cfg = base_config(model=model, n_paths=len(LAG_ZETAS), seed=5)
-    ids = np.arange(cfg.n_paths, dtype=np.uint64)
-    lagged = fixed_grid(LAG_ZETAS, lag=(0, 1))
-    assert any(np.unique(slot).size > 1 for _, slot, _ in lagged[0])
-    assert len(lagged[0]) == len(fixed_grid(LAG_ZETAS)[0]) + 1
-    normals = lambda k, p: normal_pair(cfg.seed, p, k)  # noqa: E731
-    want, got = (path_weights(cfg, ids, grid, normals, kind)
-                 for grid in (fixed_grid(LAG_ZETAS), lagged))
+
+    def run(lag):
+        """The rows, the intervals of each walk and the number of rounds."""
+        gaps, walks, rounds = fixed_gaps(LAG_ZETAS, lag)[0], [], []
+
+        def counted(ia, j):
+            rounds.append(j)
+            return gaps(ia, j)
+
+        def normals(k, p):
+            walks.append(k)
+            return normal_pair(cfg.seed, p, k)
+
+        return path_weights(cfg, counted, normals, kind), walks, len(rounds)
+
+    (want, _, n_rounds), (got, walks, lagged_rounds) = run(None), run((0, 1))
+    interior = walks[:-1] if kind is None else walks
+    assert any(np.unique(k).size > 1 for k in interior)
+    assert lagged_rounds == n_rounds + 1
     for w, g in zip(want, got):
         assert np.array_equal(w, g)
 
@@ -344,16 +356,32 @@ def test_block_size_moves_no_bit_of_any_path(monkeypatch, tag, kind, block):
     cfg = base_config(model=model, sampler=JumpSampler.exponential(2.0),
                       n_paths=101, seed=11)
     ids = np.arange(cfg.n_paths, dtype=np.uint64)
-    grid = philox_grid(cfg.sampler, T, cfg.seed, ids)
 
     def weights():
-        return path_weights(cfg, ids, grid, lambda k, p: normal_pair(cfg.seed, p, k),
-                            kind)
+        return path_weights(cfg, philox_gaps(cfg.sampler, cfg.seed, ids),
+                            lambda k, p: normal_pair(cfg.seed, p, k), kind)
 
     whole = weights()
     monkeypatch.setattr(estimators, "_BLOCK", block)
     for a, b in zip(whole, weights()):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", [None, "price", "vega"])
+@pytest.mark.parametrize("tag", ["SteinSteinAffine", "PeriodicCosine"])
+def test_a_path_ignores_its_chunk_mates(tag, kind):
+    """A path's grid and draws depend only on the seed and its id, so the
+    engine on a subset of the paths gives their columns of the full run, bit
+    for bit, on the sampled route and on the conditional one."""
+    cfg = base_config(model=builtin(tag), sampler=JumpSampler.exponential(2.0),
+                      n_paths=101, seed=11)
+    ids = np.arange(1000, 1000 + 2 * cfg.n_paths, 2, dtype=np.uint64)
+    keep = np.random.default_rng(4).random(ids.size) < 0.4
+    normals = lambda k, p: normal_pair(cfg.seed, p, k)  # noqa: E731
+    whole, part = (path_weights(cfg, philox_gaps(cfg.sampler, cfg.seed, sub), normals,
+                                kind, ids=sub) for sub in (ids, ids[keep]))
+    for a, b in zip(whole, part):
+        assert np.array_equal(a[keep].view(np.int64), b.view(np.int64))
 
 
 @pytest.mark.parametrize("steps", [50, 100])
@@ -374,13 +402,15 @@ def test_one_chunk_working_set_is_block_sized():
     # 131 072 paths of the affine-greeks contract: whole-chunk kernels peaked
     # at about 117 MB of traced memory, blocked ones at 41.4 MB while the
     # chunk kept a NaN-padded (n, max jumps) gap matrix, and 28.9 MB with
-    # compact gap columns dropped before the final pass.  The bound is that
-    # last figure plus 2.6 MB (9%).  A final pass in path order, writing its
-    # rows over each path's state, brought it to 27.3 MB, and keeping the
-    # state in one (8, n) matrix that the final pass grows in place, walked
-    # round by round over the jump records, to 26.3 MB.
-    # numpy reports its buffers to tracemalloc, so the figure does not
-    # depend on the allocator.
+    # compact gap columns dropped before the final pass.  A final pass in
+    # path order, writing its rows over each path's state, brought it to
+    # 27.3 MB, and keeping the state in one (8, n) matrix that the final pass
+    # grows in place, walked round by round over stored jump records, to
+    # 26.3 MB.  Stepping each round's jumpers as soon as their gaps are drawn,
+    # with the round's draws dropped first and no grid stored, brought it to
+    # 25.0 MB; the bound is that figure plus 9%.  (Keeping the round's draws
+    # alive while it steps reads 28.5 MB.)  numpy reports its buffers to
+    # tracemalloc, so the figure does not depend on the allocator.
     cfg = base_config(model=builtin("SteinSteinAffine"),
                       sampler=JumpSampler.beta_one_minus_alpha(0.5, 1.0),
                       n_paths=1 << 17)
@@ -390,7 +420,7 @@ def test_one_chunk_working_set_is_block_sized():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 31.5e6
+    assert peak < 27.3e6
 
 
 def test_quadrature_chunk_working_set_is_block_sized():

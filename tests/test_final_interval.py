@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from helpers import (builtin, fixed_grid, fixed_normals, path_weights, philox_grid,
-                     synthetic_model)
+from helpers import (builtin, fixed_gaps, fixed_normals, path_weights, philox_gaps,
+                     philox_grid, synthetic_model)
 from uvol import cli, estimators, rng
 from uvol.baselines import bs_delta, bs_price
 from uvol.chain import StepRecord, chain_step
@@ -117,9 +117,9 @@ def capture_final_inputs(monkeypatch, cfg, n_jumps):
         real(model, fc, s, payoff, weight, T, block)
 
     monkeypatch.setattr(estimators, "conditional_rows", spy)
-    grid = fixed_grid([GRIDS[n_jumps]])
+    gaps = fixed_gaps([GRIDS[n_jumps]])[0]
     ids = np.zeros(1, dtype=np.uint64)
-    rows = [path_weights(cfg, ids, grid, fixed_normals(*INTERIOR_Z), kind)[:, 0]
+    rows = [path_weights(cfg, gaps, fixed_normals(*INTERIOR_Z), kind, ids=ids)[:, 0]
             for kind in KINDS]
     monkeypatch.undo()
     assert len(seen) == 3
@@ -183,10 +183,9 @@ def test_translation_control_is_zero_on_jump_free_paths(name):
     """There ``delta = T`` and ``delta_acc = 0``, so the row is exactly 0."""
     cfg = config(*MODELS[name], n_paths=2000)
     ids = np.arange(cfg.n_paths, dtype=np.uint64)
-    grid = philox_grid(cfg.sampler, cfg.T, cfg.seed, ids)
-    rows = path_weights(cfg, ids, grid,
+    rows = path_weights(cfg, philox_gaps(cfg.sampler, cfg.seed, ids),
                         lambda k, p: rng.normal_pair(cfg.seed, p, k), "delta")
-    free = grid[1] == 0
+    free = philox_grid(cfg.sampler, cfg.T, cfg.seed, ids)[1] == 0
     assert 0 < free.sum() < free.size
     assert np.all(rows[7][free] == 0.0)
     assert np.any(rows[7][~free] != 0.0)

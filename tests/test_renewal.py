@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import builtin, dense_gap_columns, dense_gaps, philox_grid, philox_uniforms
-from uvol.estimators import Payoff, RunConfig, _path_weights, _sample_gap_columns
+from helpers import builtin, dense_gap_columns, engine_grid, philox_gaps, philox_grid
+from uvol.estimators import (_MAX_SAMPLING_ROUNDS, NonFinitePathError, Payoff, RunConfig,
+                             _path_weights)
 from uvol.renewal import (DomainError, JumpSampler, cdf, density, mean_gap,
                           quantile, survival)
 from uvol.rng import normal_pair
@@ -29,22 +30,20 @@ class ScriptedUniforms:
 
 
 def assert_same_grid(grid, reference):
-    """The records of ``grid`` rebuild the dense ``reference`` bit for bit."""
-    gaps, n_jumps, last_gap = reference
-    assert np.array_equal(dense_gaps(grid), gaps, equal_nan=True)
-    assert np.array_equal(grid[1], n_jumps)
-    assert np.array_equal(grid[2], last_gap)
+    """Two ``(gaps, n_jumps, last_gap)`` grids are equal bit for bit."""
+    for got, want in zip(grid, reference):
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def scripted_grid(T, values, n_paths=2):
     """Engine grids of ``n_paths`` identical scripted paths under EXPO,
     checked against the dense reference sampler on the same script."""
     stream = ScriptedUniforms(values)
-    grid = _sample_gap_columns(stream, EXPO, T, n_paths)
+    grid = engine_grid(EXPO, T, lambda ia, j: quantile(EXPO, stream(ia, j)), n_paths)
     reference = ScriptedUniforms(values)
     assert_same_grid(grid, dense_gap_columns(reference, EXPO, T, n_paths))
     assert reference.consumed == stream.consumed
-    gaps, (_, n_jumps, last_gap) = dense_gaps(grid), grid
+    gaps, n_jumps, last_gap = grid
     assert np.all(n_jumps == n_jumps[0]) and np.all(last_gap == last_gap[0])
     return gaps[0, :n_jumps[0]], int(n_jumps[0]), float(last_gap[0]), stream
 
@@ -173,8 +172,8 @@ def test_sample_grid_redraws_tied_interval():
 
 
 def test_sample_grid_beta_gaps_within_support():
-    grid = philox_grid(BETA, 0.5, 5, np.arange(50, dtype=np.uint64))
-    gaps, (_, n_jumps, last_gap) = dense_gaps(grid), grid
+    ids = np.arange(50, dtype=np.uint64)
+    gaps, n_jumps, last_gap = engine_grid(BETA, 0.5, philox_gaps(BETA, 5, ids), ids.size)
     inner = gaps[np.arange(gaps.shape[1]) < n_jumps[:, None]]
     assert inner.size == n_jumps.sum() > 0
     assert np.all(inner > 0)
@@ -191,46 +190,47 @@ def test_mean_gap_is_the_first_moment(sampler):
 
 
 def test_sample_grid_width_is_the_longest_grid():
-    """The records name each interior interval of each path exactly once."""
-    jumps, n_jumps, _ = philox_grid(EXPO, 20.0, 3, np.arange(200, dtype=np.uint64))
-    pos = np.concatenate([p for p, _, _ in jumps])
-    slot = np.concatenate([k for _, k, _ in jumps])
-    assert slot.max() + 1 == n_jumps.max()
-    assert np.all(slot < n_jumps[pos])
-    assert np.array_equal(np.bincount(pos, minlength=200), n_jumps)
-    assert np.unique(pos * n_jumps.max() + slot).size == pos.size
-    # with no jump at all there are no records
-    jumps, n_jumps, _ = philox_grid(EXPO, 1e-9, 3, np.arange(4, dtype=np.uint64))
-    assert not n_jumps.any() and sum(p.size for p, _, _ in jumps) == 0
+    """Each round's records (path, interval, gap) name each interior
+    interval of each path once, so each path steps its intervals once each,
+    in order, its final interval last (checked by engine_grid); over many
+    jumps a path and over none."""
+    ids = np.arange(200, dtype=np.uint64)
+    gaps, n_jumps, _ = engine_grid(EXPO, 20.0, philox_gaps(EXPO, 3, ids), ids.size)
+    assert n_jumps.max() >= 15 and gaps.shape == (200, n_jumps.max())
+    ids = ids[:4]
+    gaps, n_jumps, last_gap = engine_grid(EXPO, 1e-9, philox_gaps(EXPO, 3, ids), ids.size)
+    assert not n_jumps.any() and np.isnan(gaps).all() and np.all(last_gap == 1e-9)
 
 
 @pytest.mark.parametrize("sampler, T, seed", [(EXPO, 0.5, 7), (EXPO, 6.0, 8),
                                               (BETA, 0.5, 9), (BETA, 4.0, 10)])
 def test_records_rebuild_the_dense_reference(sampler, T, seed):
+    """The intervals the engine steps, round by round, are the reference
+    sampler's grids bit for bit."""
     ids = np.arange(3000, dtype=np.uint64)
-    grid = philox_grid(sampler, T, seed, ids)
+    grid = engine_grid(sampler, T, philox_gaps(sampler, seed, ids), ids.size)
     assert grid[1].max() >= 2
-    assert_same_grid(grid, dense_gap_columns(philox_uniforms(seed, ids), sampler, T,
-                                             ids.size))
+    assert_same_grid(grid, philox_grid(sampler, T, seed, ids))
 
 
-def test_consumed_records_are_refused():
-    """The engine empties the record list; a second run on it must not skip
-    every interior step."""
+@pytest.mark.parametrize("kind", [None, "price"])
+def test_gaps_that_never_move_the_clock_hit_the_round_cap(kind):
+    """Zero gaps are redrawn without end, as with a sampler whose draws
+    underflow; the engine stops at the cap with an error that names it."""
     cfg = RunConfig(model=builtin("BlackScholes"), payoff=Payoff.call(1.5),
-                    sampler=EXPO, s0=1.5, y0=0.2, T=6.0, n_paths=400, seed=2)
+                    sampler=EXPO, s0=1.5, y0=0.2, T=0.5, n_paths=3, seed=2)
     ids = np.arange(cfg.n_paths, dtype=np.uint64)
-    jumps, n_jumps, last_gap = philox_grid(EXPO, cfg.T, cfg.seed, ids)
-    assert n_jumps.sum() > 0
+    drawn = []
 
-    def run():
-        return _path_weights(cfg, ids, jumps, n_jumps, last_gap,
-                             lambda k, p: normal_pair(cfg.seed, p, k), "price")
+    def gaps(ia, j):
+        drawn.append(int(j))
+        return np.zeros(ia.size)
 
-    run()
-    assert jumps == []
-    with pytest.raises(ValueError, match="records hold 0 intervals"):
-        run()
+    with pytest.raises(NonFinitePathError,
+                       match=f"3 of 3 paths did not reach T = 0.5 within "
+                             f"{_MAX_SAMPLING_ROUNDS} rounds"):
+        _path_weights(cfg, ids, gaps, lambda k, p: normal_pair(cfg.seed, p, k), kind)
+    assert drawn == list(range(_MAX_SAMPLING_ROUNDS))
 
 
 def test_sample_grid_mean_jump_count():

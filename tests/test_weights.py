@@ -22,8 +22,8 @@ from uvol.rng import normal_pair
 from uvol.weights import (FoldWeights, conditional_rows, step_weights,
                           terminal_weights)
 
-from helpers import (builtin, chain_steps, dense_gaps, engine_weights, fixed_grid,
-                     fixed_normals, gh_step_expectation, make_step,
+from helpers import (builtin, chain_steps, fixed_gaps, fixed_normals,
+                     gh_step_expectation, make_step, path_weights, philox_gaps,
                      philox_grid, rel_err, step_from_states, synthetic_model)
 from jet_oracle import (oracle_model_from_kind, oracle_step_weights,
                         oracle_terminal_weights, product_delta, product_price,
@@ -238,8 +238,8 @@ def test_both_kernels_return_fold_weights():
 
 
 def test_single_interval_path_pins():
-    _, price_w, delta_w, vega_w = engine_weights(
-        engine_config(BS, EXPO), fixed_grid([(0.0, 0.5)]),
+    _, price_w, delta_w, vega_w = path_weights(
+        engine_config(BS, EXPO), fixed_gaps([(0.0, 0.5)])[0],
         fixed_normals((1.0,), (0.0,)))
     assert price_w[0] == pytest.approx(1.2840254166877414, rel=1e-14)
     # delta weight = delta * theta * I1_1
@@ -471,12 +471,11 @@ def test_terminal_weights_match_jet_oracle():
 
 # ------------------------------------------- path products vs recurrences ---
 
-def _check_engine_against_products(cfg, grid, ids, normals):
-    """Engine weights of each path against literal products of its steps."""
-    _, price_w, delta_w, vega_w = engine_weights(cfg, grid, normals, ids=ids)
-    gaps, (_, n_jumps, last_gap) = dense_gaps(grid), grid
-    for i, p in enumerate(ids):
-        deltas = list(gaps[i, :n_jumps[i]]) + [last_gap[i]]
+def _check_engine_against_products(cfg, gaps, intervals, ids, normals):
+    """Engine weights of each path against literal products of its steps,
+    ``intervals[i]`` being the intervals of path ``ids[i]``."""
+    _, price_w, delta_w, vega_w = path_weights(cfg, gaps, normals, ids=ids)
+    for i, deltas in enumerate(intervals):
         steps = chain_steps(cfg.model, cfg.x0, cfg.y0, deltas,
                             lambda k: normals(k, ids[i:i + 1]))
         vals = production_path_values(steps, cfg.sampler)
@@ -489,19 +488,20 @@ def _check_engine_against_products(cfg, grid, ids, normals):
 def test_path_weights_match_literal_products(sampler):
     """The engine's O(1)-state recurrences equal the literal sum-over-splittings."""
     ids = np.arange(60, dtype=np.uint64)
-    grid = philox_grid(sampler, 0.5, 21, ids)
+    gaps, n_jumps, last_gap = philox_grid(sampler, 0.5, 21, ids)
+    intervals = [list(g[:n]) + [t] for g, n, t in zip(gaps, n_jumps, last_gap)]
     _check_engine_against_products(
-        engine_config(STEIN, sampler, n_paths=60, seed=21), grid, ids,
-        lambda k, p: normal_pair(21, p, k))
+        engine_config(STEIN, sampler, n_paths=60, seed=21),
+        philox_gaps(sampler, 21, ids), intervals, ids, lambda k, p: normal_pair(21, p, k))
     # the sample must exercise single- and multi-interval paths
-    assert np.any(grid[1] == 0) and np.any(grid[1] > 0)
+    assert np.any(n_jumps == 0) and np.any(n_jumps > 0)
 
 
 def test_deep_grid_weights_match_literal_products():
     """A ten-jump grid, next to shallower ones in the same batch."""
     deep = tuple(np.linspace(0.0, 0.45, 11)) + (0.5,)
-    grid = fixed_grid([deep, (0.0, 0.2, 0.5), (0.0, 0.5)])
-    assert grid[1][0] == 10
+    gaps, intervals = fixed_gaps([deep, (0.0, 0.2, 0.5), (0.0, 0.5)])
+    assert len(intervals[0]) == 11
     ids = np.arange(3, dtype=np.uint64)
-    _check_engine_against_products(engine_config(STEIN, EXPO, n_paths=3), grid,
-                                   ids, lambda k, p: normal_pair(2, p, k))
+    _check_engine_against_products(engine_config(STEIN, EXPO, n_paths=3), gaps,
+                                   intervals, ids, lambda k, p: normal_pair(2, p, k))
