@@ -8,7 +8,8 @@ Subcommands
 ``uvol table``
     Reproduce a numbered reference table (parameter sweep x method set).
 ``uvol validate``
-    Advisory model health report (ellipticity bounds, derivative handles).
+    Advisory model health report (ellipticity bounds, derivative handles,
+    declared shapes).
 
 Configuration comes from builtin defaults, an optional JSON file
 (``--config``), and command line flags, in increasing precedence.  Exit
@@ -528,6 +529,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
           f"bounds {'ok' if rep.sigma_Y_ok else 'VIOLATED'}")
     print(f"  derivative handles: max rel err {rep.deriv_max_rel_err:.3g}  "
           f"{'ok' if rep.derivatives_ok else 'INCONSISTENT'}")
+    print(f"  declared shapes: {'ok' if rep.declarations_ok else 'CONTRADICTED'}")
     for msg in rep.messages:
         print(f"  warning: {msg}")
     print("ok" if rep.ok else "advisory warnings above")

@@ -91,8 +91,9 @@ __all__ = [
 
 _MAX_SAMPLING_ROUNDS = 10000
 # Paths per block of the steps, the gap draws and the final pass.  A step
-# makes about 300 temporaries, 128 KiB each at this size: a default affine
-# chunk's traced peak is 25.0 MB, a 32 768-path cosine-digital chunk's 8.8 MB.
+# makes up to about 300 temporaries, 128 KiB each at this size, fewer where
+# the model's declarations zero terms: a default affine chunk's traced peak
+# is 25.4 MB, a 32 768-path cosine-digital chunk's 8.3 MB.
 # Smaller blocks pay more per-block Python time, and at two threads more GIL
 # handoffs (each numpy call costs about 4.7 us there); larger ones a higher
 # peak.
@@ -331,8 +332,9 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: Callable,
     kernels (overflow and invalid operations raised) and scatter the rows
     back.  No grid is kept, only each path's clock, which becomes its final
     interval.  The final pass walks the matrix in blocks in place; on the
-    conditional route the matrix first grows to its ``1 + controls`` rows,
-    and :func:`uvol.weights.conditional_rows` overwrites each block's state.
+    conditional route the state is first copied into the top of a
+    ``(1 + controls, n)`` matrix, and :func:`uvol.weights.conditional_rows`
+    overwrites each block's state.
     Every kernel is elementwise per path, and draws are keyed by path id
     and counter, so neither the blocks nor the rounds move a bit.
     """
@@ -394,10 +396,12 @@ def _path_weights(cfg: RunConfig, ids: np.ndarray, gaps: Callable,
             walk(rows[:, b], n_jumps[b], b, last_gap[b], terminal_weights)
         return n_jumps, (rows[0], rows[2], rows[4], rows[7])
 
-    # In place: no view of the matrix may survive the walk, or this raises.
     # Row 1, the variance factor, is read only by frozen_coeffs, before
-    # conditional_rows overwrites it.
-    rows.resize((1 + _control_means(cfg).size, n))
+    # conditional_rows overwrites it.  A copy, not ndarray.resize: that
+    # checks for references, and a profiler holding the frame makes it fail.
+    state, rows = rows, np.empty((1 + _control_means(cfg).size, n))
+    rows[:8] = state
+    del state
     q = _KINDS.index(kind)
     for lo in range(0, n, _BLOCK):
         block = rows[:, lo:lo + _BLOCK]

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import Model
+from .model import ZERO, Model
 
 __all__ = [
     "NonFiniteError",
@@ -222,7 +222,10 @@ def frozen_coeffs(model: Model, y, delta) -> FrozenCoeffs:
     Everything else goes through a Gauss-Legendre rule of :data:`NODES`
     nodes along the flow, so a model rebuilt without these declarations
     takes the quadrature route; there the flow endpoint ``m_i`` and its
-    tangent ``m1_i`` come from the same walk that gives the nodes.
+    tangent ``m1_i`` come from the same walk that gives the nodes.  On the
+    closed route, the derivative fields that a constant ``sigma_S``
+    (``s1 == 0``) or a constant ``sigma_Y`` zeroes are not computed: they
+    share one read-only array of zeros.
 
     Parameters
     ----------
@@ -249,24 +252,30 @@ def frozen_coeffs(model: Model, y, delta) -> FrozenCoeffs:
     if np.any(delta <= 0):
         raise ValueError("delta must be strictly positive")
 
+    zero = model.vanishing
     closed_Y = model.sigma_Y_const is not None
     if closed_Y and model.sigma_S_affine is not None and model.ou_params is not None:
         m_i, m1_i = flow_tangent(model, y, delta)
         lam, mu = model.ou_params
-        if lam != 0:  # by expm1, which does not cancel where lam * delta is small
-            em1 = np.expm1(-lam * delta)
-            e1 = -em1 / lam
-            e2 = -em1 * (2.0 + em1) / (2.0 * lam)
-        else:  # the lam -> 0 limit of both
-            e1 = delta
-            e2 = delta
         s1, s2 = model.sigma_S_affine
         sbar = s1 * mu + s2
-        dy = y - mu
-        I_aS = sbar * sbar * delta + s1 * s1 * dy * dy * e2 + 2 * s1 * sbar * dy * e1
-        I1_aS = 2 * s1 * s1 * dy * e2 + 2 * s1 * sbar * e1
-        I_sS = sbar * delta + s1 * dy * e1
-        I1_sS = s1 * e1
+        I_aS = sbar * sbar * delta
+        I_sS = sbar * delta
+        if "sigma1_S" in zero:  # s1 = 0: every term in s1 vanishes
+            I1_aS = I1_sS = ZERO
+        else:
+            if lam != 0:  # by expm1, which does not cancel where lam * delta is small
+                em1 = np.expm1(-lam * delta)
+                e1 = -em1 / lam
+                e2 = -em1 * (2.0 + em1) / (2.0 * lam)
+            else:  # the lam -> 0 limit of both
+                e1 = delta
+                e2 = delta
+            dy = y - mu
+            I_aS = I_aS + s1 * s1 * dy * dy * e2 + 2 * s1 * sbar * dy * e1
+            I1_aS = 2 * s1 * s1 * dy * e2 + 2 * s1 * sbar * e1
+            I_sS = I_sS + s1 * dy * e1
+            I1_sS = s1 * e1
     elif closed_Y:
         m_i, m1_i, integrals = _flow_integrals(model, y, delta, (
             lambda c, j: c.a_S, lambda c, j: c.a1_S * j,
@@ -281,7 +290,7 @@ def frozen_coeffs(model: Model, y, delta) -> FrozenCoeffs:
     if closed_Y:
         sy = model.sigma_Y_const
         I_aY = sy * sy * delta
-        I1_aY = 0.0 * I_aY
+        I1_aY = ZERO
         I_SY = sy * I_sS
         I1_SY = sy * I1_sS
 
@@ -290,12 +299,18 @@ def frozen_coeffs(model: Model, y, delta) -> FrozenCoeffs:
 
     sig_S = np.sqrt(I_aS)
     sig_Y = np.sqrt(I_aY)
-    sig1_S = I1_aS / (2.0 * sig_S)
-    sig1_Y = I1_aY / (2.0 * sig_Y)
+    sig1_S = ZERO if I1_aS is ZERO else I1_aS / (2.0 * sig_S)
+    sig1_Y = ZERO if I1_aY is ZERO else I1_aY / (2.0 * sig_Y)
     denom = sig_S * sig_Y
     rho_i = model.rho * I_SY / denom
-    rho1_i = model.rho * (I1_SY * denom - I_SY * (sig1_S * sig_Y + sig_S * sig1_Y)) \
-        / (denom * denom)
+    rho1_i = ZERO if I1_SY is sig1_S is sig1_Y is ZERO else \
+        model.rho * (I1_SY * denom - I_SY * (sig1_S * sig_Y + sig_S * sig1_Y)) / (denom * denom)
+    # a field that vanishes still holds one value per point: shared zeros
+    nil = np.zeros(y.shape)
+    nil.flags.writeable = False
+    nil = nil[()]
+    I1_aS, sig1_S, I1_aY, sig1_Y, I1_SY, rho1_i = (
+        nil if v is ZERO else v for v in (I1_aS, sig1_S, I1_aY, sig1_Y, I1_SY, rho1_i))
     return FrozenCoeffs(
         delta=delta,
         a_S_i=I_aS, a_Y_i=I_aY,

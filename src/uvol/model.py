@@ -32,7 +32,7 @@ a constant ``sigma_Y``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -54,6 +54,69 @@ class ParameterError(ValueError):
 
 def _zero(y):
     return 0.0
+
+
+class _Once:
+    """Attribute computed on first access, then stored on the instance.
+
+    A non-data descriptor, so the stored value shadows it and later reads
+    are plain attribute lookups.  ``functools.cached_property`` does the
+    same but, before Python 3.12, takes a lock shared by all instances on
+    every first access, which chunk worker threads would contend for.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+class _Zero:
+    """An exact zero that the engine's formulas skip: :data:`ZERO`.
+
+    A product or quotient with it is itself and a sum drops it, so a
+    formula written in full, with the quantities a model's declarations
+    make identically zero set to ``ZERO``, forms only its other terms, in
+    the same left-to-right order.  Adding an exact zero leaves a number as
+    it is, so every bit is kept but the sign of an exact zero.  numpy
+    defers to it (``__array_ufunc__ = None``), so ``array * ZERO`` runs no
+    ufunc; ``x / ZERO`` and ufunc calls on it raise ``TypeError``.
+    """
+
+    __slots__ = ()
+    __array_ufunc__ = None
+
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __truediv__ = __pow__ = __mul__
+
+    def __neg__(self):
+        return self
+
+    def __add__(self, other):
+        return other
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return -other
+
+    def __rsub__(self, other):
+        return other
+
+    def __repr__(self):
+        return "ZERO"
+
+
+ZERO = _Zero()
 
 
 @dataclass(frozen=True)
@@ -120,31 +183,40 @@ class Model:
         if not math.isfinite(self.r):
             raise ParameterError(f"r must be finite, got {self.r}")
 
-    def jet(self, y) -> "CoeffJet":
-        """The coefficients at the point set ``y``; see :class:`CoeffJet`."""
-        return CoeffJet(self, y)
+    @_Once
+    def vanishing(self) -> frozenset:
+        """Names of the :class:`CoeffJet` fields that the declarations make
+        identically zero, derived here once for the whole engine.
 
+        ``sigma_Y_const`` zeroes ``sigma1_Y``, ``sigma2_Y``, ``sigma3_Y`` and
+        so ``a1_Y``, ``a2_Y``, ``a3_Y``; ``ou_params`` zeroes ``b2_Y``;
+        ``sigma_S_affine`` zeroes ``sigma2_S``, and with ``s1 == 0`` also
+        ``sigma1_S`` and ``a1_S``.  Where both ``sigma1_S`` and ``sigma1_Y``
+        vanish so does ``sigma1_SY``, and where ``sigma2_S`` and
+        ``sigma1_Y`` vanish so does ``sigma2_SY``.  A coefficient whose
+        first derivative is listed is constant.  :func:`validate_model`
+        checks the callables against these declarations.
+        """
+        zero = set()
+        if self.sigma_Y_const is not None:
+            zero |= {"sigma1_Y", "sigma2_Y", "sigma3_Y", "a1_Y", "a2_Y", "a3_Y"}
+        if self.ou_params is not None:
+            zero.add("b2_Y")
+        if self.sigma_S_affine is not None:
+            zero.add("sigma2_S")
+            if self.sigma_S_affine[0] == 0:
+                zero |= {"sigma1_S", "a1_S"}
+        if {"sigma1_S", "sigma1_Y"} <= zero:
+            zero.add("sigma1_SY")
+        if {"sigma2_S", "sigma1_Y"} <= zero:
+            zero.add("sigma2_SY")
+        return frozenset(zero)
 
-class _Once:
-    """Attribute computed on first access, then stored on the instance.
-
-    A non-data descriptor, so the stored value shadows it and later reads
-    are plain attribute lookups.  ``functools.cached_property`` does the
-    same but, before Python 3.12, takes a lock shared by all instances on
-    every first access, which chunk worker threads would contend for.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
+    def jet(self, y, vanish: bool = False) -> "CoeffJet":
+        """The coefficients at the point set ``y``; see :class:`CoeffJet`.
+        With ``vanish``, the fields in :attr:`vanishing` are :data:`ZERO`
+        and their callables never run."""
+        return CoeffJet(self, y, vanish)
 
 
 def _field(name):
@@ -165,11 +237,16 @@ class CoeffJet:
     ``a' = 2 sigma sigma'``, ``a'' = 2 (sigma'^2 + sigma sigma'')`` and
     ``a''' = 2 (3 sigma' sigma'' + sigma sigma''')``, and the covariance
     product ``sigma_SY = sigma_S sigma_Y`` with its first two derivatives.
+    Built with ``vanish``, a jet holds :data:`ZERO` for the fields the
+    model's declarations zero (:attr:`Model.vanishing`), and the
+    shorthands built from them skip those terms.
     """
 
-    def __init__(self, model: Model, y):
+    def __init__(self, model: Model, y, vanish: bool = False):
         self.model = model
         self.y = y
+        if vanish:  # a stored value shadows the field: nothing is computed
+            self.__dict__.update(dict.fromkeys(model.vanishing, ZERO))
 
     b_Y = _field("b_Y")
     b1_Y = _field("b1_Y")
@@ -216,8 +293,10 @@ class CoeffJet:
 
     @_Once
     def sigma2_SY(self):
+        # 2 sigma1_Y sigma1_S: doubling is exact, so either order rounds
+        # the same product once; this one forms nothing when sigma1_Y is ZERO
         return (self.sigma2_S * self.sigma_Y
-                + 2.0 * self.sigma1_S * self.sigma1_Y
+                + 2.0 * self.sigma1_Y * self.sigma1_S
                 + self.sigma_S * self.sigma2_Y)
 
 
@@ -386,6 +465,12 @@ class ValidationReport:
         central finite differences of the underlying functions.
     derivatives_ok : bool
         ``deriv_max_rel_err <= 1e-5``.
+    declarations_ok : bool
+        Whether the callables have the shapes the model declares: the
+        engine takes closed forms from ``sigma_Y_const``, ``ou_params`` and
+        ``sigma_S_affine``, and skips the terms of :attr:`Model.vanishing`,
+        so each declared coefficient must match its formula to a relative
+        ``1e-9`` and each field it zeroes must be exactly 0 on the grid.
     ok : bool
         Conjunction of all flags.
     messages : tuple of str
@@ -400,6 +485,7 @@ class ValidationReport:
     sigma_Y_ok: bool
     deriv_max_rel_err: float
     derivatives_ok: bool
+    declarations_ok: bool
     ok: bool
     messages: tuple
 
@@ -411,8 +497,32 @@ def _fd_rel_err(f, df, y, h):
     return float(np.max(np.abs(num - ana) / scale))
 
 
+def _contradicted(m: Model, y) -> list:
+    """The declarations of ``m`` that its callables contradict at ``y``."""
+    want = {}  # callable name -> its declared value at y
+    if m.sigma_Y_const is not None:
+        want["sigma_Y"] = m.sigma_Y_const
+    if m.ou_params is not None:
+        lam, mu = m.ou_params
+        want["b_Y"], want["b1_Y"] = lam * (mu - y), -lam
+    if m.sigma_S_affine is not None:
+        s1, s2 = m.sigma_S_affine
+        want["sigma_S"], want["sigma1_S"] = s1 * y + s2, s1
+    bad = []
+    for name, value in want.items():
+        got = np.asarray(getattr(m, name)(y), dtype=float)
+        if not np.all(np.abs(got - value) <= 1e-9 * np.maximum(np.abs(value), 1.0)):
+            bad.append(name)
+    # the engine skips the terms of these outright: each must be exactly 0
+    for name in sorted(m.vanishing & {f.name for f in fields(m)}):
+        if not np.all(np.asarray(getattr(m, name)(y), dtype=float) == 0):
+            bad.append(f"{name} (declared zero)")
+    return bad
+
+
 def validate_model(m: Model, grid) -> ValidationReport:
-    """Check ellipticity bounds and derivative consistency on a grid.
+    """Check ellipticity bounds, derivative consistency and the declared
+    shapes on a grid.
 
     Purely advisory: reports are returned, never raised, no matter how the
     checks come out.
@@ -458,12 +568,16 @@ def validate_model(m: Model, grid) -> ValidationReport:
     d_ok = err <= 1e-5
     if not d_ok:
         msgs.append(f"derivative handles disagree with finite differences (rel err {err:.3g})")
+    bad = _contradicted(m, y)
+    if bad:
+        msgs.append("callables contradict the model's declarations "
+                    "(ou_params, sigma_S_affine, sigma_Y_const): " + ", ".join(bad))
 
     return ValidationReport(
         sigma_S_sq_min=float(aS.min()), sigma_S_sq_max=float(aS.max()),
         sigma_Y_sq_min=float(aY.min()), sigma_Y_sq_max=float(aY.max()),
         sigma_S_ok=s_ok, sigma_Y_ok=y_ok,
-        deriv_max_rel_err=err, derivatives_ok=d_ok,
-        ok=s_ok and y_ok and d_ok,
+        deriv_max_rel_err=err, derivatives_ok=d_ok, declarations_ok=not bad,
+        ok=s_ok and y_ok and d_ok and not bad,
         messages=tuple(msgs),
     )

@@ -86,6 +86,37 @@ def test_step_weights_evaluate_each_callable_once_per_endpoint():
     assert all(size == n for _, _, size in log)
 
 
+# The callables step_weights runs on one batch, per builtin: none whose
+# terms the declarations zero (uvol.model.Model.vanishing).  A constant
+# sigma_Y and an OU drift leave no sigma1_Y, sigma2_Y, sigma3_Y or b2_Y; an
+# affine sigma_S no sigma2_S; Black-Scholes, with a constant sigma_S too,
+# only the drift, whose b1_Y is needed at y_next alone.  Stripped of the
+# sigma declarations, every model runs all of them but b2_Y.
+EVERY = {"b_Y": 2, "b1_Y": 2, "sigma_S": 2, "sigma1_S": 2, "sigma2_S": 1,
+         "sigma_Y": 2, "sigma1_Y": 2, "sigma2_Y": 1, "sigma3_Y": 1}
+STEP_CALLS = {
+    "BlackScholes": {"b_Y": 2, "b1_Y": 1},
+    "SteinSteinAffine": {"b_Y": 2, "b1_Y": 2, "sigma_S": 2, "sigma1_S": 2, "sigma_Y": 2},
+    "PeriodicCosine": {"b_Y": 2, "b1_Y": 2, "sigma_S": 2, "sigma1_S": 2, "sigma2_S": 1,
+                       "sigma_Y": 2},
+}
+
+
+@pytest.mark.parametrize("tag", sorted(STEP_CALLS))
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "stripped"])
+def test_step_weights_run_only_the_callables_left_nonzero(tag, declared):
+    model = builtin(tag)
+    mdl, log = counting(model if declared else quadrature_only(model))
+    n = 6
+    rng = np.random.default_rng(5)
+    step = make_step(mdl, np.zeros(n), rng.uniform(0.0, 0.5, n),
+                     rng.uniform(0.05, 0.5, n), rng.standard_normal(n),
+                     rng.standard_normal(n))
+    log.clear()
+    step_weights(step, JumpSampler.exponential(2.0))
+    assert Counter(name for name, _, _ in log) == (STEP_CALLS[tag] if declared else EVERY)
+
+
 def test_each_active_path_is_weighted_exactly_once_per_step(monkeypatch):
     """On the sampled route, interval k of a path is weighted once: by
     ``step_weights`` when k < n_jumps, by ``terminal_weights`` when

@@ -1,7 +1,9 @@
 # Chunked Monte Carlo engine: payoffs, run configuration, aggregation,
 # the per-path core on fixed grids and draws, and determinism.
 
+import cProfile
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -409,7 +411,10 @@ def test_one_chunk_working_set_is_block_sized():
     # 26.3 MB.  Stepping each round's jumpers as soon as their gaps are drawn,
     # with the round's draws dropped first and no grid stored, brought it to
     # 25.0 MB; the bound is that figure plus 9%.  (Keeping the round's draws
-    # alive while it steps reads 28.5 MB.)  numpy reports its buffers to
+    # alive while it steps reads 28.5 MB.)  Copying the state into the
+    # conditional matrix, which a profiler cannot break as it did the
+    # in-place resize, with the weights skipping the terms the declarations
+    # zero, reads 25.4 MB.  numpy reports its buffers to
     # tracemalloc, so the figure does not depend on the allocator.
     cfg = base_config(model=builtin("SteinSteinAffine"),
                       sampler=JumpSampler.beta_one_minus_alpha(0.5, 1.0),
@@ -427,9 +432,11 @@ def test_quadrature_chunk_working_set_is_block_sized():
     # 32 768 paths of the cosine-digital contract, its one chunk: 8.7 MB of
     # traced memory with the final pass in quarter blocks, 8.9 MB with full
     # ones written over each path's state, and 8.8 MB with that state in one
-    # matrix grown in place for the final pass.  The bound is the first figure
-    # plus 9%, as for the affine chunk.  A small chunk first fills the
-    # caches a process builds once (the quadrature rule, Philox keys).
+    # matrix grown in place for the final pass; 8.3 MB with the state copied
+    # into that matrix and the weights skipping the terms the declarations
+    # zero.  The bound is the first figure plus 9%, as for the affine chunk.
+    # A small chunk first fills the caches a process builds once (the
+    # quadrature rule, Philox keys).
     cfg = base_config(model=builtin("PeriodicCosine"), payoff=Payoff.digital_call(1.5),
                       sampler=JumpSampler.exponential(0.5), n_paths=1 << 15)
     estimators._chunk_partials(cfg, 0, 64, "price")
@@ -440,6 +447,29 @@ def test_quadrature_chunk_working_set_is_block_sized():
     finally:
         tracemalloc.stop()
     assert peak < 9.48e6
+
+
+def _bits(res):
+    return [float(v).hex() for v in (res.mean, res.std_error, *res.control_z)]
+
+
+@pytest.mark.parametrize("quantity", ["price", "delta", "vega"])
+def test_profiled_estimate_keeps_every_bit(quantity):
+    """A profiler holds references to the engine's frames.  The final pass
+    grew its state matrix with ndarray.resize, whose reference check then
+    failed on every default estimate; it now copies the state instead."""
+    cfg = base_config(model=builtin("SteinSteinAffine"), n_paths=3000, seed=4)
+    estimate = getattr(estimators, f"estimate_{quantity}")
+    plain = estimate(cfg)
+    profiled = cProfile.Profile().runcall(estimate, cfg)
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(event))
+    try:
+        hooked = estimate(cfg)
+    finally:
+        sys.setprofile(None)
+    assert calls
+    assert _bits(profiled) == _bits(hooked) == _bits(plain)
 
 
 def test_runs_are_reproducible_for_fixed_seed():

@@ -201,3 +201,36 @@ def test_validate_synthetic_model_derivatives():
     rep = validate_model(synthetic_model(), np.linspace(-2, 2, 41))
     assert rep.derivatives_ok
     assert rep.deriv_max_rel_err < 1e-5
+
+
+@pytest.mark.parametrize("tag", ["BlackScholes", "SteinSteinAffine", "PeriodicCosine"])
+def test_validate_builtins_keep_their_declarations(tag):
+    rep = validate_model(builtin(tag), np.linspace(-3, 3, 61))
+    assert rep.declarations_ok
+    assert not any("declarations" in msg for msg in rep.messages)
+
+
+@pytest.mark.parametrize("declared, culprit", [
+    # sigma_Y_const over a sigma_Y that varies, with nonzero derivatives
+    (dict(sigma_Y_const=0.2, ou_params=(0.5, 0.3)), "sigma_Y"),
+    # an OU drift declared with the wrong speed
+    (dict(ou_params=(0.7, 0.3)), "b_Y"),
+    # a constant sigma_S declared over an affine one
+    (dict(sigma_S_affine=(0.0, 0.15)), "sigma_S"),
+])
+def test_validate_flags_contradicted_declarations(declared, culprit):
+    base = synthetic_model() if "sigma_Y_const" in declared else builtin("SteinSteinAffine")
+    rep = validate_model(dataclasses.replace(base, **declared), np.linspace(-1, 1, 21))
+    assert rep.derivatives_ok
+    assert not rep.declarations_ok
+    assert not rep.ok
+    msg, = (m for m in rep.messages if "declarations" in m)
+    assert culprit in msg
+
+
+def test_validate_names_each_declared_zero_that_is_not():
+    # sigma_Y is constant, but its declared-zero derivatives are not 0
+    m = dataclasses.replace(builtin("BlackScholes"), sigma2_Y=lambda y: 1e-3 + 0.0 * y)
+    rep = validate_model(m, np.linspace(-1, 1, 5))
+    assert not rep.declarations_ok and not rep.ok
+    assert any("sigma2_Y (declared zero)" in msg for msg in rep.messages)
